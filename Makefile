@@ -1,6 +1,6 @@
 # Convenience targets; see CONTRIBUTING.md.
 
-.PHONY: install test lint analyze bench experiments examples all clean
+.PHONY: install test lint bench experiments examples all clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,10 +10,6 @@ test:
 
 lint:
 	PYTHONPATH=src python -m repro.lint src/repro
-
-analyze:
-	PYTHONPATH=src python -m repro.analyze src/repro
-	PYTHONPATH=src python -m repro.analyze --selfcheck
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -25,7 +21,7 @@ examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
 	@echo "all examples OK"
 
-all: lint analyze test bench experiments examples
+all: lint test bench experiments examples
 
 clean:
 	rm -rf build dist src/*.egg-info .pytest_cache .benchmarks

@@ -1,7 +1,7 @@
 """Compiled kernel backends vs the NumPy reference: steady-state speedup.
 
-Measures full MTTKRP sweeps (every mode, plans cached, workspaces warm,
-``amortize=True``) on the same synthetic 3rd-order workload as
+Measures full MTTKRP sweeps (every mode, plans cached, workspaces warm)
+on the same synthetic 3rd-order workload as
 ``test_perf_amortized.py``, once per registered backend that is available
 in this environment.  Timings are minima over interleaved trials — the
 backends alternate within each trial so shared-machine noise cannot favour

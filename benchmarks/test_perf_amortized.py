@@ -3,13 +3,15 @@
 Measures repeated :func:`repro.mttkrp.mttkrp_csf` calls on a synthetic
 3rd-order tensor (>= 1e5 nonzeros) in two configurations:
 
-* **seed** — ``amortize=False`` on a ``persistent=False`` tasking layer:
-  thread spawn per ``coforall``, ``np.add.at`` scatters, per-call argsort
-  and buffer allocation (the pre-engine behaviour);
+* **seed** — :func:`seed_mttkrp`, the pre-engine MTTKRP kept here as the
+  baseline, on a ``persistent=False`` tasking layer: thread spawn per
+  ``coforall``, plan-less tree walks, ``np.add.at`` scatters, per-call
+  partitioning, argsort, mutex pool and buffer allocation;
 * **amortized** — the defaults: persistent worker pool, cached scatter
   plans and segment-sum operators, reusable workspaces.
 
-Asserts ``np.allclose`` agreement on every algorithm/lock path and a
+Asserts that the seed baseline matches the dense oracle, ``np.allclose``
+agreement between the two on every algorithm/lock path, and a
 >= 2x steady-state speedup over a full sweep (every mode under both sync
 policies), and writes the measurements to ``benchmarks/BENCH_mttkrp.json``
 for tracking.  Timings are the minimum over interleaved trials — the two
@@ -27,8 +29,17 @@ import numpy as np
 import pytest
 
 from repro.csf.build import build_csf_set
+from repro.mttkrp.csf_kernels import (
+    internal_range_vectorized,
+    leaf_range_vectorized,
+    root_range_vectorized,
+)
+from repro.mttkrp.partition import nnz_balanced_blocks
+from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
+from repro.runtime.locks import DEFAULT_POOL_SIZE, make_mutex_pool
+from repro.runtime.reductions import array_reduce_buffers
 from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.generate import random_tensor
 
@@ -50,16 +61,73 @@ def workload():
     return tensor, factors, csf_set
 
 
-def _sweep(csf_set, factors, layer, *, amortize):
+def seed_mttkrp(csf_set, factors, mode, layer, *, force_locks):
+    """The pre-engine vectorized MTTKRP: everything per call.
+
+    Partitions the tree, walks it plan-less, and scatters with
+    ``np.add.at`` — into fresh per-task buffers when privatized, or
+    bucket by bucket under a fresh mutex pool after a per-call argsort.
+    """
+    tree, algorithm = csf_set.tree_for_mode(mode)
+    ntasks = layer.env.num_tasks
+    out = np.zeros((tree.dims[mode], factors[0].shape[1]))
+    bounds = nnz_balanced_blocks(tree, ntasks)
+    if algorithm == "root":
+        layer.coforall(ntasks, lambda tid: root_range_vectorized(
+            tree, factors, out, int(bounds[tid]), int(bounds[tid + 1])))
+        return out
+    level = tree.level_of_mode(mode)
+
+    def contribs(tid):
+        lo, hi = int(bounds[tid]), int(bounds[tid + 1])
+        if algorithm == "leaf":
+            return leaf_range_vectorized(tree, factors, lo, hi)
+        return internal_range_vectorized(tree, factors, level, lo, hi)
+
+    if force_locks and ntasks > 1:
+        pool = make_mutex_pool("atomic", size=DEFAULT_POOL_SIZE, env=layer.env)
+
+        def locked(tid):
+            rows, c = contribs(tid)
+            buckets = rows % pool.size
+            order = np.argsort(buckets, kind="stable")
+            rows, c, buckets = rows[order], c[order], buckets[order]
+            starts = np.flatnonzero(np.diff(buckets)) + 1
+            for s, e in zip([0, *starts], [*starts, rows.size]):
+                pool.acquire(int(buckets[s]))
+                try:
+                    np.add.at(out, rows[s:e], c[s:e])
+                finally:
+                    pool.release(int(buckets[s]))
+
+        layer.coforall(ntasks, locked)
+        return out
+    buffers = [np.zeros_like(out) for _ in range(ntasks)]
+
+    def private(tid):
+        np.add.at(buffers[tid], *contribs(tid))
+
+    layer.coforall(ntasks, private)
+    array_reduce_buffers(layer, out, buffers)
+    return out
+
+
+def _sweep(csf_set, factors, layer, *, seed):
     """One full pass: every mode under both sync policies."""
     outs = []
     for force_locks in LOCK_CONFIGS:
         for mode in range(len(factors)):
-            out, info = mttkrp_csf(
-                csf_set, factors, mode, layer=layer,
-                force_locks=force_locks, amortize=amortize,
-            )
-            outs.append((force_locks, mode, info.algorithm, out))
+            if seed:
+                out = seed_mttkrp(csf_set, factors, mode, layer,
+                                  force_locks=force_locks)
+                algorithm = csf_set.tree_for_mode(mode)[1]
+            else:
+                out, info = mttkrp_csf(
+                    csf_set, factors, mode, layer=layer,
+                    force_locks=force_locks,
+                )
+                algorithm = info.algorithm
+            outs.append((force_locks, mode, algorithm, out))
     return outs
 
 
@@ -67,11 +135,28 @@ def _best_sweep_seconds(csf_set, factors, configs, trials=TRIALS):
     """Per-config best single-sweep time over interleaved trials."""
     best = {name: float("inf") for name, _, _ in configs}
     for _ in range(trials):
-        for name, layer, amortize in configs:
+        for name, layer, seed in configs:
             start = time.perf_counter()
-            _sweep(csf_set, factors, layer, amortize=amortize)
+            _sweep(csf_set, factors, layer, seed=seed)
             best[name] = min(best[name], time.perf_counter() - start)
     return best
+
+
+def _check_seed_against_oracle():
+    """The seed baseline is an MTTKRP: it matches the dense oracle on a
+    small tensor, every mode, both sync policies, one and two tasks."""
+    tensor = random_tensor((9, 7, 8), 150, seed=3)
+    rng = np.random.default_rng(5)
+    factors = [rng.random((d, 4)) for d in tensor.dims]
+    csf_set = build_csf_set(tensor, allocation="one")
+    for ntasks in (1, NTASKS):
+        layer = make_tasking_layer(ChapelEnv(num_tasks=ntasks), persistent=False)
+        for force_locks in LOCK_CONFIGS:
+            for mode in range(tensor.nmodes):
+                got = seed_mttkrp(csf_set, factors, mode, layer,
+                                  force_locks=force_locks)
+                want = dense_mttkrp_reference(tensor, factors, mode)
+                np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_amortized_engine_speedup(benchmark, workload):
@@ -80,10 +165,12 @@ def test_amortized_engine_speedup(benchmark, workload):
     seed_layer = make_tasking_layer(env, persistent=False)
     amortized_layer = make_tasking_layer(env)
     try:
-        # --- correctness: every algorithm/lock path agrees with the seed ---
-        seed_outs = _sweep(csf_set, factors, seed_layer, amortize=False)
+        # --- correctness: the seed matches the oracle, and every
+        # algorithm/lock path of the engine agrees with the seed ---
+        _check_seed_against_oracle()
+        seed_outs = _sweep(csf_set, factors, seed_layer, seed=True)
         cold_start = time.perf_counter()
-        amortized_outs = _sweep(csf_set, factors, amortized_layer, amortize=True)
+        amortized_outs = _sweep(csf_set, factors, amortized_layer, seed=False)
         cold_seconds = time.perf_counter() - cold_start
         algorithms = set()
         for (fl, mode, algo, expected), (_, _, _, got) in zip(seed_outs, amortized_outs):
@@ -95,7 +182,7 @@ def test_amortized_engine_speedup(benchmark, workload):
         best = benchmark.pedantic(
             lambda: _best_sweep_seconds(
                 csf_set, factors,
-                [("seed", seed_layer, False), ("steady", amortized_layer, True)],
+                [("seed", seed_layer, True), ("steady", amortized_layer, False)],
             ),
             rounds=1, iterations=1,
         )

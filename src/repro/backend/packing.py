@@ -89,22 +89,18 @@ def pack_factors(
     pk: PackedTree,
     tree: CsfTensor,
     factors: Sequence[np.ndarray],
-    ws=None,
+    ws,
 ) -> np.ndarray:
     """Stack ``factors`` (tree-level order) into one contiguous matrix.
 
-    ``ws`` is an optional :class:`~repro.mttkrp.scatter.Workspace`; with
-    it, the packed matrix is a reused arena buffer.  Factors must already
+    The packed matrix is a reused buffer of ``ws`` (a
+    :class:`~repro.mttkrp.scatter.Workspace`).  Factors must already
     be canonical (C-contiguous ``float64`` — enforced at the dispatch
     boundary by :func:`repro.backend.canonical_factors`), so each level is
     a plain block copy.
     """
-    rank = factors[0].shape[1]
-    shape = (pk.packed_rows, rank)
-    if ws is None:
-        packed = np.empty(shape, dtype=VALUE_DTYPE)
-    else:
-        packed = ws.buf(("backend", "packed_factors"), shape, VALUE_DTYPE)
+    shape = (pk.packed_rows, factors[0].shape[1])
+    packed = ws.buf(("backend", "packed_factors"), shape, VALUE_DTYPE)
     for l in range(pk.nmodes):
         start = int(pk.row_off[l])
         packed[start:start + pk._level_dims[l]] = factors[tree.dim_perm[l]]

@@ -161,25 +161,22 @@ class BackendCall:
         self.packed = packed
 
     def _out(self, nrows: int, ws, tag):
-        rank = self.packed.shape[1]
-        if ws is None:
-            return np.empty((nrows, rank), dtype=VALUE_DTYPE)
-        return ws.buf(tag, (nrows, rank), VALUE_DTYPE)
+        return ws.buf(tag, (nrows, self.packed.shape[1]), VALUE_DTYPE)
 
-    def root_w(self, lo: int, hi: int, ws=None) -> np.ndarray:
+    def root_w(self, lo: int, hi: int, ws) -> np.ndarray:
         """Per-root-node subtree products for slices ``[lo, hi)``."""
         out = self._out(hi - lo, ws, ("backend", "root"))
         self.backend.root_kernel(self.pk, self.packed, lo, hi, out)
         return out
 
     def internal_contribs(self, level: int, lo: int, hi: int,
-                          nnodes: int, ws=None) -> np.ndarray:
+                          nnodes: int, ws) -> np.ndarray:
         """Per-``level``-node contributions under root slices ``[lo, hi)``."""
         out = self._out(nnodes, ws, ("backend", "internal", level))
         self.backend.internal_kernel(self.pk, self.packed, level, lo, hi, out)
         return out
 
-    def leaf_contribs(self, lo: int, hi: int, nleaves: int, ws=None) -> np.ndarray:
+    def leaf_contribs(self, lo: int, hi: int, nleaves: int, ws) -> np.ndarray:
         """Per-nonzero contributions under root slices ``[lo, hi)``."""
         out = self._out(nleaves, ws, ("backend", "leaf"))
         self.backend.leaf_kernel(self.pk, self.packed, lo, hi, out)
@@ -332,6 +329,7 @@ def _warmup_check(backend: Backend) -> None:
     at ``ensure_ready`` than silently wrong factor matrices.
     """
     from repro.csf.tree import CsfTensor
+    from repro.mttkrp.scatter import Workspace
 
     # 1 root slice -> 1 fiber -> 2 leaves; dims (in tree order) 1, 1, 2.
     tree = CsfTensor(
@@ -345,7 +343,7 @@ def _warmup_check(backend: Backend) -> None:
     pk = PackedTree(tree)
     rng = np.random.default_rng(7)
     factors = canonical_factors([rng.random((d, 3)) for d in tree.dims])
-    packed = pack_factors(pk, tree, factors)
+    packed = pack_factors(pk, tree, factors, Workspace())
     f0, f1, f2 = factors
 
     out = np.empty((1, 3))

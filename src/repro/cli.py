@@ -519,13 +519,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(list(args.args))
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    """First-class ``repro analyze``: forwards to ``python -m repro.analyze``."""
-    from repro.analyze.__main__ import main as analyze_main
-
-    return analyze_main(list(args.args))
-
-
 def _cmd_reorder(args: argparse.Namespace) -> int:
     from repro.tensor.reorder import reorder_tensor
 
@@ -742,22 +735,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_submit)
 
     p = sub.add_parser(
-        "lint", help="per-module static linter (paper anti-patterns, "
-        "runtime discipline); exits 1 on findings",
+        "lint", help="static linter (paper anti-patterns, runtime "
+        "discipline, must-release); exits 1 on findings",
         add_help=False,
     )
     p.add_argument("args", nargs=argparse.REMAINDER,
                    help="forwarded to python -m repro.lint")
     p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser(
-        "analyze", help="whole-program analyzer (dispatch contracts, "
-        "lifecycles, race pre-screen, hot propagation); exits 1 on findings",
-        add_help=False,
-    )
-    p.add_argument("args", nargs=argparse.REMAINDER,
-                   help="forwarded to python -m repro.analyze")
-    p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("reorder", help="relabel mode indices for locality")
     p.add_argument("tensor")
@@ -781,16 +765,12 @@ def main(argv: list[str] | None = None) -> int:
     """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     # argparse REMAINDER silently refuses to capture a leading option-like
-    # token (bpo-17050), which would strip e.g. ``repro analyze --selfcheck``
-    # of its flag — dispatch the pure-forwarding subcommands by hand.
+    # token (bpo-17050), which would strip e.g. ``repro lint --list-rules``
+    # of its flag — dispatch the pure-forwarding subcommand by hand.
     if argv and argv[0] == "lint":
         from repro.lint.__main__ import main as lint_main
 
         return lint_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        from repro.analyze.__main__ import main as analyze_main
-
-        return analyze_main(argv[1:])
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)

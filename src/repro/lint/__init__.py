@@ -8,7 +8,10 @@ allocation in hot kernels (Fig 1), row materialization via slice copies
 (Figs 2–3), raw scatters and undisciplined shared-state updates (Fig 4) —
 plus the concurrency discipline the simulated runtime depends on (no raw
 threading, try/finally lock release, with-scoped spans, no strippable
-asserts guarding invariants).
+asserts guarding invariants).  One rule, ``must-release``, looks at the
+whole program at once: every lock, shm arena, socket, pool or manually
+entered context must reach its release on every path, exceptional edges
+included, with release effects followed across functions and modules.
 
 Run it with ``python -m repro.lint src/repro`` (exit 1 on any unsuppressed
 finding), or programmatically::
@@ -39,7 +42,9 @@ from repro.lint.engine import (
 from repro.lint.report import render_json, render_rule_catalog, render_text, summarize
 
 # importing the rule modules populates RULES
-from repro.lint import rules_hygiene, rules_perf, rules_runtime  # noqa: F401,E402
+from repro.lint import (  # noqa: F401,E402
+    rules_hygiene, rules_lifecycle, rules_perf, rules_runtime,
+)
 
 __all__ = [
     "RULES",

@@ -49,8 +49,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="AST-level static analyzer enforcing the paper's "
-                    "performance anti-patterns and the runtime's "
-                    "concurrency discipline (docs/LINTING.md)",
+                    "performance anti-patterns, the runtime's "
+                    "concurrency discipline and resource lifecycles "
+                    "(docs/LINTING.md)",
     )
     parser.add_argument("paths", nargs="*", help="files/directories to lint "
                         "(default: src/repro)")

@@ -1,11 +1,10 @@
-"""A small forward dataflow / abstract interpretation core.
+"""A small forward dataflow core for the whole-program ``must-release`` rule.
 
-The analyses in this package share one execution model: walk a function's
-statements in order, keep an abstract *environment* (variable → lattice
-value), split on ``if``/``try`` branches, join at merge points, and
-iterate loop bodies to a fixpoint.  This module provides that driver —
-:class:`ForwardAnalysis` — so each analysis only supplies its lattice and
-transfer functions.
+Walk a function's statements in order, keep an abstract *environment*
+(variable → lattice value), split on ``if``/``try`` branches, join at
+merge points, and iterate loop bodies to a fixpoint.  This module provides
+that driver — :class:`ForwardAnalysis` — so a rule only supplies its
+lattice and transfer functions.
 
 Lattice contract: values are immutable, compared with ``==``, and joined
 with the analysis's :meth:`ForwardAnalysis.join_values`.  ``None`` inside
@@ -56,14 +55,13 @@ def may_raise(stmt: ast.stmt) -> bool:
 class ForwardAnalysis:
     """Forward walker over one function body.  Subclass and override.
 
-    The driver maintains ``self.env`` while walking; hooks receive the
-    statement/expression plus the live environment and mutate it.  Branch
+    Hooks receive the statement/expression plus the live environment and
+    mutate it.  Branch
     handling, joins, loop fixpoints and exceptional edges are the
     driver's job.
     """
 
     def __init__(self) -> None:
-        self.env: Env = {}
         self._exit_envs: list[Env] = []
 
     # -- hooks (override in analyses) -----------------------------------
@@ -100,12 +98,10 @@ class ForwardAnalysis:
                     out[key] = j
         return out
 
-    def run(self, fn: ast.FunctionDef | ast.AsyncFunctionDef,
-            initial: Env | None = None) -> list[Env]:
+    def run(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[Env]:
         """Walk ``fn``'s body; returns the environments at normal exits."""
-        self.env = dict(initial) if initial else {}
         self._exit_envs = []
-        env = self._walk_block(fn.body, self.env)
+        env = self._walk_block(fn.body, {})
         if env is not None:  # fall-through exit
             self._exit_envs.append(env)
             self.on_exit(env, None)
@@ -122,7 +118,7 @@ class ForwardAnalysis:
     def _walk_stmt(self, stmt: ast.stmt, env: Env) -> Env | None:
         self.transfer_stmt(stmt, env)
 
-        if isinstance(stmt, (ast.Return,)):
+        if isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self.eval_expr(stmt.value, env)
             self._exit_envs.append(dict(env))
@@ -172,9 +168,7 @@ class ForwardAnalysis:
         if isinstance(stmt, ast.Try):
             return self._try(stmt, env)
 
-        if isinstance(stmt, _FUNC_NODES) or isinstance(stmt, ast.ClassDef):
-            return env  # nested definitions don't execute here
-        return env
+        return env  # nested definitions and the rest don't change bindings
 
     def _merge(self, a: Env | None, b: Env | None) -> Env | None:
         if a is None:

@@ -57,9 +57,6 @@ __all__ = [
     "RULES",
     "register",
     "load_config",
-    "assign_fingerprints",
-    "apply_config_allowlist",
-    "collect_suppressions",
 ]
 
 
@@ -70,9 +67,11 @@ __all__ = [
 class Rule:
     """One lint rule: identity, category, and the check itself.
 
-    ``check`` yields ``(node, message)`` pairs; the engine turns them into
-    :class:`Finding`\\ s.  Engine-emitted rules (suppression auditing) have
-    ``check=None``.
+    ``check`` looks at one module and yields ``(node, message)`` pairs;
+    ``program_check`` looks at every linted module at once and yields
+    ``(module, node, message)`` triples.  The engine turns both into
+    :class:`Finding`\\ s under the same suppressions.  Engine-emitted rules
+    (suppression auditing) have neither.
     """
 
     id: str
@@ -80,6 +79,9 @@ class Rule:
     summary: str
     paper: str | None = None  # figure/section of the source paper it encodes
     check: Callable[["ModuleView"], Iterator[tuple[ast.AST, str]]] | None = None
+    program_check: Callable[
+        [list["ModuleView"]], Iterator[tuple["ModuleView", ast.AST, str]]
+    ] | None = None
 
 
 #: Global rule registry, id → :class:`Rule`.  Populated by the
@@ -224,12 +226,6 @@ class _Suppression:
     rules: tuple[str, ...]
     reason: str | None
     used: bool = False
-
-
-def collect_suppressions(source: str) -> dict[int, _Suppression]:
-    """Public alias of :func:`_collect_suppressions` (shared with
-    :mod:`repro.analyze`, which reuses the same comment syntax)."""
-    return _collect_suppressions(source)
 
 
 def _collect_suppressions(source: str) -> dict[int, _Suppression]:
@@ -423,16 +419,9 @@ class LintEngine:
                  rules: Iterable[str] | None = None,
                  package_anchor: str = "repro"):
         # rule modules register themselves on import
-        from repro.lint import rules_hygiene, rules_perf, rules_runtime  # noqa: F401
-
-        # The whole-program analyses of repro.analyze share this registry
-        # (category "analysis", check=None: they never run per-module) so
-        # suppression comments naming their rule ids are recognized here
-        # instead of being reported as unknown.
-        try:
-            import repro.analyze  # noqa: F401
-        except ImportError:  # analyze layer absent/broken: lint still works
-            pass
+        from repro.lint import (  # noqa: F401
+            rules_hygiene, rules_lifecycle, rules_perf, rules_runtime,
+        )
 
         self.config = config if config is not None else LintConfig()
         selected = set(rules) if rules is not None else set(RULES)
@@ -474,60 +463,81 @@ class LintEngine:
         """Lint one in-memory module (the fixture-test entry point)."""
         path = Path(path)
         rp = relpath if relpath is not None else self._relpath(path, None)
-        return self._lint_module(path, rp, source)
+        return self._lint_sources([(path, rp, source)])
 
     def lint_paths(self, paths: Iterable[Path | str],
                    root: Path | None = None) -> list[Finding]:
         """Lint files/directories; findings sorted, suppressions applied."""
         findings: list[Finding] = []
+        sources: list[tuple[Path, str, str]] = []
         for f in self.collect_files([Path(p) for p in paths]):
+            relpath = self._relpath(f, root)
             try:
-                source = f.read_text(encoding="utf-8")
+                sources.append((f, relpath, f.read_text(encoding="utf-8")))
             except OSError as exc:
                 findings.append(Finding(
-                    rule="parse-error", path=self._relpath(f, root), line=1,
+                    rule="parse-error", path=relpath, line=1,
                     col=0, message=f"cannot read file: {exc}", snippet="",
                     scope="<module>",
                 ))
-                continue
-            findings.extend(self._lint_module(f, self._relpath(f, root), source))
+        findings.extend(self._lint_sources(sources))
         findings.sort(key=Finding.sort_key)
-        self._assign_fingerprints(findings)
-        self._apply_config_allowlist(findings)
+        assign_fingerprints(findings)
+        apply_config_allowlist(findings, self.config)
         return findings
 
     # ------------------------------------------------------------------
-    def _lint_module(self, path: Path, relpath: str, source: str) -> list[Finding]:
-        try:
-            tree = ast.parse(source)
-        except SyntaxError as exc:
-            return [Finding(
-                rule="parse-error", path=relpath, line=exc.lineno or 1,
-                col=exc.offset or 0, message=f"syntax error: {exc.msg}",
-                snippet="", scope="<module>",
-            )]
-        mod = ModuleView(path, relpath, source, tree, self.config)
-        suppressions = _collect_suppressions(source)
-
+    def _lint_sources(self, sources: list[tuple[Path, str, str]]) -> list[Finding]:
+        """Per-module rules on each source, then the whole-program rules
+        over all of them, then the suppression audit of each module."""
         findings: list[Finding] = []
-        for rid in self.rule_ids:
-            rule = RULES[rid]
-            if rule.check is None:
-                continue
-            for node, message in rule.check(mod):
+        modules: list[tuple[ModuleView, dict[int, _Suppression]]] = []
+        for path, relpath, source in sources:
+            try:
+                tree = ast.parse(source)
+            except SyntaxError as exc:
                 findings.append(Finding(
-                    rule=rid, path=relpath,
-                    line=getattr(node, "lineno", 1),
-                    col=getattr(node, "col_offset", 0),
-                    message=message, snippet=mod.snippet(node),
-                    scope=mod.scope_name(node),
+                    rule="parse-error", path=relpath, line=exc.lineno or 1,
+                    col=exc.offset or 0, message=f"syntax error: {exc.msg}",
+                    snippet="", scope="<module>",
                 ))
-                self._maybe_suppress(findings[-1], mod, suppressions, node=node)
+                continue
+            mod = ModuleView(path, relpath, source, tree, self.config)
+            suppressions = _collect_suppressions(source)
+            modules.append((mod, suppressions))
+            for rid in self.rule_ids:
+                check = RULES[rid].check
+                if check is not None:
+                    for node, message in check(mod):
+                        findings.append(self._finding(
+                            rid, mod, suppressions, node, message))
 
-        findings.extend(self._audit_suppressions(mod, suppressions))
+        suppressions_of = {id(mod): supps for mod, supps in modules}
+        for rid in self.rule_ids:
+            program_check = RULES[rid].program_check
+            if program_check is not None and modules:
+                for mod, node, message in program_check([m for m, _ in modules]):
+                    findings.append(self._finding(
+                        rid, mod, suppressions_of[id(mod)], node, message))
+
+        for mod, suppressions in modules:
+            findings.extend(self._audit_suppressions(mod, suppressions))
         findings.sort(key=Finding.sort_key)
-        self._assign_fingerprints(findings)
+        assign_fingerprints(findings)
         return findings
+
+    def _finding(self, rid: str, mod: ModuleView,
+                 suppressions: dict[int, _Suppression], node: ast.AST,
+                 message: str) -> Finding:
+        finding = Finding(
+            rule=rid, path=mod.relpath,
+            line=getattr(node, "lineno", 1),
+            col=getattr(node, "col_offset", 0),
+            message=message, snippet=mod.snippet(node),
+            scope=mod.scope_name(node),
+        )
+        self._maybe_suppress(finding, mod, suppressions, node=node)
+        return finding
 
     def _maybe_suppress(self, finding: Finding, mod: ModuleView,
                         suppressions: dict[int, _Suppression],
@@ -593,7 +603,9 @@ class LintEngine:
                     if supp.line <= len(mod.lines) else "",
                     scope="<module>",
                 ))
-            elif not supp.used and not _analysis_only(supp.rules):
+            elif not supp.used and all(
+                r == "*" or r in self.rule_ids for r in supp.rules
+            ):  # a rule that did not run cannot have used its allowance
                 out.append(Finding(
                     rule="unused-suppression", path=mod.relpath, line=supp.line,
                     col=0,
@@ -607,29 +619,10 @@ class LintEngine:
                 ))
         return out
 
-    # ------------------------------------------------------------------
-    def _assign_fingerprints(self, findings: list[Finding]) -> None:
-        assign_fingerprints(findings)
-
-    def _apply_config_allowlist(self, findings: list[Finding]) -> None:
-        apply_config_allowlist(findings, self.config)
-
-
-def _analysis_only(rule_ids: Iterable[str]) -> bool:
-    """All named rules are whole-program analyses (category "analysis")?
-
-    The per-module linter can never match those, so their unused audit
-    belongs to :mod:`repro.analyze` — flagging them here would make every
-    analyzer suppression fail ``repro lint``.
-    """
-    ids = [r for r in rule_ids if r != "*"]
-    return bool(ids) and all(
-        r in RULES and RULES[r].category == "analysis" for r in ids
-    )
 
 
 def assign_fingerprints(findings: list[Finding]) -> None:
-    """Stable code-identity fingerprints (shared by lint and analyze)."""
+    """Stable code-identity fingerprints, in report order."""
     seen: dict[tuple, int] = {}
     for f in findings:
         norm = re.sub(r"\s+", " ", f.snippet.split("#", 1)[0]).strip()

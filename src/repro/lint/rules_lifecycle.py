@@ -1,4 +1,4 @@
-"""Must-release lifecycle analysis: every acquire reaches a release.
+"""The ``must-release`` rule: every acquire reaches a release.
 
 The runtime layers own real resources with paired acquire/release
 protocols: :class:`repro.runtime.locks` pools (``acquire``/``release``
@@ -11,10 +11,13 @@ missing on the *exceptional* path is the classic leak: the normal path
 works in every test, and the first bind failure or handler exception
 strands a lock, a shm segment, or a process-global sanitizer install.
 
-This analysis is path-sensitive over the dataflow core: acquisitions
-create tracked tokens in the abstract environment; releases, ownership
-transfers (returning the resource, passing it to a callee, storing it on
-an object) remove them.  It reports two defects:
+Unlike the per-module rules it runs over the whole program
+(:class:`~repro.lint.program.Program`), because release effects cross
+functions and modules.  It is path-sensitive over the dataflow core
+(:mod:`repro.lint.dataflow`): acquisitions create tracked tokens in the
+abstract environment; releases and ownership transfers (returning the
+resource, passing it to a callee, storing it on an object) remove them.
+It reports two defects:
 
 * ``must-release`` at a normal exit — a locally owned resource can reach
   ``return``/fall-through with no release on some path;
@@ -39,18 +42,14 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analyze.analyses import (
-    Analysis,
-    AnalysisContext,
-    RawFinding,
-    register_analysis,
-)
-from repro.analyze.dataflow import Env, ForwardAnalysis, may_raise
-from repro.analyze.symbols import FunctionInfo, _dotted_name
+from repro.lint.dataflow import Env, ForwardAnalysis, may_raise
+from repro.lint.engine import ModuleView, Rule, register
+from repro.lint.program import FunctionInfo, Program, dotted_name
 
 __all__ = ["RELEASE_ATTRS", "RESOURCE_CLASSES"]
 
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: One raw result: (module, node, message).
+RawFinding = tuple[ModuleView, ast.AST, str]
 
 #: Attribute calls that release whatever their receiver holds.
 RELEASE_ATTRS = frozenset({
@@ -119,7 +118,7 @@ def _receiver_key(expr: ast.expr) -> str | None:
 
 def _is_contextmanager(fn: ast.AST) -> bool:
     for dec in getattr(fn, "decorator_list", ()):
-        dotted = _dotted_name(dec) or ""
+        dotted = dotted_name(dec) or ""
         if dotted.rsplit(".", 1)[-1] in ("contextmanager", "asynccontextmanager"):
             return True
     return False
@@ -254,10 +253,10 @@ class _LifecycleFlow(ForwardAnalysis):
                 return None  # pool[i].acquire() — unmodelable receiver
             kind = _ACQUIRE_ATTRS[f.attr]
         else:
-            dotted = _dotted_name(f)
+            dotted = dotted_name(f)
             if dotted is None:
                 return None
-            resolved = self.owner.ctx.project.resolve(self.mod, dotted)
+            resolved = self.owner.program.resolve(self.mod, dotted)
             kind = RESOURCE_CLASSES.get(resolved) or _OPEN_CALLS.get(resolved)
         if kind is None:
             return None
@@ -392,8 +391,8 @@ class _LifecycleFlow(ForwardAnalysis):
 
 
 class _LifecyclePass:
-    def __init__(self, ctx: AnalysisContext):
-        self.ctx = ctx
+    def __init__(self, program: Program):
+        self.program = program
         self.findings: list[RawFinding] = []
         self._reported: set[tuple] = set()
         self._release_summary = self._compute_release_summaries()
@@ -402,7 +401,7 @@ class _LifecyclePass:
     def _compute_release_summaries(self) -> set[str]:
         """FQNs whose bodies (transitively) perform a release call."""
         direct: set[str] = set()
-        for fqn, fn in self.ctx.project.functions.items():
+        for fqn, fn in self.program.functions.items():
             for n in ast.walk(fn.node):
                 if (
                     isinstance(n, ast.Call)
@@ -414,10 +413,10 @@ class _LifecyclePass:
         releases = set(direct)
         for _ in range(8):
             grown = set(releases)
-            for fqn in self.ctx.project.functions:
+            for fqn in self.program.functions:
                 if fqn in grown:
                     continue
-                if self.ctx.graph.callees(fqn) & releases:
+                if self.program.callees(fqn) & releases:
                     grown.add(fqn)
             if grown == releases:
                 break
@@ -430,7 +429,7 @@ class _LifecyclePass:
             return True
         if caller.cls is None:
             return False
-        m = self.ctx.project.method(caller.cls, method)
+        m = self.program.method(caller.cls, method)
         return m is not None and m.qualname in self._release_summary
 
     # -- reporting --------------------------------------------------------
@@ -439,7 +438,7 @@ class _LifecyclePass:
         if dkey in self._reported:
             return
         self._reported.add(dkey)
-        self.findings.append((mod, res.node, "must-release", (
+        self.findings.append((mod.view, res.node, (
             f"{res.kind} acquired here is not released when line "
             f"{stmt.lineno} raises: no enclosing try releases it on the "
             f"exceptional path — wrap in try/finally (or unwind in an "
@@ -453,7 +452,7 @@ class _LifecyclePass:
         self._reported.add(dkey)
         where = f"the return at line {node.lineno}" if node is not None \
             else "the end of the function"
-        self.findings.append((mod, res.node, "must-release", (
+        self.findings.append((mod.view, res.node, (
             f"{res.kind} acquired here can reach {where} without being "
             f"released — release it, transfer ownership explicitly, or use "
             f"a with-block"
@@ -461,8 +460,8 @@ class _LifecyclePass:
 
     # -- driver -----------------------------------------------------------
     def run(self) -> Iterator[RawFinding]:
-        for fqn in sorted(self.ctx.project.functions):
-            fn = self.ctx.project.functions[fqn]
+        for fqn in sorted(self.program.functions):
+            fn = self.program.functions[fqn]
             if fn.name in _PROTOCOL_FUNCS:
                 continue
             if _is_contextmanager(fn.node):
@@ -471,15 +470,16 @@ class _LifecyclePass:
         yield from self.findings
 
 
-def _run(ctx: AnalysisContext) -> Iterator[RawFinding]:
-    return _LifecyclePass(ctx).run()
+def _check_must_release(views: list[ModuleView]) -> Iterator[RawFinding]:
+    return _LifecyclePass(Program(views)).run()
 
 
-register_analysis(Analysis(
+register(Rule(
     id="must-release",
+    category="runtime",
     summary="a lock/arena/socket/pool/context acquisition can miss its "
             "release on some path — including the exceptional edge "
             "(acquire, raise-before-release, leak)",
     paper="Fig 4 (lock-pool discipline); §V-D worker shm lifecycles",
-    run=_run,
+    program_check=_check_must_release,
 ))

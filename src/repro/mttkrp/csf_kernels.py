@@ -24,7 +24,6 @@ import numpy as np
 
 from repro._util import VALUE_DTYPE
 from repro.csf.tree import CsfTensor
-from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.mttkrp.scatter import ScatterPlan, TaskTraversal, Workspace
 from repro.sanitize import detector as _san
 from repro.runtime.locks import MutexPool
@@ -51,6 +50,13 @@ def _level_ranges(csf: CsfTensor, lo: int, hi: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def _check_call(trav: TaskTraversal | None, ws: Workspace | None, bctx) -> None:
+    """A range kernel runs plan-less (no ``trav``, ``ws`` or ``bctx``) or
+    planned (``trav`` and ``ws``, plus an optional compiled ``bctx``)."""
+    if (trav is None) != (ws is None) or (bctx is not None and trav is None):
+        raise ValueError("pass trav and ws together (bctx needs both), or neither")
+
+
 def _upward_product(
     csf: CsfTensor,
     factors: Sequence[np.ndarray],
@@ -67,63 +73,36 @@ def _upward_product(
     caller gets one row per node of ``stop_level`` *without* the
     ``stop_level`` factor applied.
 
-    ``trav`` supplies the precomputed per-level segment structure and
-    ``fids``/``values`` slices; ``ws`` supplies reusable output buffers so
-    the steady state allocates nothing.  With both, segment reductions run
-    through the traversal's cached :class:`~repro.mttkrp.scatter.SegmentSum`
-    operators (compiled CSR matmul) instead of ``np.add.reduceat`` — same
-    segment membership, sums accumulated sequentially rather than pairwise,
-    so the paths agree to summation rounding (``allclose``).
+    Plan-less, every level's segment boundaries come from ``ranges`` and
+    reduce through ``np.add.reduceat``.  With ``trav`` (precomputed
+    per-level segment structure and ``fids``/``values`` slices) and ``ws``
+    (reusable output buffers) the steady state allocates nothing, and
+    segment reductions run through the traversal's cached
+    :class:`~repro.mttkrp.scatter.SegmentSum` operators (compiled CSR
+    matmul) — same segment membership, sums accumulated sequentially
+    rather than pairwise, so the paths agree to summation rounding
+    (``allclose``).
     """
     nmodes = csf.nmodes
+    leaf_mode = csf.dim_perm[nmodes - 1]
     if trav is None:
         leaf_lo, leaf_hi = ranges[nmodes - 1]
-        leaf_fids = csf.fids[nmodes - 1][leaf_lo:leaf_hi]
-        leaf_vals = csf.values[leaf_lo:leaf_hi]
-    else:
-        leaf_fids = trav.fids[nmodes - 1]
-        leaf_vals = trav.values
-    leaf_mode = csf.dim_perm[nmodes - 1]
-    if ws is None:
-        w = leaf_vals[:, None] * factors[leaf_mode][leaf_fids]
-    else:
-        w = ws.take(factors[leaf_mode], leaf_fids, ("up_take", nmodes - 1))
-        w *= leaf_vals[:, None]
-    for level in range(nmodes - 2, stop_level, -1):
-        nlo, nhi = ranges[level]
-        if trav is None:
-            clo = ranges[level + 1][0]
-            starts = csf.fptr[level][nlo:nhi] - clo
-            fids = csf.fids[level][nlo:nhi]
-        else:
-            starts = trav.up_starts[level]
-            fids = trav.fids[level]
-        mode = csf.dim_perm[level]
-        if ws is None:
-            w = np.add.reduceat(w, starts, axis=0)
-            w *= factors[mode][fids]
-        elif trav is not None:
-            w = trav.up_segsum[level].apply(w, ws, ("up", level))
-            w *= ws.take(factors[mode], fids, ("up_take", level))
-        else:
-            reduced = ws.buf(("up", level), (nhi - nlo,) + w.shape[1:], w.dtype)
-            np.add.reduceat(w, starts, axis=0, out=reduced)
-            w = reduced
-            w *= ws.take(factors[mode], fids, ("up_take", level))
-    # final reduction onto stop_level nodes (factor NOT applied)
-    nlo, nhi = ranges[stop_level]
-    if trav is None:
-        clo = ranges[stop_level + 1][0]
-        starts = csf.fptr[stop_level][nlo:nhi] - clo
-    else:
-        starts = trav.up_starts[stop_level]
-    if ws is None:
+        w = (csf.values[leaf_lo:leaf_hi, None]
+             * factors[leaf_mode][csf.fids[nmodes - 1][leaf_lo:leaf_hi]])
+        for level in range(nmodes - 2, stop_level, -1):
+            nlo, nhi = ranges[level]
+            w = np.add.reduceat(w, csf.fptr[level][nlo:nhi] - ranges[level + 1][0], axis=0)
+            w *= factors[csf.dim_perm[level]][csf.fids[level][nlo:nhi]]
+        # final reduction onto stop_level nodes (factor NOT applied)
+        nlo, nhi = ranges[stop_level]
+        starts = csf.fptr[stop_level][nlo:nhi] - ranges[stop_level + 1][0]
         return np.add.reduceat(w, starts, axis=0)
-    if trav is not None:
-        return trav.up_segsum[stop_level].apply(w, ws, ("up", stop_level))
-    reduced = ws.buf(("up", stop_level), (nhi - nlo,) + w.shape[1:], w.dtype)
-    np.add.reduceat(w, starts, axis=0, out=reduced)
-    return reduced
+    w = ws.take(factors[leaf_mode], trav.fids[nmodes - 1], ("up_take", nmodes - 1))
+    w *= trav.values[:, None]
+    for level in range(nmodes - 2, stop_level, -1):
+        w = trav.up_segsum[level].apply(w, ws, ("up", level))
+        w *= ws.take(factors[csf.dim_perm[level]], trav.fids[level], ("up_take", level))
+    return trav.up_segsum[stop_level].apply(w, ws, ("up", stop_level))
 
 
 def _downward_product(
@@ -138,32 +117,25 @@ def _downward_product(
     """Top-down root-to-node row products, expanded to ``stop_level`` nodes.
 
     The returned matrix has one row per node of ``stop_level`` and excludes
-    the ``stop_level`` factor itself.  With ``trav``, the per-call
-    ``np.repeat`` span math is replaced by the traversal's cached expansion
-    indices; with ``ws``, every intermediate lands in a reused buffer.
+    the ``stop_level`` factor itself.  With ``trav`` and ``ws``, the
+    per-call ``np.repeat`` span math is replaced by the traversal's cached
+    expansion indices and every intermediate lands in a reused buffer.
     """
-    lo, hi = ranges[0]
-    root_fids = csf.fids[0][lo:hi] if trav is None else trav.fids[0]
-    if ws is None:
-        d = factors[csf.dim_perm[0]][root_fids].astype(VALUE_DTYPE, copy=False)
-    else:
-        d = ws.take(factors[csf.dim_perm[0]], root_fids, ("down_take", 0))
-    for level in range(1, stop_level + 1):
-        if trav is None:
+    if trav is None:
+        lo, hi = ranges[0]
+        d = factors[csf.dim_perm[0]][csf.fids[0][lo:hi]].astype(VALUE_DTYPE, copy=False)
+        for level in range(1, stop_level + 1):
             plo, phi = ranges[level - 1]
-            spans = np.diff(csf.fptr[level - 1][plo : phi + 1])
-            d = np.repeat(d, spans, axis=0)
-        elif ws is None:
-            d = d[trav.down_expand[level]]
-        else:
-            d = ws.take(d, trav.down_expand[level], ("down", level))
+            d = np.repeat(d, np.diff(csf.fptr[level - 1][plo : phi + 1]), axis=0)
+            if level < stop_level:
+                nlo, nhi = ranges[level]
+                d = d * factors[csf.dim_perm[level]][csf.fids[level][nlo:nhi]]
+        return d
+    d = ws.take(factors[csf.dim_perm[0]], trav.fids[0], ("down_take", 0))
+    for level in range(1, stop_level + 1):
+        d = ws.take(d, trav.down_expand[level], ("down", level))
         if level < stop_level:
-            nlo, nhi = ranges[level]
-            fids = csf.fids[level][nlo:nhi] if trav is None else trav.fids[level]
-            if ws is None:
-                d = d * factors[csf.dim_perm[level]][fids]
-            else:
-                d *= ws.take(factors[csf.dim_perm[level]], fids, ("down_take", level))
+            d *= ws.take(factors[csf.dim_perm[level]], trav.fids[level], ("down_take", level))
     return d
 
 
@@ -187,46 +159,38 @@ def root_range_vectorized(
     products through a compiled, GIL-releasing kernel instead of the
     NumPy tree walk; scatter and sanitizer behaviour are unchanged.
     """
+    _check_call(trav, ws, bctx)
     if hi <= lo:
         return
-    if bctx is not None and csf.nmodes >= 2:
-        w = bctx.root_w(lo, hi, ws)
-        rows = csf.fids[0][lo:hi] if trav is None else trav.fids[0]
-        out[rows] += w
-        san = _san._active
-        if san is not None:
-            san.on_access(out, rows, write=True, site="root_range_vectorized")
-        return
-    ranges = _level_ranges(csf, lo, hi) if trav is None else trav.ranges
-    if csf.nmodes == 1:
-        # Order-1 tree: the root is also the leaf, so the "subtree product"
-        # is just the nonzero values broadcast across the rank.  Root fids
-        # are distinct, so a direct indexed add replaces the old
-        # element-at-a-time np.add.at; the rank-wide broadcast temporary
-        # comes from the plan-owned workspace like the other kernels.
-        rows = csf.fids[0][lo:hi] if trav is None else trav.fids[0]
-        vals = csf.values[lo:hi] if trav is None else trav.values
-        if ws is None:
-            contribs = np.broadcast_to(
-                vals[:, None], (vals.shape[0], out.shape[1])
-            )
+    # Order-1 tree: the root is also the leaf, so the "subtree product" is
+    # just the nonzero values broadcast across the rank; root fids are
+    # distinct, so a direct indexed add does the scatter.
+    if trav is None:
+        rows = csf.fids[0][lo:hi]
+        if csf.nmodes == 1:
+            w = np.broadcast_to(csf.values[lo:hi, None], (hi - lo, out.shape[1]))
         else:
-            contribs = ws.buf(("root_bcast",), (vals.shape[0], out.shape[1]),
-                              out.dtype)
-            contribs[:] = vals[:, None]
-        out[rows] += contribs
-        san = _san._active
-        if san is not None:
-            san.on_access(out, rows, write=True, site="root_range_vectorized")
-        return
-    w = _upward_product(csf, factors, ranges, stop_level=0, trav=trav, ws=ws)
-    rows = csf.fids[0][lo:hi] if trav is None else trav.fids[0]
+            w = _upward_product(csf, factors, _level_ranges(csf, lo, hi), 0)
+    else:
+        rows = trav.fids[0]
+        if csf.nmodes == 1:
+            w = ws.buf(("root_bcast",), (rows.shape[0], out.shape[1]), out.dtype)
+            w[:] = trav.values[:, None]
+        elif bctx is not None:
+            w = bctx.root_w(lo, hi, ws)
+        else:
+            w = _upward_product(csf, factors, trav.ranges, 0, trav=trav, ws=ws)
     out[rows] += w
     san = _san._active
     if san is not None:
         # Root tasks own disjoint slice ranges, hence disjoint rows — the
         # sanitizer verifies that claim rather than assuming it.
         san.on_access(out, rows, write=True, site="root_range_vectorized")
+
+
+def _empty_contribs(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    rank = factors[0].shape[1]
+    return np.empty(0, dtype=np.int64), np.empty((0, rank), dtype=VALUE_DTYPE)
 
 
 def leaf_range_vectorized(
@@ -243,36 +207,28 @@ def leaf_range_vectorized(
 
     Returns ``(rows, contribs)`` — the caller owns the scatter-add, because
     leaf rows repeat across tasks and synchronization policy lives a level
-    up (privatize vs mutex).  With ``ws``, ``contribs`` is a reused
-    workspace buffer valid until the task's next kernel call.  ``bctx``
-    computes the same contributions with a compiled single-pass kernel.
+    up (privatize vs mutex).  With ``trav``/``ws``, ``contribs`` is a
+    reused workspace buffer valid until the task's next kernel call.
+    ``bctx`` computes the same contributions with a compiled single-pass
+    kernel.
     """
     nmodes = csf.nmodes
     if nmodes < 2:
         raise ValueError("leaf algorithm requires order >= 2")
+    _check_call(trav, ws, bctx)
     if hi <= lo:
-        rank = factors[0].shape[1]
-        return np.empty(0, dtype=np.int64), np.empty((0, rank), dtype=VALUE_DTYPE)
-    ranges = _level_ranges(csf, lo, hi) if trav is None else trav.ranges
-    if bctx is not None:
-        leaf_lo, leaf_hi = ranges[nmodes - 1]
-        rows = csf.fids[nmodes - 1][leaf_lo:leaf_hi] if trav is None else trav.fids[nmodes - 1]
-        contribs = bctx.leaf_contribs(lo, hi, leaf_hi - leaf_lo, ws)
-        return rows, contribs
-    d = _downward_product(csf, factors, ranges, stop_level=nmodes - 1, trav=trav, ws=ws)
+        return _empty_contribs(factors)
     if trav is None:
+        ranges = _level_ranges(csf, lo, hi)
         leaf_lo, leaf_hi = ranges[nmodes - 1]
-        rows = csf.fids[nmodes - 1][leaf_lo:leaf_hi]
-        vals = csf.values[leaf_lo:leaf_hi]
-    else:
-        rows = trav.fids[nmodes - 1]
-        vals = trav.values
-    if ws is None:
-        contribs = vals[:, None] * d
-    else:
-        d *= vals[:, None]
-        contribs = d
-    return rows, contribs
+        d = _downward_product(csf, factors, ranges, nmodes - 1)
+        return csf.fids[nmodes - 1][leaf_lo:leaf_hi], csf.values[leaf_lo:leaf_hi, None] * d
+    rows = trav.fids[nmodes - 1]
+    if bctx is not None:
+        return rows, bctx.leaf_contribs(lo, hi, rows.shape[0], ws)
+    d = _downward_product(csf, factors, trav.ranges, nmodes - 1, trav=trav, ws=ws)
+    d *= trav.values[:, None]
+    return rows, d
 
 
 def leaf_range_sorted(
@@ -328,21 +284,20 @@ def internal_range_vectorized(
     nmodes = csf.nmodes
     if not 0 < level < nmodes - 1:
         raise ValueError(f"internal level must be in (0, {nmodes - 1}), got {level}")
+    _check_call(trav, ws, bctx)
     if hi <= lo:
-        rank = factors[0].shape[1]
-        return np.empty(0, dtype=np.int64), np.empty((0, rank), dtype=VALUE_DTYPE)
-    ranges = _level_ranges(csf, lo, hi) if trav is None else trav.ranges
-    if bctx is not None:
+        return _empty_contribs(factors)
+    if trav is None:
+        ranges = _level_ranges(csf, lo, hi)
         nlo, nhi = ranges[level]
-        rows = csf.fids[level][nlo:nhi] if trav is None else trav.fids[level]
-        contribs = bctx.internal_contribs(level, lo, hi, nhi - nlo, ws)
-        return rows, contribs
-    d = _downward_product(csf, factors, ranges, stop_level=level, trav=trav, ws=ws)
-    u = _upward_product(csf, factors, ranges, stop_level=level, trav=trav, ws=ws)
-    nlo, nhi = ranges[level]
-    rows = csf.fids[level][nlo:nhi] if trav is None else trav.fids[level]
-    if ws is None:
-        return rows, d * u
+        d = _downward_product(csf, factors, ranges, level)
+        u = _upward_product(csf, factors, ranges, level)
+        return csf.fids[level][nlo:nhi], d * u
+    rows = trav.fids[level]
+    if bctx is not None:
+        return rows, bctx.internal_contribs(level, lo, hi, rows.shape[0], ws)
+    d = _downward_product(csf, factors, trav.ranges, level, trav=trav, ws=ws)
+    u = _upward_product(csf, factors, trav.ranges, level, trav=trav, ws=ws)
     np.multiply(d, u, out=d)
     return rows, d
 
@@ -350,172 +305,106 @@ def internal_range_vectorized(
 # ----------------------------------------------------------------------
 # parallel drivers
 # ----------------------------------------------------------------------
-def _task_context(
-    plan: ScatterPlan | None,
-    workspaces: Sequence[Workspace] | None,
-    tid: int,
-) -> tuple[TaskTraversal | None, Workspace | None]:
-    trav = plan.traversals[tid] if plan is not None else None
-    ws = workspaces[tid] if workspaces is not None else None
-    return trav, ws
-
-
 def run_root_parallel(
     csf: CsfTensor,
     factors: Sequence[np.ndarray],
     out: np.ndarray,
     layer: TaskingLayer,
     *,
-    plan: ScatterPlan | None = None,
-    workspaces: Sequence[Workspace] | None = None,
+    plan: ScatterPlan,
+    workspaces: Sequence[Workspace],
     bctx=None,
 ) -> None:
     """Parallel root-mode MTTKRP: nnz-balanced slice blocks, no locks.
 
-    With a :class:`~repro.mttkrp.scatter.ScatterPlan` the per-call
-    partitioning and traversal setup come from the cache.  With ``bctx``,
-    each task's subtree products run in a compiled GIL-releasing kernel.
+    The partitioning and each task's traversal come from the cached
+    :class:`~repro.mttkrp.scatter.ScatterPlan`.  With ``bctx``, each
+    task's subtree products run in a compiled GIL-releasing kernel.
     """
-    ntasks = layer.env.num_tasks
-    bounds = plan.bounds if plan is not None else nnz_balanced_blocks(csf, ntasks)
+    bounds = plan.bounds
 
     def task(tid: int) -> None:
-        trav, ws = _task_context(plan, workspaces, tid)
         root_range_vectorized(
             csf, factors, out, int(bounds[tid]), int(bounds[tid + 1]),
-            trav=trav, ws=ws, bctx=bctx,
+            trav=plan.traversals[tid], ws=workspaces[tid], bctx=bctx,
         )
 
-    layer.coforall(ntasks, task)
+    layer.coforall(layer.env.num_tasks, task)
 
 
 def run_scatter_privatized(
-    csf: CsfTensor,
-    factors: Sequence[np.ndarray],
     out: np.ndarray,
     layer: TaskingLayer,
     compute_range,
     *,
-    plan: ScatterPlan | None = None,
-    buffers: Sequence[np.ndarray] | None = None,
-    workspaces: Sequence[Workspace] | None = None,
+    plan: ScatterPlan,
+    workspaces: Sequence[Workspace],
+    buffers: Sequence[np.ndarray] | None,
     presorted: bool = False,
     backend=None,
 ) -> None:
     """Privatized parallel scatter: per-task buffers + reduction.
 
     ``compute_range(lo, hi, tid) -> (rows, contribs)`` is one of the
-    internal/leaf range kernels.  Each task scatter-adds into its own
-    ``out``-shaped buffer; buffers are combined by a row-blocked parallel
-    reduction (the reduction is ``O(ntasks · I · R)`` work and memory —
-    the cost SPLATT's privatization heuristic is guarding).
+    internal/leaf range kernels.  Each task's scatter runs through its
+    cached :class:`~repro.mttkrp.scatter.RowScatter` (segment sums instead
+    of ``np.add.at``) into its own ``out``-shaped buffer; buffers are
+    combined by a row-blocked parallel reduction (the reduction is
+    ``O(ntasks · I · R)`` work and memory — the cost SPLATT's
+    privatization heuristic is guarding).
 
-    With a plan, each task's scatter runs through its cached
-    :class:`~repro.mttkrp.scatter.RowScatter` (segment sums instead of
-    ``np.add.at``), and ``buffers`` — reusable, owned by the plan's cache —
-    are *assigned* rather than accumulated: rows a task never touches stay
-    zero across calls, so the buffers are never re-zeroed.
+    ``buffers`` (one per task, owned by the plan's cache; ``None`` for a
+    single task, which scatters straight into ``out``) are *assigned*
+    rather than accumulated: rows a task never touches stay zero across
+    calls, so the buffers are never re-zeroed.
     """
     ntasks = layer.env.num_tasks
-    bounds = plan.bounds if plan is not None else nnz_balanced_blocks(csf, ntasks)
+    bounds = plan.bounds
     if ntasks == 1:
-        rows, contribs = compute_range(int(bounds[0]), int(bounds[1]), 0)
-        if plan is not None:
-            ws = workspaces[0] if workspaces is not None else None
-            plan.scatters[0].scatter_accumulate(
-                out, contribs, ws, presorted=presorted, backend=backend
-            )
-        else:
-            np.add.at(out, rows, contribs)
+        _, contribs = compute_range(int(bounds[0]), int(bounds[1]), 0)
+        plan.scatters[0].scatter_accumulate(
+            out, contribs, workspaces[0], presorted=presorted, backend=backend
+        )
         return
-    if plan is None or buffers is None:
-        buffers = [np.zeros_like(out) for _ in range(ntasks)]
 
-        def task(tid: int) -> None:
-            rows, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
-            if plan is not None:
-                ws = workspaces[tid] if workspaces is not None else None
-                plan.scatters[tid].scatter_accumulate(
-                    buffers[tid], contribs, ws, presorted=presorted, backend=backend
-                )
-            else:
-                np.add.at(buffers[tid], rows, contribs)
-                san = _san._active
-                if san is not None:
-                    san.on_access(
-                        buffers[tid], rows, write=True, site="run_scatter_privatized"
-                    )
-
-    else:
-
-        def task(tid: int) -> None:
-            _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
-            ws = workspaces[tid] if workspaces is not None else None
-            plan.scatters[tid].scatter_assign(
-                buffers[tid], contribs, ws, presorted=presorted, backend=backend
-            )
+    def task(tid: int) -> None:
+        _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
+        plan.scatters[tid].scatter_assign(
+            buffers[tid], contribs, workspaces[tid], presorted=presorted,
+            backend=backend,
+        )
 
     layer.coforall(ntasks, task)
     array_reduce_buffers(layer, out, buffers)
 
 
 def run_scatter_mutex(
-    csf: CsfTensor,
-    factors: Sequence[np.ndarray],
     out: np.ndarray,
     layer: TaskingLayer,
     pool: MutexPool,
     compute_range,
     *,
-    plan: ScatterPlan | None = None,
-    workspaces: Sequence[Workspace] | None = None,
+    plan: ScatterPlan,
+    workspaces: Sequence[Workspace],
     presorted: bool = False,
     backend=None,
 ) -> None:
     """Mutex-pool parallel scatter: shared output, hashed row locks.
 
-    Each task groups its ``(rows, contribs)`` by lock bucket and performs
-    each bucket's scatter-add while holding that bucket's lock — the
-    vectorized rendition of SPLATT's lock-per-row update, preserving real
-    lock traffic and contention.  With a plan (built with this pool's
-    size), the bucket grouping and per-row pre-reduction are cached, so the
-    steady state sorts nothing — lock traffic is unchanged: one acquire per
-    task-bucket pair, same hashed lock ids.
+    Each task performs each lock bucket's scatter-add while holding that
+    bucket's lock — the vectorized rendition of SPLATT's lock-per-row
+    update, preserving real lock traffic and contention: one acquire per
+    task-bucket pair, same hashed lock ids.  The plan (built with this
+    pool's size) caches the bucket grouping and per-row pre-reduction, so
+    the steady state sorts nothing.
     """
-    ntasks = layer.env.num_tasks
-    bounds = plan.bounds if plan is not None else nnz_balanced_blocks(csf, ntasks)
+    bounds = plan.bounds
 
-    def task(tid: int) -> None:  # reprolint: allow(hot-loop-alloc, raw-scatter) — plan-less mutex fallback kept verbatim so plan/no-plan equivalence tests compare identical lock traffic
-        rows, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
-        if plan is not None:
-            ws = workspaces[tid] if workspaces is not None else None
-            plan.scatters[tid].scatter_mutex(
-                out, contribs, pool, ws, presorted=presorted, backend=backend
-            )
-            return
-        if rows.size == 0:
-            return
-        buckets = rows % pool.size
-        order = np.argsort(buckets, kind="stable")
-        rows_sorted = rows[order]
-        contribs_sorted = contribs[order]
-        buckets_sorted = buckets[order]
-        starts = np.flatnonzero(np.diff(buckets_sorted)) + 1
-        starts = np.concatenate(([0], starts, [rows_sorted.size]))
-        for b in range(starts.size - 1):
-            s, e = int(starts[b]), int(starts[b + 1])
-            lid = int(buckets_sorted[s])
-            pool.acquire(lid)
-            try:
-                np.add.at(out, rows_sorted[s:e], contribs_sorted[s:e])
-                san = _san._active
-                if san is not None:
-                    # Inside the critical section: the access carries the
-                    # bucket lock in its lockset.
-                    san.on_access(
-                        out, rows_sorted[s:e], write=True, site="run_scatter_mutex"
-                    )
-            finally:
-                pool.release(lid)
+    def task(tid: int) -> None:
+        _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
+        plan.scatters[tid].scatter_mutex(
+            out, contribs, pool, workspaces[tid], presorted=presorted,
+            backend=backend,
+        )
 
-    layer.coforall(ntasks, task)
+    layer.coforall(layer.env.num_tasks, task)

@@ -66,9 +66,8 @@ class MttkrpInfo:
     """What one MTTKRP invocation actually executed.
 
     ``plan_hit`` reports scatter-plan cache behaviour for the vectorized
-    amortized path: ``True`` (cached plan reused), ``False`` (plan built
-    this call), or ``None`` (no plan involved — interpreted variants or
-    ``amortize=False``).
+    variant: ``True`` (cached plan reused) or ``False`` (plan built this
+    call); ``None`` for the interpreted variants, which use no plan.
     """
 
     mode: int
@@ -384,7 +383,6 @@ def mttkrp_csf(
     pool: MutexPool | None = None,
     force_locks: bool | None = None,
     out: np.ndarray | None = None,
-    amortize: bool = True,
     backend=None,
 ) -> tuple[np.ndarray, MttkrpInfo]:
     """MTTKRP for output ``mode`` using a prebuilt CSF set.
@@ -410,12 +408,6 @@ def mttkrp_csf(
         to :func:`needs_locks`.
     out:
         Optional preallocated ``(I_mode, R)`` output, zeroed by this call.
-    amortize:
-        Use the CSF set's :class:`~repro.mttkrp.scatter.MttkrpContext`
-        (vectorized variant only): precomputed scatter plans and reusable
-        workspaces make repeated calls on the same set allocation-free.
-        ``False`` recovers the seed per-call behaviour (used as the
-        benchmark baseline).  Results are identical either way.
     backend:
         Execution backend for the numerical hot spots (``vectorized``
         variant, order >= 2): a name (``"numpy"``, ``"numba"``, ``"cext"``,
@@ -470,7 +462,7 @@ def mttkrp_csf(
     if use_locks:
         if pool is not None:
             the_pool = pool
-        elif variant == "vectorized" and amortize:
+        elif variant == "vectorized":
             the_pool = csf_set.mttkrp_context.mutex_pool(mutex_kind, pool_size, env)
         else:
             the_pool = make_mutex_pool(mutex_kind, size=pool_size, env=env)
@@ -495,74 +487,59 @@ def mttkrp_csf(
 
     def _execute() -> None:
         nonlocal plan_hit
-        if variant == "vectorized":
-            plan = None
-            workspaces = None
-            buffers = None
-            ntasks = env.num_tasks
-            if amortize:
-                ctx = csf_set.mttkrp_context
-                level = 0 if algorithm == "root" else tree.level_of_mode(mode)
-                psize = the_pool.size if the_pool is not None else None
-                plan, plan_hit = ctx.plan(tree, level, ntasks, psize)
-                workspaces = ctx.workspaces(tree, ntasks, bk.name)
-                if the_pool is None and algorithm != "root" and ntasks > 1:
-                    buffers = ctx.buffers(tree, level, ntasks, out.shape)
-            if algorithm == "root":
-                csf_kernels.run_root_parallel(
-                    tree, factors, out, layer, plan=plan, workspaces=workspaces,
-                    bctx=bctx,
-                )
-            else:
-                def _ctx(tid):
-                    if plan is None:
-                        return None, None
-                    return plan.traversals[tid], workspaces[tid] if workspaces else None
-
-                presorted = False
-                if algorithm == "leaf":
-                    if (plan is not None and plan.leaf_expand_sorted is not None
-                            and bctx is None):
-                        # contribs come out already in scatter-sorted order; the
-                        # per-call O(nnz) sort gather disappears entirely.
-                        # (Compiled backends emit in tree order instead and fuse
-                        # the gather into their segment-sum reduction.)
-                        presorted = True
-
-                        def compute(lo, hi, tid):
-                            ws = workspaces[tid]
-                            return None, csf_kernels.leaf_range_sorted(
-                                tree, factors, plan, tid, ws
-                            )
-                    else:
-                        def compute(lo, hi, tid):
-                            trav, ws = _ctx(tid)
-                            return csf_kernels.leaf_range_vectorized(
-                                tree, factors, lo, hi, trav=trav, ws=ws, bctx=bctx
-                            )
-                else:
-                    level = tree.level_of_mode(mode)
-
-                    def compute(lo, hi, tid):
-                        trav, ws = _ctx(tid)
-                        return csf_kernels.internal_range_vectorized(
-                            tree, factors, level, lo, hi, trav=trav, ws=ws,
-                            bctx=bctx,
-                        )
-                if the_pool is not None:
-                    csf_kernels.run_scatter_mutex(
-                        tree, factors, out, layer, the_pool, compute,
-                        plan=plan, workspaces=workspaces, presorted=presorted,
-                        backend=scatter_bk,
-                    )
-                else:
-                    csf_kernels.run_scatter_privatized(
-                        tree, factors, out, layer, compute,
-                        plan=plan, buffers=buffers, workspaces=workspaces,
-                        presorted=presorted, backend=scatter_bk,
-                    )
-        else:
+        if variant != "vectorized":
             _run_interpreted(tree, factors, out, algorithm, variant, layer, the_pool)
+            return
+        # The CSF set's MttkrpContext holds the precomputed scatter plans
+        # and reusable workspaces that make repeated calls allocation-free.
+        ctx = csf_set.mttkrp_context
+        ntasks = env.num_tasks
+        level = 0 if algorithm == "root" else tree.level_of_mode(mode)
+        psize = the_pool.size if the_pool is not None else None
+        plan, plan_hit = ctx.plan(tree, level, ntasks, psize)
+        workspaces = ctx.workspaces(tree, ntasks, bk.name)
+        if algorithm == "root":
+            csf_kernels.run_root_parallel(
+                tree, factors, out, layer, plan=plan, workspaces=workspaces,
+                bctx=bctx,
+            )
+            return
+        # Leaf contributions come out already in scatter-sorted order, so
+        # the per-call O(nnz) sort gather disappears.  (Compiled backends
+        # emit in tree order instead and fuse the gather into their
+        # segment-sum reduction.)
+        presorted = (algorithm == "leaf" and bctx is None
+                     and plan.leaf_expand_sorted is not None)
+        if presorted:
+            def compute(lo, hi, tid):
+                return None, csf_kernels.leaf_range_sorted(
+                    tree, factors, plan, tid, workspaces[tid]
+                )
+        elif algorithm == "leaf":
+            def compute(lo, hi, tid):
+                return csf_kernels.leaf_range_vectorized(
+                    tree, factors, lo, hi, trav=plan.traversals[tid],
+                    ws=workspaces[tid], bctx=bctx,
+                )
+        else:
+            def compute(lo, hi, tid):
+                return csf_kernels.internal_range_vectorized(
+                    tree, factors, level, lo, hi, trav=plan.traversals[tid],
+                    ws=workspaces[tid], bctx=bctx,
+                )
+        if the_pool is not None:
+            csf_kernels.run_scatter_mutex(
+                out, layer, the_pool, compute, plan=plan,
+                workspaces=workspaces, presorted=presorted, backend=scatter_bk,
+            )
+        else:
+            buffers = None
+            if ntasks > 1:
+                buffers = ctx.buffers(tree, level, ntasks, out.shape)
+            csf_kernels.run_scatter_privatized(
+                out, layer, compute, plan=plan, workspaces=workspaces,
+                buffers=buffers, presorted=presorted, backend=scatter_bk,
+            )
 
     rec = _obs._active
     if rec is None:

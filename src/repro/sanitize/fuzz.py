@@ -22,37 +22,10 @@ perturbation pattern, not the scheduler.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
-from pathlib import Path
 
-__all__ = ["SchedulePerturber", "weights_from_race_sites"]
-
-#: Perturbation points that stress task interleavings (as opposed to the
-#: lock/syncvar protocol sites).  Static race candidates from
-#: ``repro analyze`` boost these: an unsynchronized shared write races
-#: when *task bodies* overlap, which these sites control.
-_TASK_SITES = (
-    "task.begin", "tasking.coforall", "pool.dispatch", "schedule.chunk",
-)
-
-
-def weights_from_race_sites(sites: list[dict]) -> dict[str, float]:
-    """Per-site pause-probability multipliers from static race candidates.
-
-    ``sites`` is the prioritized list the analyzer's escape pass emits
-    (``repro analyze --seeds-out``): each entry carries a ``weight``
-    (3 = whole-array fill / ufunc scatter, 2 = indexed store, 1 =
-    transitive).  More / heavier candidates ⇒ harder perturbation at the
-    task-interleaving sites, capped at 4× so the fuzzer still makes
-    progress.  No candidates ⇒ no bias (empty dict).
-    """
-    total = sum(float(s.get("weight", 1)) for s in sites)
-    if total <= 0:
-        return {}
-    boost = 1.0 + min(3.0, total)
-    return {site: boost for site in _TASK_SITES}
+__all__ = ["SchedulePerturber"]
 
 
 class SchedulePerturber:
@@ -69,13 +42,6 @@ class SchedulePerturber:
         pausing arrivals sleep (scaled by the draw); the rest yield the
         thread (``time.sleep(0)``), which is the cheapest way to force a
         context switch at a tense point.
-    site_weights:
-        Optional per-site multipliers on ``pause_probability`` (clamped
-        to 1.0), typically from :func:`weights_from_race_sites` over the
-        static analyzer's race candidates — the fuzzer then leans on the
-        sites the analysis implicated.  Weights do not change the draw
-        sequence, only the accept threshold, so replays by seed remain
-        stable under re-weighting.
     """
 
     def __init__(
@@ -84,7 +50,6 @@ class SchedulePerturber:
         *,
         pause_probability: float = 0.5,
         max_sleep_us: int = 200,
-        site_weights: dict[str, float] | None = None,
     ):
         if not 0.0 <= pause_probability <= 1.0:
             raise ValueError("pause_probability must be in [0, 1]")
@@ -93,28 +58,10 @@ class SchedulePerturber:
         self.seed = int(seed)
         self.pause_probability = pause_probability
         self.max_sleep_us = max_sleep_us
-        self.site_weights = dict(site_weights or {})
-        for site, w in self.site_weights.items():
-            if w < 0:
-                raise ValueError(f"site weight for {site!r} must be >= 0")
         self._lock = threading.Lock()
         self._arrivals: dict[str, int] = {}
         self.pauses = 0
         self.sleeps = 0
-
-    @classmethod
-    def from_seed_file(cls, path: str | Path, seed: int = 0,
-                       **kwargs) -> "SchedulePerturber":
-        """A perturber biased by a ``repro analyze --seeds-out`` file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        weights = weights_from_race_sites(payload.get("sites", []))
-        return cls(seed, site_weights=weights, **kwargs)
-
-    def probability(self, site: str) -> float:
-        """The effective pause probability at ``site``."""
-        w = self.site_weights.get(site, 1.0)
-        return min(1.0, self.pause_probability * w)
 
     # ------------------------------------------------------------------
     def _draw(self, site: str, arrival: int) -> float:
@@ -134,14 +81,13 @@ class SchedulePerturber:
             arrival = self._arrivals.get(site, 0)
             self._arrivals[site] = arrival + 1
         draw = self._draw(site, arrival)
-        prob = self.probability(site)
-        if prob <= 0.0 or draw >= prob:
+        if draw >= self.pause_probability:
             return
         with self._lock:
             self.pauses += 1
         # rescale the accepted draw to pick between a bare yield and a
         # short sleep; both cede the OS thread at the perturbation point.
-        sub = draw / prob
+        sub = draw / self.pause_probability
         if sub < 0.5 or self.max_sleep_us == 0:
             time.sleep(0)
         else:

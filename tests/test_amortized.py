@@ -5,8 +5,8 @@ Covers the three tentpole layers:
 * :mod:`repro.mttkrp.scatter` — segmented scatter-add equivalence with
   ``np.add.at`` (the seed implementation) for the one-shot helper, the
   cached :class:`RowScatter` in all three flavours, and the plan cache;
-* the amortized :func:`repro.mttkrp.mttkrp_csf` path against the
-  non-amortized one across tensor orders 2–5, all algorithms
+* cold (plan-building) and warm (plan-reusing) :func:`repro.mttkrp.mttkrp_csf`
+  calls against the dense oracle across tensor orders 2–5, all algorithms
   (root/internal/leaf) and both sync policies (privatized/mutex);
 * the persistent worker pool — worker-thread identity must be stable
   across consecutive ``coforall`` dispatches.
@@ -28,6 +28,7 @@ from repro.mttkrp.scatter import (
     Workspace,
     sorted_scatter_add,
 )
+from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import make_mutex_pool
@@ -180,7 +181,8 @@ class TestSegmentSum:
 
 
 class TestPlanEquivalence:
-    """Amortized vs seed mttkrp_csf across orders, algorithms, sync paths."""
+    """Cold and warm mttkrp_csf vs the dense oracle across orders,
+    algorithms and sync paths."""
 
     @pytest.mark.parametrize("order", [2, 3, 4, 5])
     @pytest.mark.parametrize("allocation", ["one", "two"])
@@ -196,23 +198,18 @@ class TestPlanEquivalence:
         algorithms_seen = set()
         try:
             for mode in range(tensor.nmodes):
-                baseline, info_b = mttkrp_csf(
-                    csf_set, factors, mode, layer=layer,
-                    force_locks=force_locks, amortize=False,
-                )
-                baseline = baseline.copy()
-                assert info_b.plan_hit is None
+                oracle = dense_mttkrp_reference(tensor, factors, mode)
                 # cold call builds the plan, warm call hits the cache —
-                # both must agree with the seed path
+                # both must agree with the oracle
                 cold, info_c = mttkrp_csf(
                     csf_set, factors, mode, layer=layer, force_locks=force_locks,
                 )
-                np.testing.assert_allclose(cold, baseline, atol=1e-10)
+                np.testing.assert_allclose(cold, oracle, atol=1e-10)
                 assert info_c.plan_hit is False
                 warm, info_w = mttkrp_csf(
                     csf_set, factors, mode, layer=layer, force_locks=force_locks,
                 )
-                np.testing.assert_allclose(warm, baseline, atol=1e-10)
+                np.testing.assert_allclose(warm, oracle, atol=1e-10)
                 assert info_w.plan_hit is True
                 algorithms_seen.add(info_c.algorithm)
         finally:
@@ -229,12 +226,13 @@ class TestPlanEquivalence:
             for trial in range(3):
                 factors = [np.asarray(rng.random((d, 4))) for d in tensor.dims]
                 for mode in range(3):
-                    amortized, _ = mttkrp_csf(csf_set, factors, mode, layer=layer)
-                    amortized = amortized.copy()
-                    seed_out, _ = mttkrp_csf(
-                        csf_set, factors, mode, layer=layer, amortize=False
+                    out, info = mttkrp_csf(csf_set, factors, mode, layer=layer)
+                    assert isinstance(info.plan_hit, bool)
+                    assert info.plan_hit is (trial > 0)
+                    np.testing.assert_allclose(
+                        out, dense_mttkrp_reference(tensor, factors, mode),
+                        atol=1e-10,
                     )
-                    np.testing.assert_allclose(amortized, seed_out, atol=1e-10)
         finally:
             layer.shutdown()
 

@@ -1,7 +1,7 @@
-"""repro.analyze: symbol/call-graph resolution, the dataflow driver, the
-four interprocedural analyses against their seeded-fault fixtures, report
-determinism, the self-check over the real tree, the CLI, and the static
-race seeds feeding the sanitizer's schedule fuzzer."""
+"""The whole-program rule of repro.lint: the program model (symbol and
+call resolution), the dataflow driver, must-release against its seeded
+fixture and its exonerations, report determinism, the self-check over
+the real tree, and the CLI."""
 
 import ast
 import json
@@ -11,35 +11,43 @@ from pathlib import Path
 
 import pytest
 
-from repro.analyze import AnalyzeEngine
-from repro.analyze.callgraph import build_callgraph
-from repro.analyze.dataflow import ForwardAnalysis, may_raise
-from repro.analyze.selfcheck import FIXTURES, fixture_project, run_selfcheck
-from repro.analyze.symbols import Project
-from repro.lint import LintConfig, RULES, load_config
+from repro.lint import LintConfig, LintEngine, RULES, load_config
+from repro.lint.dataflow import ForwardAnalysis, may_raise
+from repro.lint.engine import ModuleView
+from repro.lint.program import Program
 from repro.lint.report import render_json, render_sarif, render_text
-from repro.sanitize.fuzz import SchedulePerturber, weights_from_race_sites
 
 REPO = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO / "src" / "repro"
+SEEDED = Path(__file__).parent / "lint_fixtures" / "must_release" / "seeded.py"
 
-ANALYSIS_IDS = ("dispatch-contract", "must-release", "escaped-shared-write",
-                "hot-call")
+#: The rules that look at the whole program rather than one module.
+PROGRAM_RULES = ("must-release",)
 
 
-def make_project(modules: dict[str, str],
-                 config: LintConfig | None = None) -> Project:
-    """An in-memory project from {package-relative path: source}."""
-    project = Project(config or LintConfig())
-    for relpath, source in modules.items():
-        name = relpath[:-3].replace("/", ".")
-        project.add_module(name, Path(f"<test:{relpath}>"), relpath, source)
-    return project
+def make_program(modules: dict[str, str]) -> Program:
+    """An in-memory program from {package-relative path: source}."""
+    return Program(
+        ModuleView(Path(f"<test:{relpath}>"), relpath, source,
+                   ast.parse(source), LintConfig())
+        for relpath, source in modules.items()
+    )
 
 
 def analyze(modules: dict[str, str], *, analyses=None):
-    engine = AnalyzeEngine(LintConfig(), analyses=analyses)
-    return engine.analyze_project(make_project(modules))
+    """Lint in-memory modules together (``analyses`` selects rule ids)."""
+    engine = LintEngine(LintConfig(), rules=analyses)
+    findings = []
+    for relpath, source in modules.items():
+        findings.extend(engine.lint_source(source, relpath=relpath))
+    return findings
+
+
+def lint_seeded(rules=("must-release",)):
+    return LintEngine(LintConfig(), rules=rules).lint_source(
+        SEEDED.read_text(encoding="utf-8"),
+        path=SEEDED, relpath="repro/fixture_lifecycle.py",
+    )
 
 
 def active(findings):
@@ -51,49 +59,47 @@ def active(findings):
 # ======================================================================
 class TestSymbols:
     def test_from_import_resolves_to_defining_module(self):
-        project = make_project({
+        program = make_program({
             "repro/helpers.py": "def work(x):\n    return x\n",
             "repro/driver.py": "from repro.helpers import work\n\n"
                                "def go(x):\n    return work(x)\n",
         })
-        driver = project.modules["repro.driver"]
-        assert project.resolve(driver, "work") == "repro.helpers.work"
-        assert project.function("repro.helpers.work") is not None
+        driver = program.modules["repro.driver"]
+        assert program.resolve(driver, "work") == "repro.helpers.work"
+        assert program.function("repro.helpers.work") is not None
 
     def test_relative_import_resolves(self):
-        project = make_project({
+        program = make_program({
             "repro/helpers.py": "def work(x):\n    return x\n",
             "repro/driver.py": "from .helpers import work\n\n"
                                "def go(x):\n    return work(x)\n",
         })
-        driver = project.modules["repro.driver"]
-        assert project.resolve(driver, "work") == "repro.helpers.work"
+        driver = program.modules["repro.driver"]
+        assert program.resolve(driver, "work") == "repro.helpers.work"
 
     def test_method_found_through_base_chain(self):
-        project = make_project({
+        program = make_program({
             "repro/base.py": "class A:\n    def m(self):\n        return 1\n",
             "repro/derived.py": "from repro.base import A\n\n"
                                 "class B(A):\n    pass\n",
         })
-        b = project.klass("repro.derived.B")
+        b = program.klass("repro.derived.B")
         assert b is not None
-        m = project.method(b, "m")
+        m = program.method(b, "m")
         assert m is not None and m.name == "m"
 
 
 class TestCallGraph:
     def test_direct_call_edge(self):
-        project = make_project({
+        program = make_program({
             "repro/helpers.py": "def work(x):\n    return x\n",
             "repro/driver.py": "from repro.helpers import work\n\n"
                                "def go(x):\n    return work(x)\n",
         })
-        graph = build_callgraph(project)
-        assert "repro.helpers.work" in graph.callees("repro.driver.go")
-        assert "repro.driver.go" in graph.callers("repro.helpers.work")
+        assert "repro.helpers.work" in program.callees("repro.driver.go")
 
     def test_constructor_types_receiver_methods(self):
-        project = make_project({
+        program = make_program({
             "repro/pool.py": "class Pool:\n"
                              "    def dispatch(self, fn):\n"
                              "        return fn()\n",
@@ -102,20 +108,28 @@ class TestCallGraph:
                                "    p = Pool()\n"
                                "    return p.dispatch(fn)\n",
         })
-        graph = build_callgraph(project)
-        assert "repro.pool.Pool.dispatch" in graph.callees("repro.driver.go")
+        assert "repro.pool.Pool.dispatch" in program.callees("repro.driver.go")
 
     def test_reachability_closures(self):
-        project = make_project({
-            "repro/m.py": "def a():\n    return b()\n\n"
-                          "def b():\n    return c()\n\n"
-                          "def c():\n    return 0\n",
-        })
-        graph = build_callgraph(project)
-        assert graph.reachable_from({"repro.m.a"}) >= {
-            "repro.m.a", "repro.m.b", "repro.m.c"}
-        assert graph.transitive_callers({"repro.m.c"}) >= {
-            "repro.m.a", "repro.m.b", "repro.m.c"}
+        # release effects close over the call graph: the unwind handler
+        # releases two calls deep, and must-release follows it there
+        findings = analyze({
+            "repro/m.py": (
+                "class C:\n"
+                "    def _close_all(self):\n"
+                "        self._fh.close()\n\n"
+                "    def _unwind(self):\n"
+                "        self._close_all()\n\n"
+                "    def start(self, path):\n"
+                "        self._fh = open(path)\n"
+                "        try:\n"
+                "            self._parse()\n"
+                "        except BaseException:\n"
+                "            self._unwind()\n"
+                "            raise\n"
+            ),
+        }, analyses=["must-release"])
+        assert not active(findings)
 
 
 # ======================================================================
@@ -180,93 +194,45 @@ class TestDataflow:
 
 
 # ======================================================================
-# the seeded-fault fixtures (one bug class per analysis)
+# the seeded-fault fixture (a rotting rule must fail the suite)
 # ======================================================================
 class TestSelfcheck:
     def test_selfcheck_passes(self):
-        assert run_selfcheck() == []
+        # every seeded leak is caught on its marked line, and the clean
+        # twins stay clean: exact-set agreement
+        source = SEEDED.read_text(encoding="utf-8")
+        expected = {i for i, line in enumerate(source.splitlines(), 1)
+                    if "expect: must-release" in line}
+        findings = active(lint_seeded())
+        assert {f.line for f in findings} == expected
+        assert {f.rule for f in findings} == {"must-release"}
+        messages = " ".join(f.message for f in findings)
+        assert "raises" in messages  # the exceptional-path leak
+        assert "can reach the return" in messages  # the exit-path leak
 
     def test_every_analysis_has_a_seeded_fixture(self):
-        expected_rules = {rule for fx in FIXTURES for rule, _ in fx.expect}
-        assert expected_rules == set(ANALYSIS_IDS)
+        program_rules = {rid for rid, r in RULES.items()
+                         if r.program_check is not None}
+        assert program_rules == set(PROGRAM_RULES)
+        for rid in program_rules:
+            seeded = SEEDED.parent.parent / rid.replace("-", "_") / "seeded.py"
+            assert f"expect: {rid}" in seeded.read_text(encoding="utf-8")
 
     def test_analysis_rules_registered_without_lexical_check(self):
-        for rid in ANALYSIS_IDS:
+        for rid in PROGRAM_RULES:
             assert rid in RULES and RULES[rid].check is None
-            assert RULES[rid].category == "analysis"
+            assert RULES[rid].program_check is not None
 
     def test_analysis_subset_selection(self):
-        engine = AnalyzeEngine(LintConfig(), analyses=["must-release"])
-        findings = engine.analyze_project(fixture_project())
-        assert {f.rule for f in active(findings)} == {"must-release"}
+        # the full linter also sees the unguarded acquire lexically;
+        # selecting the whole-program rule runs it alone
+        everything = {f.rule for f in active(lint_seeded(rules=None))}
+        assert {"must-release", "lock-no-finally"} <= everything
+        assert {f.rule for f in active(lint_seeded())} == {"must-release"}
 
     def test_unknown_analysis_id_rejected(self):
         with pytest.raises(ValueError):
-            AnalyzeEngine(LintConfig(), analyses=["no-such-analysis"])
-
-
-# ======================================================================
-# dispatch-contract specifics
-# ======================================================================
-class TestContracts:
-    def test_astype_repairs_the_dtype(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import numpy as np\n\n"
-                "def f(backend, segments, n, rank):\n"
-                "    vals = np.zeros((n, rank), dtype=np.float32)\n"
-                "    vals = vals.astype(np.float64)\n"
-                "    out = np.zeros((segments.max() + 1, rank))\n"
-                "    backend.segment_sum(vals, segments, out)\n"
-            ),
-        }, analyses=["dispatch-contract"])
-        assert not active(findings)
-
-    def test_ascontiguousarray_repairs_the_layout(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import numpy as np\n\n"
-                "def f(backend, segments, vals, out):\n"
-                "    flipped = np.ascontiguousarray(vals.T)\n"
-                "    backend.segment_sum(flipped, segments, out)\n"
-            ),
-        }, analyses=["dispatch-contract"])
-        assert not active(findings)
-
-    def test_unknown_inputs_are_not_flagged(self):
-        # only *provable* conflicts report — a bare parameter is unknown
-        findings = analyze({
-            "repro/m.py": (
-                "def f(backend, vals, segments, out):\n"
-                "    backend.segment_sum(vals, segments, out)\n"
-            ),
-        }, analyses=["dispatch-contract"])
-        assert not active(findings)
-
-    def test_value_dtype_constant_resolves(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import numpy as np\n"
-                "from repro._util import VALUE_DTYPE\n\n"
-                "def f(backend, segments, n, rank, out):\n"
-                "    vals = np.zeros((n, rank), dtype=VALUE_DTYPE)\n"
-                "    backend.segment_sum(vals, segments, out)\n"
-            ),
-        }, analyses=["dispatch-contract"])
-        assert not active(findings)
-
-    def test_index_argument_requires_int64(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import numpy as np\n\n"
-                "def f(backend, n, rank, out):\n"
-                "    vals = np.zeros((n, rank))\n"
-                "    segments = np.zeros(n, dtype=np.float64)\n"
-                "    backend.segment_sum(vals, segments, out)\n"
-            ),
-        }, analyses=["dispatch-contract"])
-        flagged = active(findings)
-        assert flagged and all(f.rule == "dispatch-contract" for f in flagged)
+            LintEngine(LintConfig(), rules=["dispatch-contract"])
 
 
 # ======================================================================
@@ -348,134 +314,44 @@ class TestLifecycle:
 
 
 # ======================================================================
-# escaped-shared-write specifics + the race-site artifact
-# ======================================================================
-class TestEscape:
-    def _run_fixtures(self):
-        engine = AnalyzeEngine(LintConfig())
-        findings = engine.analyze_project(fixture_project())
-        return engine, findings
-
-    def test_race_sites_artifact_prioritized(self):
-        engine, _ = self._run_fixtures()
-        sites = engine.last_context.artifacts["race_sites"]
-        assert sites, "the seeded race fixture must produce candidates"
-        weights = [s["weight"] for s in sites]
-        assert weights == sorted(weights, reverse=True)
-        for site in sites:
-            assert {"path", "line", "scope", "array", "kind",
-                    "dispatch", "weight"} <= set(site)
-
-    def test_thread_target_dispatch_recognized(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import threading\n"
-                "import numpy as np\n\n"
-                "def f(values, n):\n"
-                "    out = np.zeros(1)\n\n"
-                "    def body(tid):\n"
-                "        out[0] += values[tid]\n\n"
-                "    ts = [threading.Thread(target=body, args=(i,))\n"
-                "          for i in range(n)]\n"
-            ),
-        }, analyses=["escaped-shared-write"])
-        flagged = active(findings)
-        assert flagged and all(
-            f.rule == "escaped-shared-write" for f in flagged)
-
-    def test_tid_derived_index_exonerates(self):
-        findings = analyze({
-            "repro/m.py": (
-                "import numpy as np\n\n"
-                "def f(layer, values, ntasks):\n"
-                "    out = np.zeros(ntasks)\n\n"
-                "    def body(tid):\n"
-                "        row = tid\n"
-                "        out[row] = values[tid]\n\n"
-                "    layer.coforall(ntasks, body)\n"
-                "    return out\n"
-            ),
-        }, analyses=["escaped-shared-write"])
-        assert not active(findings)
-
-
-# ======================================================================
-# hot-call specifics
-# ======================================================================
-class TestHotness:
-    def test_finding_names_the_hot_origin_chain(self):
-        engine = AnalyzeEngine(LintConfig(), analyses=["hot-call"])
-        findings = active(engine.analyze_project(fixture_project()))
-        assert findings
-        msg = findings[0].message
-        assert "repro/mttkrp/fixture_kernel.py" in msg  # the seeding hot loop
-        assert "hoist" in msg
-
-    def test_hot_functions_artifact_has_origin_chains(self):
-        engine = AnalyzeEngine(LintConfig(), analyses=["hot-call"])
-        engine.analyze_project(fixture_project())
-        hot = engine.last_context.artifacts["hot_functions"]
-        assert "repro.fixture_helpers.accumulate" in hot
-        assert "repro/mttkrp/fixture_kernel.py" in hot[
-            "repro.fixture_helpers.accumulate"]
-
-    def test_hot_modules_are_left_to_the_linter(self):
-        # the allocation sits in a hot module: repro.lint territory, and
-        # double-reporting it here would just duplicate findings
-        findings = analyze({
-            "repro/mttkrp/kernel.py": (
-                "import numpy as np\n\n"
-                "def kernel(n, out, rows):\n"
-                "    for i in range(n):\n"
-                "        out += np.zeros(3)\n"
-                "    return out\n"
-            ),
-        }, analyses=["hot-call"])
-        assert not active(findings)
-
-
-# ======================================================================
 # determinism + the shipped tree
 # ======================================================================
 class TestDeterminism:
     def test_fixture_reports_byte_identical(self):
         runs = []
         for _ in range(2):
-            engine = AnalyzeEngine(LintConfig())
-            findings = engine.analyze_project(fixture_project())
-            runs.append((render_json(findings, tool="repro.analyze"),
-                         render_sarif(findings, tool="repro.analyze")))
+            findings = lint_seeded()
+            runs.append((render_json(findings), render_sarif(findings)))
         assert runs[0] == runs[1]
 
     def test_src_repro_report_byte_identical(self):
         cfg = load_config(REPO / "pyproject.toml")
-        a = render_json(AnalyzeEngine(cfg).analyze_paths([SRC_REPRO]),
-                        tool="repro.analyze")
-        b = render_json(AnalyzeEngine(cfg).analyze_paths([SRC_REPRO]),
-                        tool="repro.analyze")
+        a = render_json(LintEngine(cfg, rules=PROGRAM_RULES).lint_paths([SRC_REPRO]))
+        b = render_json(LintEngine(cfg, rules=PROGRAM_RULES).lint_paths([SRC_REPRO]))
         assert a == b
         assert str(REPO) not in a  # package-relative paths only
 
 
 class TestSelfClean:
-    """The shipped tree must be analyze-clean under the shipped config."""
+    """The shipped tree must be must-release-clean under the shipped config."""
 
     def test_src_repro_is_clean(self):
         cfg = load_config(REPO / "pyproject.toml")
-        findings = AnalyzeEngine(cfg).analyze_paths([SRC_REPRO])
+        findings = LintEngine(cfg, rules=PROGRAM_RULES).lint_paths([SRC_REPRO])
         dirty = active(findings)
-        assert not dirty, render_text(findings, tool="repro.analyze")
+        assert not dirty, render_text(findings)
 
     def test_suppressions_in_tree_all_carry_reasons(self):
         cfg = load_config(REPO / "pyproject.toml")
-        for f in AnalyzeEngine(cfg).analyze_paths([SRC_REPRO]):
-            assert f.suppressed and f.reason
+        for f in LintEngine(cfg).lint_paths([SRC_REPRO]):
+            if f.rule in PROGRAM_RULES:
+                assert f.suppressed and f.reason
 
 
 # ======================================================================
 # the CLI (module form and the ``repro`` subcommands)
 # ======================================================================
-def run_cli(*args, module="repro.analyze", cwd=REPO):
+def run_cli(*args, module="repro.lint", cwd=REPO):
     return subprocess.run(
         [sys.executable, "-m", module, *args],
         capture_output=True, text=True, cwd=cwd,
@@ -483,71 +359,55 @@ def run_cli(*args, module="repro.analyze", cwd=REPO):
     )
 
 
+def _leaky_tree(tmp_path):
+    pkg = tmp_path / "repro" / "core"
+    pkg.mkdir(parents=True)
+    (pkg / "bad.py").write_text(
+        "def f(path, work):\n    fh = open(path)\n    work(path)\n"
+        "    fh.close()\n"
+    )
+    return tmp_path / "repro"
+
+
 class TestCli:
     def test_clean_tree_exits_zero(self):
-        proc = run_cli("src/repro")
+        proc = run_cli("src/repro", "--rules", "must-release")
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro.analyze: clean" in proc.stdout
+        assert "repro.lint: clean" in proc.stdout
 
     def test_dirty_tree_exits_one(self, tmp_path):
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "bad.py").write_text(
-            "def f(lock, work):\n    lock.acquire()\n    work()\n"
-        )
-        proc = run_cli(str(tmp_path / "repro"))
+        proc = run_cli(str(_leaky_tree(tmp_path)))
         assert proc.returncode == 1
         assert "must-release" in proc.stdout
 
-    def test_selfcheck_flag(self):
-        proc = run_cli("--selfcheck")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "OK" in proc.stdout
-
     def test_list_analyses(self):
-        proc = run_cli("--list-analyses")
+        proc = run_cli("--list-rules")
         assert proc.returncode == 0
-        for rid in ANALYSIS_IDS:
+        for rid in PROGRAM_RULES:
             assert rid in proc.stdout
 
-    def test_json_stdout(self):
-        proc = run_cli("src/repro", "--json", "-")
-        assert proc.returncode == 0, proc.stderr
+    def test_json_stdout(self, tmp_path):
+        proc = run_cli(str(_leaky_tree(tmp_path)), "--json", "-")
+        assert proc.returncode == 1, proc.stderr
         report = json.loads(proc.stdout)
-        assert report["tool"] == "repro.analyze"
-        assert report["summary"]["active"] == 0
+        assert report["tool"] == "repro.lint"
+        assert report["summary"]["by_rule"] == {"must-release": 1}
 
     def test_sarif_file_written(self, tmp_path):
         out = tmp_path / "report.sarif"
-        proc = run_cli("src/repro", "--sarif", str(out))
-        assert proc.returncode == 0
+        proc = run_cli(str(_leaky_tree(tmp_path)), "--sarif", str(out))
+        assert proc.returncode == 1
         sarif = json.loads(out.read_text())
         assert sarif["version"] == "2.1.0"
-        assert sarif["runs"][0]["tool"]["driver"]["name"] == "repro.analyze"
-
-    def test_seeds_out_written(self, tmp_path):
-        pkg = tmp_path / "repro" / "core"
-        pkg.mkdir(parents=True)
-        (pkg / "racy.py").write_text(
-            "import numpy as np\n\n"
-            "def f(layer, values, ntasks):\n"
-            "    out = np.zeros(1)\n\n"
-            "    def body(tid):\n"
-            "        out[0] += values[tid]\n\n"
-            "    layer.coforall(ntasks, body)\n"
-            "    return out\n"
-        )
-        seeds = tmp_path / "seeds.json"
-        proc = run_cli(str(tmp_path / "repro"), "--seeds-out", str(seeds))
-        assert proc.returncode == 1  # the race is an active finding too
-        payload = json.loads(seeds.read_text())
-        assert payload["tool"] == "repro.analyze"
-        assert payload["sites"] and payload["sites"][0]["weight"] >= 2
+        run = sarif["runs"][0]
+        assert run["tool"]["driver"]["name"] == "repro.lint"
+        assert [r["ruleId"] for r in run["results"]] == ["must-release"]
 
     def test_repro_analyze_subcommand(self):
-        proc = run_cli("analyze", "--selfcheck", module="repro.cli")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "OK" in proc.stdout
+        # the separate analyzer is gone: must-release runs under repro lint
+        proc = run_cli("analyze", "src/repro", module="repro.cli")
+        assert proc.returncode == 2
+        assert "invalid choice: 'analyze'" in proc.stderr
 
     def test_repro_lint_subcommand(self):
         proc = run_cli("lint", "src/repro", module="repro.cli")
@@ -561,69 +421,3 @@ class TestCli:
         proc = run_cli("lint", str(tmp_path / "repro"), module="repro.cli")
         assert proc.returncode == 1
         assert "assert-invariant" in proc.stdout
-
-
-# ======================================================================
-# static race seeds → the sanitizer's schedule fuzzer
-# ======================================================================
-class TestFuzzSeeds:
-    SITES = [{"path": "repro/m.py", "line": 8, "weight": 3},
-             {"path": "repro/m.py", "line": 9, "weight": 2}]
-
-    def test_no_candidates_no_bias(self):
-        assert weights_from_race_sites([]) == {}
-
-    def test_boost_caps_at_four_x(self):
-        weights = weights_from_race_sites([{"weight": 50}])
-        assert weights and all(w == 4.0 for w in weights.values())
-        assert "tasking.coforall" in weights and "pool.dispatch" in weights
-
-    def test_probability_clamped_to_one(self):
-        p = SchedulePerturber(7, pause_probability=0.5,
-                              site_weights={"task.begin": 4.0})
-        assert p.probability("task.begin") == 1.0
-        assert p.probability("lock.acquire") == 0.5  # unweighted site
-
-    def test_zero_weight_site_never_pauses(self):
-        p = SchedulePerturber(7, pause_probability=1.0, max_sleep_us=0,
-                              site_weights={"lock.acquire": 0.0})
-        for _ in range(32):
-            p.pause("lock.acquire")
-        assert p.arrivals("lock.acquire") == 32 and p.pauses == 0
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            SchedulePerturber(0, site_weights={"task.begin": -1.0})
-
-    def test_draw_sequence_unchanged_by_weights(self):
-        plain = SchedulePerturber(3)
-        biased = SchedulePerturber(3, site_weights={"task.begin": 4.0})
-        assert plain.decisions("task.begin", 16) == \
-            biased.decisions("task.begin", 16)
-
-    def test_weights_only_widen_the_accept_set(self):
-        plain = SchedulePerturber(3, pause_probability=0.25, max_sleep_us=0)
-        biased = SchedulePerturber(3, pause_probability=0.25, max_sleep_us=0,
-                                   site_weights={"task.begin": 3.0})
-        for _ in range(64):
-            plain.pause("task.begin")
-            biased.pause("task.begin")
-        assert biased.pauses >= plain.pauses
-        assert biased.pauses > 0
-
-    def test_from_seed_file(self, tmp_path):
-        seeds = tmp_path / "seeds.json"
-        seeds.write_text(json.dumps(
-            {"version": 1, "tool": "repro.analyze", "sites": self.SITES}))
-        p = SchedulePerturber.from_seed_file(seeds, seed=5,
-                                             pause_probability=0.2)
-        assert p.seed == 5
-        assert p.probability("tasking.coforall") == pytest.approx(0.8)
-        assert p.probability("lock.acquire") == pytest.approx(0.2)
-
-    def test_from_seed_file_without_sites_is_unbiased(self, tmp_path):
-        seeds = tmp_path / "seeds.json"
-        seeds.write_text(json.dumps(
-            {"version": 1, "tool": "repro.analyze", "sites": []}))
-        p = SchedulePerturber.from_seed_file(seeds)
-        assert p.site_weights == {}

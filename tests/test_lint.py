@@ -34,9 +34,13 @@ CHECKED_RULES = sorted(FIXTURE_RELPATH)
 
 
 def lint_fixture(rule: str, variant: str):
+    # every per-module rule runs, so a fixture that trips a neighbouring
+    # rule is caught; the whole-program must-release rule has its own
+    # seeded fixture (tests/test_analyze.py) and would also flag the
+    # lock-no-finally positive, which is a lock leak as well
     path = FIXTURES / rule.replace("-", "_") / f"{variant}.py"
     source = path.read_text(encoding="utf-8")
-    engine = LintEngine()
+    engine = LintEngine(rules=CHECKED_RULES)
     return engine.lint_source(source, path=path, relpath=FIXTURE_RELPATH[rule])
 
 
@@ -425,14 +429,17 @@ class TestOrderOneRootKernel:
     @pytest.mark.parametrize("use_ws", [False, True])
     def test_matches_add_at(self, use_ws):
         from repro.mttkrp.csf_kernels import root_range_vectorized
-        from repro.mttkrp.scatter import Workspace
+        from repro.mttkrp.scatter import TaskTraversal, Workspace
 
         tree = self._tree()
         rank = 3
         out = np.zeros((11, rank))
-        ws = Workspace() if use_ws else None
+        planned = {}
+        if use_ws:
+            planned = {"trav": TaskTraversal(tree, 0, tree.nslices),
+                       "ws": Workspace()}
         root_range_vectorized(tree, [np.ones((11, rank))], out, 0,
-                              tree.nslices, ws=ws)
+                              tree.nslices, **planned)
         expected = np.zeros_like(out)
         np.add.at(expected, tree.fids[0], tree.values[:, None]
                   * np.ones((1, rank)))
@@ -527,19 +534,31 @@ class TestSuppressionEdgeCases:
         silenced = [f for f in findings if f.suppressed]
         assert silenced and silenced[0].scope == "Outer.Inner.check"
 
-    def test_analysis_rule_suppressions_not_audited_as_unused_by_lint(self):
-        # the per-file linter cannot see whole-program findings, so an
-        # allow(must-release) must not be flagged unused by repro.lint —
-        # repro.analyze audits those
+    def test_used_must_release_suppression_is_silent(self):
+        # the whole-program rule shares the suppression audit: an
+        # allow(must-release) that silences a leak is used, not stale
         src = (
-            "def f(lock, work):\n"
-            "    lock.acquire()  # reprolint: allow(must-release) — "
-            "released by the caller on completion\n"
-            "    work()\n"
+            "def f(path, log):\n"
+            "    fh = open(path)  # reprolint: allow(must-release) — "
+            "the process exits if logging fails\n"
+            "    log.info(path)\n"
+            "    fh.close()\n"
         )
         findings = self._lint(src)
-        assert not [f for f in active(findings)
-                    if f.rule == "unused-suppression"]
+        assert not active(findings)
+        assert any(f.suppressed and f.rule == "must-release"
+                   for f in findings)
+
+    def test_unused_must_release_suppression_is_flagged(self):
+        src = (
+            "def f(path):\n"
+            "    with open(path) as fh:  # reprolint: allow(must-release) — "
+            "stale: the with-block releases it\n"
+            "        return fh.read()\n"
+        )
+        findings = self._lint(src)
+        assert [(f.rule, f.line) for f in active(findings)] == [
+            ("unused-suppression", 2)]
 
 
 # ======================================================================

@@ -206,6 +206,21 @@ class TestRangeKernels:
         with pytest.raises(ValueError, match="internal level"):
             internal_range_vectorized(tree, factors, 2, 0, 1)
 
+    def test_trav_and_ws_go_together(self, small_tensor, factors_for):
+        from repro.mttkrp.scatter import TaskTraversal, Workspace
+
+        factors = factors_for(small_tensor, 4)
+        tree = build_csf_set(small_tensor, allocation="one").trees[0]
+        trav = TaskTraversal(tree, 0, tree.nslices)
+        for planned in ({"trav": trav}, {"ws": Workspace()}):
+            with pytest.raises(ValueError, match="trav and ws together"):
+                leaf_range_vectorized(tree, factors, 0, tree.nslices, **planned)
+        plain = leaf_range_vectorized(tree, factors, 0, tree.nslices)
+        rows, contribs = leaf_range_vectorized(
+            tree, factors, 0, tree.nslices, trav=trav, ws=Workspace())
+        np.testing.assert_array_equal(rows, plain[0])
+        np.testing.assert_allclose(contribs, plain[1])
+
 
 class TestPartition:
     def test_blocks_cover_all_slices(self, small_tensor):

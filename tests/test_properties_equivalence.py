@@ -4,7 +4,7 @@ simulated runtime must produce the *same numbers*.
 Randomized COO tensors (orders 2-5, with duplicate coordinates and empty
 slices as explicit edge cases) are decomposed/MTTKRP'd under every axis the
 runtime exposes — tasking layer (qthreads/fifo), lock policy, task count,
-amortized vs per-call setup, tracing enabled vs disabled — and the results
+tracing enabled vs disabled — and the results
 must agree to ``allclose`` with the canonical serial run.  This is the
 "non-perturbing" contract of docs/OBSERVABILITY.md plus the paper's claim
 that its parallelization choices are bitwise-benign reorderings.
@@ -66,14 +66,13 @@ def tensor_and_rank(draw):
 
 
 RUNTIME_CONFIGS = [
-    # (tasking_layer, ntasks, mutex_kind, force_locks, amortize)
-    ("qthreads", 1, "atomic", None, True),
-    ("qthreads", 4, "atomic", None, True),
-    ("qthreads", 4, "atomic", True, True),
-    ("qthreads", 4, "sync", True, True),
-    ("qthreads", 4, "atomic", None, False),   # seed (non-amortized) path
-    ("fifo", 4, "atomic", None, True),
-    ("fifo", 4, "sync", True, False),
+    # (tasking_layer, ntasks, mutex_kind, force_locks)
+    ("qthreads", 1, "atomic", None),
+    ("qthreads", 4, "atomic", None),
+    ("qthreads", 4, "atomic", True),
+    ("qthreads", 4, "sync", True),
+    ("fifo", 4, "atomic", None),
+    ("fifo", 4, "sync", True),
 ]
 
 # Every registered backend that actually works in this environment (numpy
@@ -95,18 +94,17 @@ def test_mttkrp_agrees_across_all_runtime_configs(backend, data):
     csf_set = build_csf_set(tensor)
     for mode in range(tensor.nmodes):
         reference = dense_mttkrp_reference(tensor, factors, mode)
-        for layer, ntasks, mutex, force, amortize in RUNTIME_CONFIGS:
+        for layer, ntasks, mutex, force in RUNTIME_CONFIGS:
             env = ChapelEnv(num_tasks=ntasks, tasking_layer=layer)
             out, _ = mttkrp_csf(
                 csf_set, factors, mode,
                 env=env, mutex_kind=mutex,
-                force_locks=force, amortize=amortize,
-                backend=backend,
+                force_locks=force, backend=backend,
             )
             np.testing.assert_allclose(
                 out, reference, rtol=RTOL, atol=ATOL,
                 err_msg=f"mode {mode}, backend {backend}, "
-                        f"config {(layer, ntasks, mutex, force, amortize)}",
+                        f"config {(layer, ntasks, mutex, force)}",
             )
 
 
@@ -226,12 +224,11 @@ def test_empty_slices_survive_every_config(backend):
     csf_set = build_csf_set(tensor, allocation="all")
     for mode in range(3):
         ref = dense_mttkrp_reference(tensor, factors, mode)
-        for layer, ntasks, mutex, force, amortize in RUNTIME_CONFIGS:
+        for layer, ntasks, mutex, force in RUNTIME_CONFIGS:
             out, _ = mttkrp_csf(
                 csf_set, factors, mode,
                 env=ChapelEnv(num_tasks=ntasks, tasking_layer=layer),
-                mutex_kind=mutex, force_locks=force, amortize=amortize,
-                backend=backend,
+                mutex_kind=mutex, force_locks=force, backend=backend,
             )
             np.testing.assert_allclose(out, ref, rtol=RTOL, atol=ATOL)
 
