@@ -1,11 +1,11 @@
 """Tracing overhead guard: disabled tracing + sanitizing must cost < 3%.
 
 The tracing layer's contract (docs/OBSERVABILITY.md) is near-zero cost
-when no recorder is installed: every instrumented call site either reads
-one module global or calls :func:`repro.observe.spans.span`, which
-returns a shared no-op object.  A true A/B against a never-instrumented
-build is impossible at runtime, so the guard bounds the overhead from
-measurable parts:
+when no recorder is installed: every instrumented call site either tests
+the one instrumentation slot (``repro.probe.current``) or calls
+:func:`repro.observe.spans.span`, which returns a shared no-op object.
+A true A/B against a never-instrumented build is impossible at runtime,
+so the guard bounds the overhead from measurable parts:
 
 1. time a steady-state amortized MTTKRP sweep with tracing disabled
    (``T``, best over interleaved trials);
@@ -13,7 +13,7 @@ measurable parts:
    number of instrumentation events the sweep emits (``N``), an upper
    bound on the disabled-path call count that matters;
 3. time the disabled-path primitives directly (a ``with span()``, a
-   ``count()``, a sanitizer ``pause()`` and a sanitizer ``_active`` read
+   ``count()``, a sanitizer ``pause()`` and a probe-slot read
    per event, ``c`` seconds amortized per call);
 
 and asserts ``N * c < 3% * T``.  The same interleaving discipline as the
@@ -27,6 +27,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import probe
 from repro.csf.build import build_csf_set
 from repro.mttkrp.variants import mttkrp_csf
 from repro.observe import spans as spans_mod
@@ -64,11 +65,10 @@ def _disabled_event_cost() -> float:
 
     One "event" is modelled as its most expensive disabled-path shape: a
     ``span()`` call entered and exited as a context manager, plus a
-    ``count()``.  Real hot sites are cheaper (a bare ``_active is None``
-    check), so this upper-bounds the per-event cost.
+    ``count()``.  Real hot sites are cheaper (a bare ``probe.current is
+    None`` check), so this upper-bounds the per-event cost.
     """
-    assert spans_mod._active is None
-    assert san_mod._active is None
+    assert probe.current is None
     span = spans_mod.span
     count = spans_mod.count
     pause = san_mod.pause
@@ -86,9 +86,9 @@ def _disabled_event_cost() -> float:
                 pass
             count("x")
             # the sanitizer's disabled hot path: a fuzzer perturbation
-            # point plus the bare global read the runtime sites do inline
+            # point plus the bare slot read the runtime sites do inline
             pause("x")
-            if san_mod._active is not None:  # pragma: no cover
+            if probe.current is not None:  # pragma: no cover
                 raise AssertionError
         best = min(best, time.perf_counter() - start)
     return best / NULLPATH_CALLS

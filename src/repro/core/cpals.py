@@ -332,12 +332,9 @@ def cp_als(
             engine_stats.update(ctx.stats())
         if getattr(layer, "_pool", None) is not None:
             engine_stats.update(layer.worker_pool.stats())
-        if layer.retries or layer.degraded_dispatches:
-            # the pool mirrors these, but a fully-degraded run never
-            # creates the pool — report the layer's accounting regardless
-            engine_stats["retries"] = layer.retries
-            engine_stats["backoff_seconds"] = layer.backoff_seconds
-            engine_stats["degraded_dispatches"] = layer.degraded_dispatches
+        engine_stats["retries"] = layer.retries
+        engine_stats["backoff_seconds"] = layer.backoff_seconds
+        engine_stats["degraded_dispatches"] = layer.degraded_dispatches
         run_span.set_attrs(iterations=iterations, converged=converged,
                            fit=float(fits[-1]) if fits else 0.0)
         for key, value in engine_stats.items():

@@ -11,25 +11,19 @@ The medium-grained algorithm's per-mode-update traffic:
 exchanges would put on a real interconnect, which is the quantity the
 medium-grained paper (and any grid-shape ablation) optimizes.
 
-Resilience: :func:`fold_exchange` / :func:`expand_exchange` are the
-fault-injectable front doors the distributed driver calls.  Each pokes
-its ``comm.fold`` / ``comm.expand`` site before metering; an injected
-failure is retried per the active
-:class:`~repro.resilience.retry.RetryPolicy` (resends metered as
-``retried_messages``, simulated backoff accumulated in
-``backoff_seconds``) and, once retries are exhausted, either degrades to
-a fallback transport (``degraded_exchanges``; the payload still arrives,
-as the in-process simulation always delivers) or propagates.
+Resilience: :func:`fold_exchange` / :func:`expand_exchange` fire the
+``comm.fold`` / ``comm.expand`` fault sites before metering.  Injected
+failures are retried (resends metered as ``retried_messages``) and, once
+retries run out, degrade to a fallback transport
+(``degraded_exchanges``; the payload still arrives) or propagate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro import probe as _probe
 from repro._util import VALUE_DTYPE
-from repro.observe import spans as _obs
-from repro.resilience import fault as _flt
-from repro.resilience import retry as _rty
 
 __all__ = ["CommStats", "exchange_counts", "fold_exchange", "expand_exchange"]
 
@@ -96,36 +90,26 @@ def _resilient_send(stats: CommStats, site: str, messages: int) -> None:
     """Poke ``site`` with retry/degradation semantics, accounting into
     ``stats``.  Returns normally when the (simulated) exchange went
     through — possibly on the degraded transport."""
-    plan = _flt._active_plan
-    if plan is None:
+    p = _probe.current
+    if p is None:
         return
-    policy = _rty.active_policy()
-    attempts = 0
-    while True:
-        try:
-            plan.poke(site)
-            return
-        except BaseException as exc:
-            if policy is None or not policy.handles(exc):
-                raise
-            stats.faults_injected += 1
-            if attempts < policy.max_retries:
-                backoff = policy.backoff(attempts)
-                attempts += 1
-                stats.retries += 1
-                stats.retried_messages += messages
-                stats.backoff_seconds += backoff
-                _obs.count("retry.attempts")
-                policy.pause(backoff)
-                continue
-            if policy.degrade:
-                # The layer-collective keeps failing; complete the exchange
-                # over the (simulated) fallback transport instead of
-                # killing the whole run.
-                stats.degraded_exchanges += 1
-                _obs.count("comm.degraded")
-                return
-            raise
+
+    def on_retry(backoff: float, attempts: int) -> None:
+        stats.faults_injected += 1
+        stats.retries += 1
+        stats.retried_messages += messages
+        stats.backoff_seconds += backoff
+
+    exc = p.retry(lambda: p.fault(site), on_retry)
+    if exc is None:
+        return
+    stats.faults_injected += 1
+    if not p.policy.degrade:
+        raise exc
+    # The layer-collective keeps failing; complete the exchange over the
+    # (simulated) fallback transport instead of killing the whole run.
+    stats.degraded_exchanges += 1
+    p.count("comm.degraded")
 
 
 def exchange_counts(part, grid, mode: int, rows) -> tuple[int, int]:

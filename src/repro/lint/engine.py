@@ -137,6 +137,7 @@ class LintConfig:
     #: runtime and the tooling that instruments it.  Everyone else goes
     #: through ``repro.runtime``.
     threading_allow: tuple[str, ...] = (
+        "repro/probe.py",
         "repro/runtime/*.py",
         "repro/observe/*.py",
         "repro/sanitize/*.py",

@@ -22,10 +22,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro import probe as _probe
 from repro._util import VALUE_DTYPE
 from repro.csf.tree import CsfTensor
 from repro.mttkrp.scatter import ScatterPlan, TaskTraversal, Workspace
-from repro.sanitize import detector as _san
 from repro.runtime.locks import MutexPool
 from repro.runtime.reductions import array_reduce_buffers
 from repro.runtime.tasking import TaskingLayer
@@ -181,11 +181,11 @@ def root_range_vectorized(
         else:
             w = _upward_product(csf, factors, trav.ranges, 0, trav=trav, ws=ws)
     out[rows] += w
-    san = _san._active
-    if san is not None:
+    p = _probe.current
+    if p is not None:
         # Root tasks own disjoint slice ranges, hence disjoint rows — the
         # sanitizer verifies that claim rather than assuming it.
-        san.on_access(out, rows, write=True, site="root_range_vectorized")
+        p.array_write(out, rows, "root_range_vectorized")
 
 
 def _empty_contribs(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

@@ -51,11 +51,11 @@ import weakref
 
 import numpy as np
 
+from repro import probe as _probe
 from repro._util import VALUE_DTYPE
 from repro.csf.tree import CsfTensor
 from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.observe import spans as _obs
-from repro.sanitize import detector as _san
 
 __all__ = [
     "sorted_scatter_add",
@@ -286,11 +286,9 @@ class RowScatter:
         out[self.out_rows] += self.reduce(
             contribs, ws, presorted=presorted, backend=backend
         )
-        san = _san._active
-        if san is not None:
-            san.on_access(
-                out, self.out_rows, write=True, site="RowScatter.scatter_accumulate"
-            )
+        p = _probe.current
+        if p is not None:
+            p.array_write(out, self.out_rows, "RowScatter.scatter_accumulate")
 
     def scatter_assign(
         self,
@@ -313,11 +311,9 @@ class RowScatter:
         out[self.out_rows] = self.reduce(
             contribs, ws, presorted=presorted, backend=backend
         )
-        san = _san._active
-        if san is not None:
-            san.on_access(
-                out, self.out_rows, write=True, site="RowScatter.scatter_assign"
-            )
+        p = _probe.current
+        if p is not None:
+            p.array_write(out, self.out_rows, "RowScatter.scatter_assign")
 
     def scatter_mutex(
         self,
@@ -338,7 +334,7 @@ class RowScatter:
         if self.nrows_in == 0:
             return
         reduced = self.reduce(contribs, ws, presorted=presorted, backend=backend)
-        san = _san._active
+        p = _probe.current
         for k in range(self.bucket_ids.size):
             s = int(self.bucket_bounds[k])
             e = int(self.bucket_bounds[k + 1])
@@ -346,13 +342,11 @@ class RowScatter:
             pool.acquire(lid)
             try:
                 out[self.out_rows[s:e]] += reduced[s:e]
-                if san is not None:
+                if p is not None:
                     # Recorded *inside* the critical section so the access
                     # carries the bucket lock in its lockset.
-                    san.on_access(
-                        out, self.out_rows[s:e], write=True,
-                        site="RowScatter.scatter_mutex",
-                    )
+                    p.array_write(out, self.out_rows[s:e],
+                                  "RowScatter.scatter_mutex")
             finally:
                 pool.release(lid)
 

@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro import probe as _probe
 from repro._util import VALUE_DTYPE, check_axis
 from repro.backend import canonical_factors, prepare_call, resolve_backend
 from repro.csf.build import CsfSet, build_csf_set
@@ -50,7 +51,6 @@ from repro.mttkrp.locks_policy import needs_locks
 from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.observe import spans as _obs
 from repro.runtime.env import ChapelEnv
-from repro.sanitize import detector as _san
 from repro.runtime.locks import DEFAULT_POOL_SIZE, MutexPool, make_mutex_pool
 from repro.runtime.reductions import array_reduce_buffers
 from repro.runtime.tasking import TaskingLayer, make_tasking_layer
@@ -481,9 +481,9 @@ def mttkrp_csf(
         _obs.count("backend.dispatch." + bk.name)
     scatter_bk = bk if use_compiled else None
 
-    san = _san._active
-    if san is not None:
-        san.register_array(out, f"mttkrp.out.mode{mode}")
+    p = _probe.current
+    if p is not None:
+        p.array_register(out, f"mttkrp.out.mode{mode}")
 
     def _execute() -> None:
         nonlocal plan_hit
@@ -541,7 +541,7 @@ def mttkrp_csf(
                 buffers=buffers, presorted=presorted, backend=scatter_bk,
             )
 
-    rec = _obs._active
+    rec = None if p is None else p.recorder
     if rec is None:
         _execute()
     else:

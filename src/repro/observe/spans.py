@@ -10,11 +10,11 @@ per-thread timelines plus aggregate metrics.
 
 Design constraints (see docs/OBSERVABILITY.md):
 
-* **Near-zero overhead when disabled.**  There is one module-global
-  ``_active`` recorder slot.  Hot call sites either read it directly
-  (``spans._active is not None``) or call :func:`span`, which returns a
-  shared no-op context manager when tracing is off — no allocation, no
-  locking, no clock read.
+* **Near-zero overhead when disabled.**  The recorder lives in the one
+  instrumentation slot, :data:`repro.probe.current` (docs/RUNTIME.md lists
+  the events that reach it).  Hot call sites test the slot inline; the
+  rest call :func:`span`, which returns a shared no-op context manager
+  when tracing is off — no allocation, no locking, no clock read.
 * **Thread-aware.**  Spans are stacked per thread (``threading.local``),
   so a ``coforall`` task body traced on a pool worker lands on that
   worker's timeline.  Cross-thread causality (dispatch → task) is kept via
@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro import probe as _probe
+
 __all__ = [
     "SpanRecord",
     "TraceRecorder",
@@ -45,20 +47,15 @@ __all__ = [
     "active_recorder",
 ]
 
-#: The installed recorder, or ``None`` when tracing is disabled.  Hot paths
-#: read this directly; everything else goes through :func:`span`/:func:`count`.
-_active: "TraceRecorder | None" = None
-_install_lock = threading.Lock()
-
-
 def enabled() -> bool:
     """True when a recorder is installed (tracing is on)."""
-    return _active is not None
+    return active_recorder() is not None
 
 
 def active_recorder() -> "TraceRecorder | None":
     """The installed recorder, or ``None``."""
-    return _active
+    p = _probe.current
+    return None if p is None else p.recorder
 
 
 class _NullSpan:
@@ -88,22 +85,22 @@ def span(name: str, **attrs: Any):
     Returns the shared no-op span when tracing is disabled, so call sites
     can unconditionally write ``with observe.span("sort"): ...``.
     """
-    rec = _active
-    if rec is None:
+    p = _probe.current
+    if p is None or p.recorder is None:
         return NULL_SPAN
-    return rec.span(name, attrs)  # reprolint: allow(span-no-ctx) — span() is the factory; every call site enters the returned context manager
+    return p.recorder.span(name, attrs)  # reprolint: allow(span-no-ctx) — span() is the factory; every call site enters the returned context manager
 
 
 def count(name: str, n: int | float = 1) -> None:
     """Increment counter ``name`` by ``n`` on the active recorder (if any)."""
-    rec = _active
-    if rec is not None:
-        rec.count(name, n)
+    p = _probe.current
+    if p is not None:
+        p.count(name, n)
 
 
 def gauge(name: str, value: Any) -> None:
     """Set gauge ``name`` to ``value`` on the active recorder (if any)."""
-    rec = _active
+    rec = active_recorder()
     if rec is not None:
         rec.gauge(name, value)
 
@@ -381,16 +378,11 @@ class tracing:
         self._prev: TraceRecorder | None = None
 
     def __enter__(self) -> TraceRecorder:
-        global _active
-        with _install_lock:
-            self._prev = _active
-            _active = self.recorder
+        self._prev = _probe.install("recorder", self.recorder)
         return self.recorder
 
     def __exit__(self, *exc) -> bool:
-        global _active
-        with _install_lock:
-            _active = self._prev
+        _probe.install("recorder", self._prev)
         self._prev = None
         if self.path is not None:
             self.recorder.write(self.path)

@@ -12,23 +12,14 @@ A :class:`FaultPlan` provides both:
   matching arrival with a seeded Bernoulli draw, so a given plan always
   fails the same arrivals in a serial execution order.
 
-The instrumented sites (see docs/RESILIENCE.md for the full table):
-
-==================  =====================================================
-``tasking.coforall``  before every multi-task ``coforall`` dispatch
-``pool.dispatch``     inside :meth:`WorkerPool.run`, before task submit
-``pool.task``         at the start of every pooled task body
-``schedule.chunk``    before each claimed chunk of a scheduled ``forall``
-``comm.fold``         each metered fold (reduce-scatter) exchange
-``comm.expand``       each metered expand (allgather) exchange
-==================  =====================================================
-
-A plan is installed for a ``with`` block via :class:`inject_faults`; the
-instrumented call sites read the single module-global slot (``None`` when
-injection is off, the same near-zero disabled path the tracing layer
-uses).  A firing site raises :class:`InjectedFault`, which the resilience
-policies in :mod:`repro.resilience.retry` know how to retry or degrade
-around; every injection is counted on the active trace recorder as the
+A plan is installed for a ``with`` block via :class:`inject_faults` into
+the one instrumentation slot, :data:`repro.probe.current`; docs/RUNTIME.md
+lists the events that reach it and docs/RESILIENCE.md the fault sites
+(``tasking.coforall``, ``pool.dispatch``, ``pool.task``,
+``schedule.chunk``, ``comm.fold``, ``comm.expand``, ``serve.job``).  A
+firing site raises :class:`InjectedFault`, which the resilience policies
+in :mod:`repro.resilience.retry` know how to retry or degrade around;
+every injection is counted on the active trace recorder as the
 ``fault.injected`` counter.
 """
 
@@ -40,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro import probe as _probe
 from repro.observe import spans as _obs
 
 __all__ = ["InjectedFault", "FaultPlan", "inject_faults", "active_plan"]
@@ -160,22 +152,17 @@ class FaultPlan:
             raise InjectedFault(site, occurrence)
 
 
-#: The installed plan, or ``None`` when fault injection is off.  Hot call
-#: sites read this directly (one global load on the disabled path).
-_active_plan: FaultPlan | None = None
-_install_lock = threading.Lock()
-
-
 def active_plan() -> FaultPlan | None:
     """The installed :class:`FaultPlan`, or ``None``."""
-    return _active_plan
+    p = _probe.current
+    return None if p is None else p.plan
 
 
 def poke(site: str) -> None:
     """Poke ``site`` on the active plan (no-op when injection is off)."""
-    plan = _active_plan
-    if plan is not None:
-        plan.poke(site)
+    p = _probe.current
+    if p is not None:
+        p.fault(site)
 
 
 class inject_faults:
@@ -195,15 +182,10 @@ class inject_faults:
         self._prev: FaultPlan | None = None
 
     def __enter__(self) -> FaultPlan:
-        global _active_plan
-        with _install_lock:
-            self._prev = _active_plan
-            _active_plan = self.plan
+        self._prev = _probe.install("plan", self.plan)
         return self.plan
 
     def __exit__(self, *exc) -> bool:
-        global _active_plan
-        with _install_lock:
-            _active_plan = self._prev
+        _probe.install("plan", self._prev)
         self._prev = None
         return False

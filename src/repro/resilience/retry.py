@@ -7,15 +7,17 @@ exception type listed in ``retry_on``):
 * retry the failed operation up to ``max_retries`` times, with an
   exponential *simulated* backoff — by default the backoff seconds are
   only **accounted** (into :class:`~repro.distributed.comm.CommStats`,
-  the worker-pool stats and the ``retry.backoff_s`` trace counter), not
-  slept, so tests stay fast; set ``sleep=True`` to really wait;
+  the tasking layer's counters and the ``retry.backoff_s`` trace
+  counter), not slept, so tests stay fast; set ``sleep=True`` to really
+  wait;
 * once retries are exhausted, optionally **degrade**: the tasking layer
   falls back to running the coforall's tasks serially inline, and the
   simulated fold/expand exchanges fall back to a degraded transport
   (metered as ``degraded_exchanges``), instead of killing the run.
 
 Real errors raised by task bodies are never retried — only the exception
-types in ``retry_on`` — so a buggy kernel still fails fast.
+types in ``retry_on`` — so a buggy kernel still fails fast.  Every site
+retries through :meth:`repro.probe.Probe.retry`, the one retry loop.
 
 **Idempotency caveat**: dispatch-level sites (``tasking.coforall``,
 ``pool.dispatch``, ``comm.*``) fire *before* any task body runs, so
@@ -29,10 +31,10 @@ docs/RESILIENCE.md).
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
+from repro import probe as _probe
 from repro.observe import spans as _obs
 from repro.resilience.fault import InjectedFault
 
@@ -95,14 +97,11 @@ class RetryPolicy:
             time.sleep(min(backoff_s, _MAX_REAL_SLEEP_S))
 
 
-#: The installed policy, or ``None`` (failures propagate immediately).
-_active_policy: RetryPolicy | None = None
-_install_lock = threading.Lock()
-
-
 def active_policy() -> RetryPolicy | None:
-    """The installed :class:`RetryPolicy`, or ``None``."""
-    return _active_policy
+    """The installed :class:`RetryPolicy`, or ``None`` (failures propagate
+    immediately)."""
+    p = _probe.current
+    return None if p is None else p.policy
 
 
 class retrying:
@@ -119,15 +118,10 @@ class retrying:
         self._prev: RetryPolicy | None = None
 
     def __enter__(self) -> RetryPolicy:
-        global _active_policy
-        with _install_lock:
-            self._prev = _active_policy
-            _active_policy = self.policy
+        self._prev = _probe.install("policy", self.policy)
         return self.policy
 
     def __exit__(self, *exc) -> bool:
-        global _active_policy
-        with _install_lock:
-            _active_policy = self._prev
+        _probe.install("policy", self._prev)
         self._prev = None
         return False

@@ -15,8 +15,7 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.observe import spans as _obs
-from repro.sanitize import detector as _san
+from repro import probe as _probe
 
 __all__ = ["AtomicInt", "AtomicReal", "AtomicBool"]
 
@@ -152,7 +151,9 @@ class AtomicBool(_AtomicBase):
         (yields per spin, acquires and contention on success).
         """
         counters = counters if counters is not None else self.counters
-        _san.pause("lock.spin")
+        p = _probe.current
+        if p is not None:
+            p.pause("lock.spin")
         contended = False
         while self.test_and_set():
             contended = True
@@ -161,17 +162,11 @@ class AtomicBool(_AtomicBase):
             time.sleep(0)  # chpl_task_yield analogue: cede the OS thread
         if counters is not None:
             counters.add(lock_acquires=1, lock_contended=int(contended))
-        san = _san._active
-        if san is not None:
-            san.on_acquire(self._san_token(), "AtomicBool.spin_lock")
-        rec = _obs._active
-        if rec is not None:
-            rec.count("lock.acquires")
-            if contended:
-                rec.count("lock.contended")
+        if p is not None:
+            p.lock_acquire(self._san_token(), "AtomicBool.spin_lock", contended)
 
     def spin_unlock(self) -> None:
-        san = _san._active
-        if san is not None:
-            san.on_release(self._san_token())
+        p = _probe.current
+        if p is not None:
+            p.lock_release(self._san_token())
         self.clear()

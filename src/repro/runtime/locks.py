@@ -27,10 +27,9 @@ import threading
 import time
 from abc import ABC, abstractmethod
 
-from repro.observe import spans as _obs
+from repro import probe as _probe
 from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
-from repro.sanitize import detector as _san
 
 __all__ = [
     "DEFAULT_POOL_SIZE",
@@ -109,7 +108,9 @@ class AtomicLockPool(MutexPool):
         self._locks = [threading.Lock() for _ in range(size)]
 
     def acquire(self, lock_id: int) -> None:
-        _san.pause("lock.acquire")
+        p = _probe.current
+        if p is not None:
+            p.pause("lock.acquire")
         lock = self._locks[lock_id]
         contended = False
         # testAndSet loop: try without blocking; yield the task on failure.
@@ -118,19 +119,14 @@ class AtomicLockPool(MutexPool):
             self.counters.add(task_yields=1)
             time.sleep(0)  # chpl_task_yield analogue: cede the OS thread
         self.counters.add(lock_acquires=1, lock_contended=int(contended))
-        san = _san._active
-        if san is not None:
-            san.on_acquire(self._san_token(lock_id), "AtomicLockPool.acquire")
-        rec = _obs._active
-        if rec is not None:
-            rec.count("lock.acquires")
-            if contended:
-                rec.count("lock.contended")
+        if p is not None:
+            p.lock_acquire(self._san_token(lock_id), "AtomicLockPool.acquire",
+                           contended)
 
     def release(self, lock_id: int) -> None:
-        san = _san._active
-        if san is not None:
-            san.on_release(self._san_token(lock_id))
+        p = _probe.current
+        if p is not None:
+            p.lock_release(self._san_token(lock_id))
         self._locks[lock_id].release()
 
 
@@ -162,19 +158,18 @@ class SyncLockPool(MutexPool):
         self._conds = [threading.Condition(threading.Lock()) for _ in range(size)]
 
     def acquire(self, lock_id: int) -> None:
-        _san.pause("lock.acquire")
-        san = _san._active
+        p = _probe.current
+        if p is not None:
+            p.pause("lock.acquire")
         cond = self._conds[lock_id]
         contended = False
         sleeps = 0
         if self.env.sync_vars_sleep:
             with cond:
-                waiting = False
-                if san is not None and not self._full[lock_id]:
-                    # Sleep path: an outstanding wait the releaser must end
-                    # with a notify — tracked for lost-wakeup detection.
-                    waiting = True
-                    san.wait_begin(self._san_token(lock_id), "full")
+                # Sleep path: an outstanding wait the releaser must end
+                # with a notify — tracked for lost-wakeup detection.
+                waiting = (p is not None and not self._full[lock_id]
+                           and p.wait_begin(self._san_token(lock_id), "full"))
                 while not self._full[lock_id]:
                     contended = True
                     sleeps += 1
@@ -182,7 +177,7 @@ class SyncLockPool(MutexPool):
                     self.counters.add(sync_sleeps=1)
                     cond.wait()
                 if waiting:
-                    san.wait_end(self._san_token(lock_id))
+                    p.wait_end(self._san_token(lock_id))
                 self._full[lock_id] = False
         else:
             # fifo: spin-wait on the full/empty bit.
@@ -195,20 +190,14 @@ class SyncLockPool(MutexPool):
                 self.counters.add(task_yields=1)
                 time.sleep(0)
         self.counters.add(lock_acquires=1, lock_contended=int(contended))
-        if san is not None:
-            san.on_acquire(self._san_token(lock_id), "SyncLockPool.acquire")
-        rec = _obs._active
-        if rec is not None:
-            rec.count("lock.acquires")
-            if contended:
-                rec.count("lock.contended")
-            if sleeps:
-                rec.count("lock.sync_sleeps", sleeps)
+        if p is not None:
+            p.lock_acquire(self._san_token(lock_id), "SyncLockPool.acquire",
+                           contended, sleeps)
 
     def release(self, lock_id: int) -> None:
-        san = _san._active
-        if san is not None:
-            san.on_release(self._san_token(lock_id))
+        p = _probe.current
+        if p is not None:
+            p.lock_release(self._san_token(lock_id))
         cond = self._conds[lock_id]
         with cond:
             if self._full[lock_id]:

@@ -26,10 +26,8 @@ registered in a module-level weak set that an ``atexit`` hook drains — so
 workers are told to stop even when neither the layer nor the pool is ever
 explicitly shut down or collected.
 
-Fault injection: when a :class:`~repro.resilience.fault.FaultPlan` is
-installed, :meth:`WorkerPool.run` pokes the ``pool.dispatch`` site before
-submitting any task (so a firing fault is always retry-safe) and each task
-body pokes ``pool.task`` on its worker (surfacing as a task failure).
+Fault injection: :meth:`WorkerPool.run` fires the ``pool.dispatch`` and
+``pool.task`` sites through :meth:`repro.probe.Probe.dispatch`.
 
 Parallelism note: under plain NumPy kernels the pool's workers contend on
 the GIL between vector calls, so the pool models Chapel's structure more
@@ -49,9 +47,7 @@ import threading
 import weakref
 from typing import Callable
 
-from repro.observe import spans as _obs
-from repro.resilience import fault as _flt
-from repro.sanitize import detector as _san
+from repro import probe as _probe
 
 __all__ = ["WorkerPool", "run_ephemeral"]
 
@@ -180,12 +176,6 @@ class WorkerPool:
         self.dispatches = 0
         self.fallback_dispatches = 0
         self.tasks_executed = 0
-        #: Resilience accounting, bumped by the owning tasking layer:
-        #: retried pooled dispatches, simulated backoff spent on them, and
-        #: dispatches that degraded to serial execution.
-        self.retries = 0
-        self.backoff_seconds = 0.0
-        self.degraded_dispatches = 0
         _live_pools.add(self)
 
     # ------------------------------------------------------------------
@@ -224,34 +214,24 @@ class WorkerPool:
         """
         if ntasks < 1:
             raise ValueError("ntasks must be >= 1")
-        # Fuzzer perturbation point: delay the dispatch itself so pooled
-        # tasks start against shifted backgrounds (no-op unless a sanitizer
-        # with a schedule perturber is installed).
-        _san.pause("pool.dispatch")
+        p = _probe.current
+        if p is not None:
+            # Fuzzer perturbation point: delay the dispatch itself so pooled
+            # tasks start against shifted backgrounds.
+            p.pause("pool.dispatch")
         if (
             self._closed
             or threading.get_ident() in self._idents
             or not self._dispatch_lock.acquire(blocking=False)
         ):
             self.fallback_dispatches += 1
-            rec = _obs._active
-            if rec is not None:
-                rec.count("pool.fallback_dispatches")
+            if p is not None:
+                p.count("pool.fallback_dispatches")
             run_ephemeral(ntasks, body)
             return
         try:
-            plan = _flt._active_plan
-            if plan is not None:
-                # Dispatch-site fault: fires before any task is submitted,
-                # so a retry re-runs nothing.  Task-site faults fire on the
-                # workers and surface through the normal error path.
-                plan.poke("pool.dispatch")
-                inner = body
-
-                def body(tid: int, _inner=inner, _plan=plan) -> None:
-                    _plan.poke("pool.task")
-                    _inner(tid)
-
+            if p is not None:
+                body = p.dispatch(body)
             self._ensure(ntasks)
             workers = self._workers[:ntasks]
             submitted: list[_Worker] = []
@@ -272,10 +252,9 @@ class WorkerPool:
                 raise
             self.dispatches += 1
             self.tasks_executed += ntasks
-            rec = _obs._active
-            if rec is not None:
-                rec.count("pool.dispatches")
-                rec.count("pool.tasks_executed", ntasks)
+            if p is not None:
+                p.count("pool.dispatches")
+                p.count("pool.tasks_executed", ntasks)
             for worker in workers:
                 if worker.error is not None:
                     raise worker.error
@@ -291,9 +270,6 @@ class WorkerPool:
             "dispatches": self.dispatches,
             "fallback_dispatches": self.fallback_dispatches,
             "tasks_executed": self.tasks_executed,
-            "retries": self.retries,
-            "backoff_seconds": self.backoff_seconds,
-            "degraded_dispatches": self.degraded_dispatches,
         }
 
     def shutdown(self, join: bool = True) -> None:

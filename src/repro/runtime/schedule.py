@@ -17,10 +17,8 @@ from __future__ import annotations
 import threading
 from typing import Callable
 
+from repro import probe as _probe
 from repro.observe import spans as _obs
-from repro.resilience import fault as _flt
-from repro.resilience import retry as _rty
-from repro.sanitize import detector as _san
 from repro.runtime.tasking import TaskingLayer, static_block
 
 __all__ = ["SCHEDULES", "forall_scheduled"]
@@ -80,7 +78,6 @@ def forall_scheduled(
     if n <= 0:
         return
     ntasks = min(layer.env.num_tasks, n)
-    rec = _obs._active
 
     if schedule == "static":
         def task(tid: int) -> None:
@@ -102,40 +99,23 @@ def forall_scheduled(
                 if claimed is None:
                     return
                 claimed_chunks += 1
-                # Fuzzer perturbation point: stall between claim and body so
-                # chunk interleavings vary across tasks under a seed.
-                _san.pause("schedule.chunk")
-                # Fault site fires between claim and body, and is retried
-                # *here* (per chunk) rather than at the dispatch level: a
-                # claimed chunk is gone from the dealer, so dropping it to
-                # an outer retry would violate exactly-once processing.
-                plan = _flt._active_plan
-                if plan is not None:
-                    attempts = 0
-                    while True:
-                        try:
-                            plan.poke("schedule.chunk")
-                            break
-                        except BaseException as exc:
-                            policy = _rty.active_policy()
-                            if policy is None or not policy.handles(exc):
-                                raise
-                            if attempts >= policy.max_retries:
-                                # The claimed chunk is gone from the dealer;
-                                # an outer dispatch-level retry would replay
-                                # an empty dealer and silently drop these
-                                # indices, so mark the fault non-retryable.
-                                exc.retry_safe = False
-                                raise
-                            backoff = policy.backoff(attempts)
-                            attempts += 1
-                            if rec is not None:
-                                rec.count("retry.attempts")
-                            policy.pause(backoff)
+                p = _probe.current
+                if p is not None:
+                    # Fuzzer perturbation point: stall between claim and
+                    # body so chunk interleavings vary across tasks.
+                    p.pause("schedule.chunk")
+                    # Retried per chunk, not by the dispatch: a claimed
+                    # chunk is gone from the dealer, so an outer retry
+                    # would silently drop it.
+                    exc = p.retry(lambda: p.fault("schedule.chunk"))
+                    if exc is not None:
+                        exc.retry_safe = False
+                        raise exc
                 body(claimed[0], claimed[1], tid)
         finally:
-            if rec is not None and claimed_chunks:
-                rec.count("schedule.chunks_claimed", claimed_chunks)
+            p = _probe.current
+            if p is not None and claimed_chunks:
+                p.count("schedule.chunks_claimed", claimed_chunks)
 
     with _obs.span(
         "forall_scheduled", schedule=schedule, n=n, ntasks=ntasks, chunk=chunk

@@ -32,13 +32,16 @@ import threading
 import time
 from typing import Generic, TypeVar
 
+from repro import probe as _probe
 from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
-from repro.sanitize import detector as _san
 
 __all__ = ["SyncVar"]
 
 T = TypeVar("T")
+
+#: ``_access`` sentinel: leave the stored value as it is.
+_KEEP = object()
 
 
 class SyncVar(Generic[T]):
@@ -76,69 +79,64 @@ class SyncVar(Generic[T]):
             self._full = False
 
     # ------------------------------------------------------------------
-    # waiting primitives
+    # the one access path
     # ------------------------------------------------------------------
     def _san_key(self) -> tuple:
         """The sanitizer's identity for this variable (wait tracking and
         happens-before handoff edges)."""
         return ("SyncVar", id(self))
 
-    def _wait_for_state(self, want_full: bool) -> None:
-        """Block (sleep or spin, per the tasking layer) until the state
-        matches; caller must hold ``self._cond``."""
-        san = _san._active
-        waiting = False
-        if san is not None and self._full != want_full:
-            # An outstanding blocked access: a writer/reader must complete
-            # it — tracked so a watchdog can flag it as a lost wakeup.
-            waiting = True
-            san.wait_begin(self._san_key(), "full" if want_full else "empty")
-        if self.env.sync_vars_sleep:
-            while self._full != want_full:
-                self.counters.add(sync_sleeps=1)
-                self._cond.wait()
-        else:
-            while self._full != want_full:
-                self._cond.release()
-                self.counters.add(task_yields=1)
-                time.sleep(0)
-                self._cond.acquire()  # reprolint: allow(lock-no-finally) — re-acquire of the condition's own lock inside its yield loop; the enclosing 'with self._cond' owns the release
-        if waiting:
-            san.wait_end(self._san_key())
+    def _access(self, wait_full: bool | None, full: bool | None, value=_KEEP):
+        """Block until the state is ``wait_full`` (``None``: no wait),
+        store ``value`` unless it is ``_KEEP``, set the state to ``full``
+        (``None``: unchanged) and wake waiters; return the value seen.
 
-    def _san_op(self) -> None:
-        """Record a completed state transition as a happens-before handoff
-        (serialization-order edge); caller holds ``self._cond``."""
-        san = _san._active
-        if san is not None:
-            san.on_sync_op(self._san_key())
-
-    def _notify(self) -> None:
-        if self.env.sync_vars_sleep:
-            self._cond.notify_all()
+        Blocking sleeps or spins per the tasking layer.  The completed
+        transition is reported as a happens-before handoff, in the order
+        the accesses really serialized.
+        """
+        p = _probe.current
+        if p is not None:
+            p.pause("syncvar.op")
+        with self._cond:
+            if wait_full is not None and self._full != wait_full:
+                # An outstanding blocked access a writer/reader must
+                # complete — reported so a watchdog can flag a lost wakeup.
+                waiting = p is not None and p.wait_begin(
+                    self._san_key(), "full" if wait_full else "empty")
+                if self.env.sync_vars_sleep:
+                    while self._full != wait_full:
+                        self.counters.add(sync_sleeps=1)
+                        self._cond.wait()
+                else:
+                    while self._full != wait_full:
+                        self._cond.release()
+                        self.counters.add(task_yields=1)
+                        time.sleep(0)
+                        self._cond.acquire()  # reprolint: allow(lock-no-finally) — re-acquire of the condition's own lock inside its yield loop; the enclosing 'with self._cond' owns the release
+                if waiting:
+                    p.wait_end(self._san_key())
+            seen = self._value
+            if value is not _KEEP:
+                self._value = value
+            if full is not None:
+                self._full = full
+            if p is not None:
+                p.sync_op(self._san_key())
+            if self.env.sync_vars_sleep:
+                self._cond.notify_all()
+            return seen
 
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
     def read_fe(self) -> T:
         """Block until full, return the value, leave **empty**."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._wait_for_state(True)
-            value = self._value
-            self._full = False
-            self._san_op()
-            self._notify()
-            return value  # type: ignore[return-value]
+        return self._access(True, False)
 
     def read_ff(self) -> T:
         """Block until full, return the value, leave full."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._wait_for_state(True)
-            self._san_op()
-            self._notify()
-            return self._value  # type: ignore[return-value]
+        return self._access(True, None)
 
     def read_xx(self) -> T | None:
         """Return the current value regardless of state (no state change)."""
@@ -150,43 +148,22 @@ class SyncVar(Generic[T]):
     # ------------------------------------------------------------------
     def write_ef(self, value: T) -> None:
         """Block until empty, store ``value``, leave **full**."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._wait_for_state(False)
-            self._value = value
-            self._full = True
-            self._san_op()
-            self._notify()
+        self._access(False, True, value)
 
     def write_ff(self, value: T) -> None:
         """Block until full, overwrite the value, leave full."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._wait_for_state(True)
-            self._value = value
-            self._san_op()
-            self._notify()
+        self._access(True, None, value)
 
     def write_xf(self, value: T) -> None:
         """Store ``value`` regardless of state, leave full."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._value = value
-            self._full = True
-            self._san_op()
-            self._notify()
+        self._access(None, True, value)
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Set to the default value and leave **empty** (Chapel ``reset``)."""
-        _san.pause("syncvar.op")
-        with self._cond:
-            self._value = self._default
-            self._full = False
-            self._san_op()
-            self._notify()
+        self._access(None, False, self._default)
 
     def is_full(self) -> bool:
         """Non-blocking state peek (Chapel ``isFull``)."""

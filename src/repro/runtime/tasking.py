@@ -32,10 +32,7 @@ import time
 from abc import ABC
 from typing import Callable
 
-from repro.observe import spans as _obs
-from repro.resilience import fault as _flt
-from repro.resilience import retry as _rty
-from repro.sanitize import detector as _san
+from repro import probe as _probe
 from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
 from repro.runtime.pool import WorkerPool, run_ephemeral
@@ -88,8 +85,7 @@ class TaskingLayer(ABC):
         self.counters = counters if counters is not None else CostCounters()
         self.persistent = persistent
         self._pool: WorkerPool | None = None
-        #: Resilience accounting for this layer (mirrored into the pool's
-        #: stats when the dispatch was pooled): retried dispatches,
+        #: Resilience accounting for this layer: retried dispatches,
         #: simulated backoff seconds, and dispatches degraded to serial.
         self.retries = 0
         self.backoff_seconds = 0.0
@@ -134,61 +130,41 @@ class TaskingLayer(ABC):
     def _dispatch(self, ntasks: int, body: Callable[[int], None], span) -> None:
         """Dispatch with fault injection, retry and serial degradation.
 
-        When no :class:`~repro.resilience.fault.FaultPlan` is installed
-        this is exactly one :meth:`_run_tasks` call.  With a plan active,
-        each attempt pokes the ``tasking.coforall`` site and a raised
-        :class:`~repro.resilience.fault.InjectedFault` (from the dispatch
-        sites or a task body) is handled per the active
-        :class:`~repro.resilience.retry.RetryPolicy`: retried with
-        accounted backoff, then — if the layer keeps failing — degraded
-        to running the tasks serially inline.  Real task errors are never
-        retried.
+        Each attempt fires the ``tasking.coforall`` fault site; injected
+        faults (from any dispatch site or a task body) are retried by
+        :meth:`repro.probe.Probe.retry`, and when retries run out the
+        layer degrades to running the tasks serially inline.  Real task
+        errors are never retried.
         """
-        plan = _flt._active_plan
-        if plan is None:
+        p = _probe.current
+        if p is None:
             self._run_tasks(ntasks, body)
             return
-        policy = _rty.active_policy()
-        attempts = 0
-        while True:
-            try:
-                plan.poke("tasking.coforall")
-                self._run_tasks(ntasks, body)
-                return
-            except BaseException as exc:
-                if (
-                    policy is None
-                    or not policy.handles(exc)
-                    or not getattr(exc, "retry_safe", True)
-                ):
-                    raise
-                if attempts < policy.max_retries:
-                    backoff = policy.backoff(attempts)
-                    attempts += 1
-                    self.retries += 1
-                    self.backoff_seconds += backoff
-                    if self.persistent and self._pool is not None:
-                        self._pool.retries += 1
-                        self._pool.backoff_seconds += backoff
-                    _obs.count("retry.attempts")
-                    if span is not None:
-                        span.set_attrs(retries=attempts)
-                    policy.pause(backoff)
-                    continue
-                if not policy.degrade:
-                    raise
-                # Graceful degradation: the tasking layer is deemed broken;
-                # run the loop serially on the calling thread (no pool, no
-                # dispatch-site pokes — the body's own faults still apply).
-                self.degraded_dispatches += 1
-                if self.persistent and self._pool is not None:
-                    self._pool.degraded_dispatches += 1
-                _obs.count("tasking.degraded")
-                if span is not None:
-                    span.set_attrs(degraded=True, retries=attempts)
-                for tid in range(ntasks):
-                    body(tid)
-                return
+
+        def attempt() -> None:
+            p.fault("tasking.coforall")
+            self._run_tasks(ntasks, body)
+
+        def on_retry(backoff: float, attempts: int) -> None:
+            self.retries += 1
+            self.backoff_seconds += backoff
+            if span is not None:
+                span.set_attrs(retries=attempts)
+
+        exc = p.retry(attempt, on_retry)
+        if exc is None:
+            return
+        if not p.policy.degrade:
+            raise exc
+        # Graceful degradation: the tasking layer is deemed broken; run the
+        # loop serially on the calling thread (no pool, no dispatch-site
+        # pokes — the body's own faults still apply).
+        self.degraded_dispatches += 1
+        p.count("tasking.degraded")
+        if span is not None:
+            span.set_attrs(degraded=True, retries=p.policy.max_retries)
+        for tid in range(ntasks):
+            body(tid)
 
     def coforall(self, ntasks: int, body: Callable[[int], None]) -> None:
         """Run ``body(tid)`` for ``tid in 0..ntasks-1`` concurrently.
@@ -207,48 +183,12 @@ class TaskingLayer(ABC):
             body(0)
             return
         self.counters.add(tasks_spawned=ntasks)
-        san = _san._active
-        handles = None
-        if san is not None:
-            # Fork one sanitizer timeline per task *before* dispatch: the
-            # children inherit the caller's clock (fork edge) and are
-            # mutually concurrent.  The wrap binds each body to its
-            # timeline on whatever thread ends up running it — including
-            # the calling thread itself on the degraded serial path, where
-            # the tasks are still logically concurrent.
-            _san.pause("tasking.coforall")
-            handles = san.fork(ntasks, f"coforall:{self.name}")
-            san_inner = body
-
-            def body(tid: int, _inner=san_inner, _h=handles) -> None:
-                with san.task(_h[tid]):
-                    _inner(tid)
-
-        try:
-            rec = _obs._active
-            if rec is not None:
-                # Trace the dispatch and each task body.  Task spans run on
-                # the worker threads (their own timelines); the explicit
-                # parent_id keeps the cross-thread dispatch → task edge in
-                # the span tree.
-                with rec.span(
-                    "coforall",
-                    {"ntasks": ntasks, "layer": self.name, "pooled": self.persistent},
-                ) as dispatch_span:
-                    inner = body
-
-                    def body(tid: int, _inner=inner, _parent=dispatch_span) -> None:
-                        with rec.span("task", {"tid": tid}, parent_id=_parent.id):
-                            _inner(tid)
-
-                    self._dispatch(ntasks, body, dispatch_span)
-            else:
-                self._dispatch(ntasks, body, None)
-        finally:
-            if san is not None:
-                # Join edge: everything the children did happened before
-                # anything the caller does next (coforall is a barrier).
-                san.join(handles)
+        p = _probe.current
+        if p is None:
+            self._dispatch(ntasks, body, None)
+        else:
+            p.coforall(ntasks, body, self._dispatch, layer=self.name,
+                       pooled=self.persistent)
 
     def forall(self, n: int, body: Callable[[int, int, int], None]) -> None:
         """Data-parallel loop: block ``0..n-1`` over ``env.num_tasks`` tasks.

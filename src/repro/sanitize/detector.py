@@ -32,10 +32,10 @@ potential, :mod:`repro.sanitize.lockgraph`), **outstanding-wait tracking**
 (lost wakeups, surfaced by :meth:`Sanitizer.run_watched`), and an optional
 seeded **schedule-perturbation fuzzer** (:mod:`repro.sanitize.fuzz`).
 
-Disabled cost: every instrumented site reads the single module global
-``_active`` (``None`` when sanitizing is off) — the same near-zero no-op
-path as :mod:`repro.observe.spans` and :mod:`repro.resilience.fault`,
-bounded by ``benchmarks/test_perf_trace_overhead.py``.
+Disabled cost: the sanitizer lives in the one instrumentation slot,
+:data:`repro.probe.current`, which every site tests inline; the cost is
+bounded by ``benchmarks/test_perf_trace_overhead.py``.  docs/RUNTIME.md
+lists the events that reach the sanitizer.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
+from repro import probe as _probe
 from repro.observe import spans as _obs
 from repro.sanitize.clocks import VectorClock
 from repro.sanitize.fuzz import SchedulePerturber
@@ -62,31 +63,26 @@ __all__ = [
     "pause",
 ]
 
-#: The installed sanitizer, or ``None`` when sanitizing is disabled.  Hot
-#: call sites read this directly (one module-global load on the off path).
-_active: "Sanitizer | None" = None
-_install_lock = threading.Lock()
-
-
 def enabled() -> bool:
     """True when a sanitizer is installed."""
-    return _active is not None
+    return active_sanitizer() is not None
 
 
 def active_sanitizer() -> "Sanitizer | None":
     """The installed :class:`Sanitizer`, or ``None``."""
-    return _active
+    p = _probe.current
+    return None if p is None else p.sanitizer
 
 
 def pause(site: str) -> None:
     """Fuzzer perturbation point: maybe inject a deterministic delay.
 
     No-op unless a sanitizer with a schedule perturber is installed — the
-    disabled path is one global read and one attribute check.
+    disabled path is one slot read and one ``is None`` test.
     """
-    san = _active
-    if san is not None and san.perturber is not None:
-        san.perturber.pause(site)
+    p = _probe.current
+    if p is not None:
+        p.pause(site)
 
 
 # ======================================================================
@@ -219,7 +215,7 @@ class Sanitizer:
     """Vector-clock happens-before race detector with lockset filtering.
 
     Install with :class:`sanitizing`; the runtime and the scatter kernels
-    find the instance through the module-global slot and report fork/join,
+    find the instance through the probe slot and report fork/join,
     lock, sync-variable, wait and array-access events.  Call
     :meth:`report` afterwards for the verdict.
 
@@ -246,6 +242,7 @@ class Sanitizer:
         self.lock_graph = LockOrderGraph()
         self.perturber = SchedulePerturber(seed) if seed is not None else None
         self._waits: dict[tuple, dict[int, str]] = {}
+        self._sync_clocks: dict[tuple, VectorClock] = {}
         self.accesses = 0
         self.lock_events = 0
         self.sync_events = 0
@@ -360,22 +357,13 @@ class Sanitizer:
         """
         task = self.current_task()
         with self._lock:
-            slot = self._sync_clock(key)
+            slot = self._sync_clocks.get(key)
+            if slot is None:
+                slot = self._sync_clocks[key] = VectorClock()
             task.clock.join(slot)
             task.clock.tick(task.id)
             slot.join(task.clock)
             self.sync_events += 1
-
-    def _sync_clock(self, key: tuple) -> VectorClock:
-        clocks = getattr(self, "_sync_clocks", None)
-        if clocks is None:
-            clocks = {}
-            self._sync_clocks = clocks
-        slot = clocks.get(key)
-        if slot is None:
-            slot = VectorClock()
-            clocks[key] = slot
-        return slot
 
     # ------------------------------------------------------------------
     # waits (lost-wakeup detection)
@@ -563,7 +551,7 @@ class Sanitizer:
                 finding.tasks = tuple(sorted(set(finding.tasks) | set(tasks)))
                 finding.count += count
                 is_new = False
-        rec = _obs._active
+        rec = _obs.active_recorder()
         if rec is not None:
             rec.count("sanitize.findings")
             if is_new:
@@ -628,18 +616,13 @@ class sanitizing:
         self._prev: Sanitizer | None = None
 
     def __enter__(self) -> Sanitizer:
-        global _active
-        with _install_lock:
-            self._prev = _active
-            _active = self.sanitizer
+        self._prev = _probe.install("sanitizer", self.sanitizer)
         return self.sanitizer
 
     def __exit__(self, *exc) -> bool:
-        global _active
-        with _install_lock:
-            _active = self._prev
+        _probe.install("sanitizer", self._prev)
         self._prev = None
-        rec = _obs._active
+        rec = _obs.active_recorder()
         if rec is not None:
             rec.gauge("sanitize.accesses", self.sanitizer.accesses)
             rec.gauge("sanitize.tasks", self.sanitizer.tasks_created)

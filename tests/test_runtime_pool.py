@@ -181,7 +181,6 @@ def test_stats_keys_and_consistency(pool):
     assert set(st) == {
         "workers", "threads_created", "dispatches",
         "fallback_dispatches", "tasks_executed",
-        "retries", "backoff_seconds", "degraded_dispatches",
     }
     assert st["workers"] == st["threads_created"] == 4
     assert st["dispatches"] == 2

@@ -350,7 +350,7 @@ class TestSchedulePerturber:
 # ----------------------------------------------------------------------
 class TestInstallation:
     def test_disabled_by_default(self):
-        assert detector_mod._active is None
+        assert detector_mod.active_sanitizer() is None
         assert not detector_mod.enabled()
         detector_mod.pause("x")  # no-op, no error
 
