@@ -6,6 +6,9 @@ shared object cached under a content-hash name, and called through
 :mod:`ctypes` — which releases the GIL for the duration of every foreign
 call, giving this backend the same worker-pool scaling property as the
 Numba one with zero Python-package dependencies beyond a toolchain.
+Beyond that translation it has the mutex-pool scatter: a task's whole
+locked bucket loop in one call, over C locks (``repro_scatter_locked``;
+docs/RUNTIME.md says when it runs).
 
 The cache directory is ``$REPRO_CEXT_CACHE`` if set, else a per-user
 directory under the system temp dir.  The shared object's name embeds a
@@ -37,6 +40,9 @@ __all__ = ["CextBackend"]
 _MAX_MODES = 64
 
 _C_SOURCE = r"""
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -245,6 +251,94 @@ void repro_gather_segment_sum(const double* x, const int64_t* order,
     }
 }
 
+/* Mutex pools: one lock per LOCK_STRIDE bytes, padded to a cache line
+   like SPLATT's pool.  Kind 0 is Listing 6's atomic test-and-set spinlock;
+   kind 1 is the sync pool's pthread mutex, which either sleeps in
+   pthread_mutex_lock after a failed trylock (sleep != 0, Qthreads) or
+   spins on trylock with yields (fifo). */
+#define LOCK_STRIDE 64
+#define LOCK_ATOMIC 0
+_Static_assert(sizeof(atomic_flag) <= LOCK_STRIDE, "atomic_flag exceeds a lock slot");
+_Static_assert(sizeof(pthread_mutex_t) <= LOCK_STRIDE, "pthread_mutex_t exceeds a lock slot");
+
+void repro_locks_init(char* locks, int64_t n, int64_t kind)
+{
+    for (int64_t i = 0; i < n; i++) {
+        char* slot = locks + i * LOCK_STRIDE;
+        if (kind == LOCK_ATOMIC)
+            atomic_flag_clear((atomic_flag*)slot);
+        else
+            pthread_mutex_init((pthread_mutex_t*)slot, NULL);
+    }
+}
+
+void repro_locks_destroy(char* locks, int64_t n, int64_t kind)
+{
+    if (kind == LOCK_ATOMIC)
+        return;
+    for (int64_t i = 0; i < n; i++)
+        pthread_mutex_destroy((pthread_mutex_t*)(locks + i * LOCK_STRIDE));
+}
+
+/* counts: acquires, contended acquires, yields, sleeps */
+static void lock_slot(char* slot, int64_t kind, int64_t sleep, int64_t* counts)
+{
+    int64_t contended = 0;
+    if (kind == LOCK_ATOMIC) {
+        atomic_flag* flag = (atomic_flag*)slot;
+        while (atomic_flag_test_and_set_explicit(flag, memory_order_acquire)) {
+            contended = 1;
+            counts[2] += 1;
+            sched_yield();
+        }
+    } else {
+        pthread_mutex_t* m = (pthread_mutex_t*)slot;
+        if (pthread_mutex_trylock(m) != 0) {
+            contended = 1;
+            if (sleep) {
+                counts[3] += 1;
+                pthread_mutex_lock(m);
+            } else {
+                do {
+                    counts[2] += 1;
+                    sched_yield();
+                } while (pthread_mutex_trylock(m) != 0);
+            }
+        }
+    }
+    counts[0] += 1;
+    counts[1] += contended;
+}
+
+static void unlock_slot(char* slot, int64_t kind)
+{
+    if (kind == LOCK_ATOMIC)
+        atomic_flag_clear_explicit((atomic_flag*)slot, memory_order_release);
+    else
+        pthread_mutex_unlock((pthread_mutex_t*)slot);
+}
+
+void repro_scatter_locked(double* out, int64_t width, const int64_t* out_rows,
+                          const double* reduced, const int64_t* bucket_bounds,
+                          const int64_t* bucket_ids, int64_t nbuckets,
+                          char* locks, int64_t kind, int64_t sleep,
+                          int64_t* counts)
+{
+    for (int64_t c = 0; c < 4; c++)
+        counts[c] = 0;
+    for (int64_t k = 0; k < nbuckets; k++) {
+        char* slot = locks + bucket_ids[k] * LOCK_STRIDE;
+        lock_slot(slot, kind, sleep, counts);
+        for (int64_t i = bucket_bounds[k]; i < bucket_bounds[k + 1]; i++) {
+            double* o = out + out_rows[i] * width;
+            const double* x = reduced + i * width;
+            for (int64_t r = 0; r < width; r++)
+                o[r] += x[r];
+        }
+        unlock_slot(slot, kind);
+    }
+}
+
 void repro_ata(const double* a, int64_t n, int64_t rank, double* out)
 {
     for (int64_t i = 0; i < rank; i++)
@@ -275,7 +369,17 @@ _SIGNATURES = {
     "repro_segment_sum": [_PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_gather_segment_sum": [_PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_ata": [_PTR, _I64, _I64, _PTR],
+    "repro_locks_init": [_PTR, _I64, _I64],
+    "repro_locks_destroy": [_PTR, _I64, _I64],
+    "repro_scatter_locked": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64,
+                             _PTR, _I64, _I64, _PTR],
 }
+
+#: Bytes per mutex-pool lock (``LOCK_STRIDE`` in the C source): one
+#: cache line, so neighbouring locks never share one.
+_LOCK_STRIDE = 64
+#: Pool kind -> the C side's lock kind.
+_LOCK_KINDS = {"atomic": 0, "sync": 1}
 
 
 def _compiler() -> str | None:
@@ -309,7 +413,7 @@ def _build_library() -> ctypes.CDLL:
     # the cache key covers the build recipe too, so changing compile flags
     # invalidates stale shared objects
     digest = hashlib.sha256(
-        (_C_SOURCE + "|-O3 -march=native -funroll-loops").encode()
+        (_C_SOURCE + "|-O3 -march=native -funroll-loops -pthread").encode()
     ).hexdigest()[:16]
     cache = _cache_dir()
     so_path = os.path.join(cache, f"repro_backend_{digest}.so")
@@ -322,8 +426,8 @@ def _build_library() -> ctypes.CDLL:
         # (the .so cache is per-machine, so native codegen is safe); not
         # every toolchain accepts it, so fall back to plain -O3.
         flag_sets = (
-            ["-O3", "-march=native", "-funroll-loops"],
-            ["-O3"],
+            ["-O3", "-march=native", "-funroll-loops", "-pthread"],
+            ["-O3", "-pthread"],
         )
         proc = None
         for flags in flag_sets:
@@ -368,6 +472,7 @@ class CextBackend(Backend):
 
     name = "cext"
     compiled = True
+    locked_scatter = True
 
     def __init__(self) -> None:
         super().__init__()
@@ -420,3 +525,32 @@ class CextBackend(Backend):
     def ata(self, a, out) -> None:
         self._lib.repro_ata(
             _p(a, VALUE_DTYPE), a.shape[0], a.shape[1], _p(out, VALUE_DTYPE))
+
+    def make_locks(self, size, kind) -> np.ndarray:
+        # over-allocate one stride so the pool can start on a line boundary
+        raw = np.empty((size + 1) * _LOCK_STRIDE, dtype=np.uint8)
+        start = -raw.ctypes.data % _LOCK_STRIDE
+        locks = raw[start:start + size * _LOCK_STRIDE]
+        self._lib.repro_locks_init(_p(locks, np.uint8), size, _LOCK_KINDS[kind])
+        return locks
+
+    def free_locks(self, locks, kind) -> None:
+        self._lib.repro_locks_destroy(
+            _p(locks, np.uint8), locks.shape[0] // _LOCK_STRIDE, _LOCK_KINDS[kind])
+
+    def scatter_locked(self, out, reduced, out_rows, bucket_bounds, bucket_ids,
+                       locks, kind, sleep, counts) -> None:
+        if (reduced.shape != (out_rows.shape[0], out.shape[1])
+                or bucket_bounds.shape != (bucket_ids.shape[0] + 1,)
+                or counts.shape != (4,)):
+            raise ValueError(
+                f"scatter_locked: reduced {reduced.shape}, out {out.shape}, "
+                f"{out_rows.shape[0]} rows, {bucket_ids.shape[0]} buckets with "
+                f"{bucket_bounds.shape[0]} bounds, counts {counts.shape}"
+            )
+        self._lib.repro_scatter_locked(
+            _p(out, VALUE_DTYPE), out.shape[1], _p(out_rows, INDEX_DTYPE),
+            _p(reduced, VALUE_DTYPE), _p(bucket_bounds, INDEX_DTYPE),
+            _p(bucket_ids, INDEX_DTYPE), bucket_ids.shape[0],
+            _p(locks, np.uint8), _LOCK_KINDS[kind], int(sleep),
+            _p(counts, INDEX_DTYPE))

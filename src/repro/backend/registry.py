@@ -2,7 +2,8 @@
 
 A **backend** supplies compiled implementations of the numerical hot spots
 — the three CSF MTTKRP range kernels, the segment-sum scatter primitives
-and symmetric AᵀA — behind a uniform interface, mirroring how Genten
+and symmetric AᵀA, optionally the locked mutex-pool scatter — behind a
+uniform interface, mirroring how Genten
 (Phipps & Kolda) ports the same sparse kernels across execution spaces
 behind one dispatch layer.  Registered backends:
 
@@ -16,7 +17,8 @@ behind one dispatch layer.  Registered backends:
 ``cext``
     The same kernels as C, compiled on first use with the system C
     compiler and loaded through :mod:`ctypes` (which releases the GIL for
-    the call's duration).  Available when a C compiler is present.
+    the call's duration), plus the locked mutex-pool scatter.  Available
+    when a C compiler is present.
 
 Selection precedence (docs/BACKENDS.md): an explicit API argument beats
 the ``REPRO_BACKEND`` environment variable beats the library default
@@ -94,6 +96,10 @@ class Backend:
     name: str = "abstract"
     #: True when the packed-kernel path should replace the NumPy tree walk.
     compiled: bool = False
+    #: True when the backend runs a task's whole mutex-pool scatter in one
+    #: call (:meth:`make_locks`, :meth:`free_locks`, :meth:`scatter_locked`);
+    #: without it the locked scatter stays the Python loop over pool locks.
+    locked_scatter: bool = False
 
     def __init__(self) -> None:
         self._ready = not self.compiled
@@ -142,6 +148,24 @@ class Backend:
         raise NotImplementedError
 
     def ata(self, a, out) -> None:
+        raise NotImplementedError
+
+    # -- mutex-pool scatter (``locked_scatter`` backends only) ---------
+    def make_locks(self, size: int, kind: str) -> np.ndarray:
+        """A byte buffer of ``size`` initialised locks of pool ``kind``
+        (``"atomic"`` or ``"sync"``)."""
+        raise NotImplementedError
+
+    def free_locks(self, locks: np.ndarray, kind: str) -> None:
+        """Release what :meth:`make_locks` initialised."""
+        raise NotImplementedError
+
+    def scatter_locked(self, out, reduced, out_rows, bucket_bounds, bucket_ids,
+                       locks, kind: str, sleep: bool, counts) -> None:
+        """``out[out_rows[s:e]] += reduced[s:e]`` for every bucket ``k``
+        (``s, e = bucket_bounds[k:k+2]``) while holding lock
+        ``bucket_ids[k]``; ``counts`` receives the acquires, contended
+        acquires, yields and sleeps."""
         raise NotImplementedError
 
 
@@ -374,6 +398,22 @@ def _warmup_check(backend: Backend) -> None:
     g = np.empty((3, 3))
     backend.ata(x, g)
     _expect(backend, "ata", g, x.T @ x)
+
+    if backend.locked_scatter:
+        from repro.mttkrp.scatter import RowScatter
+        from repro.runtime.locks import make_mutex_pool
+
+        # both leaves hash to the one lock of a size-1 pool
+        leaves = RowScatter(tree.fids[2], pool_size=1)
+        acc = np.empty((2, 3))
+        for kind in ("atomic", "sync"):
+            pool = make_mutex_pool(kind, size=1)
+            acc.fill(1.0)
+            leaves.scatter_mutex(acc, out2, pool, backend=backend,
+                                 locks=pool.c_locks(backend))
+            _expect(backend, f"scatter_locked[{kind}]", acc, 1.0 + out2)
+            _expect(backend, f"scatter_locked[{kind}] acquires",
+                    pool.counters.lock_acquires, 1)
 
 
 def _expect(backend: Backend, kernel: str, got, want) -> None:

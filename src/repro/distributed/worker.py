@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import traceback
 
-import numpy as np
-
 from repro.backend import resolve_backend
 from repro.csf.build import build_csf_set
 from repro.distributed.shm import ShmArena

@@ -44,7 +44,7 @@ import hashlib
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 

@@ -397,14 +397,29 @@ def run_scatter_mutex(
     task-bucket pair, same hashed lock ids.  The plan (built with this
     pool's size) caches the bucket grouping and per-row pre-reduction, so
     the steady state sorts nothing.
+
+    The lock flavour is chosen here, once for every task: a backend with
+    ``locked_scatter`` runs each task's bucket loop in C over the pool's C
+    locks, unless a sanitizer is installed — it must see every acquire and
+    write, so it gets the Python loop over the pool's Python locks.
     """
     bounds = plan.bounds
+    p = _probe.current
+    locks = None
+    if (
+        backend is not None
+        and backend.locked_scatter
+        and (p is None or p.sanitizer is None)
+        and out.dtype == VALUE_DTYPE
+        and out.flags.c_contiguous
+    ):
+        locks = pool.c_locks(backend)
 
     def task(tid: int) -> None:
         _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
         plan.scatters[tid].scatter_mutex(
             out, contribs, pool, workspaces[tid], presorted=presorted,
-            backend=backend,
+            backend=backend, locks=locks,
         )
 
     layer.coforall(layer.env.num_tasks, task)

@@ -170,7 +170,8 @@ class RowScatter:
     """
 
     __slots__ = ("nrows_in", "order", "seg_starts", "out_rows",
-                 "bucket_ids", "bucket_bounds", "tag", "_order64", "_starts64")
+                 "bucket_ids", "bucket_bounds", "tag", "_order64", "_starts64",
+                 "_buckets64")
 
     def __init__(self, rows: np.ndarray, pool_size: int | None = None, tag=None):
         self.nrows_in = int(rows.shape[0])
@@ -180,6 +181,7 @@ class RowScatter:
         # are usually zero-copy aliases).
         self._order64 = None
         self._starts64 = None
+        self._buckets64 = None
         if self.nrows_in == 0:
             self.order = np.empty(0, dtype=np.intp)
             self.seg_starts = np.empty(0, dtype=np.intp)
@@ -324,16 +326,25 @@ class RowScatter:
         *,
         presorted: bool = False,
         backend=None,
+        locks=None,
     ) -> None:
         """Locked scatter: one pool acquire per cached bucket group.
 
         Lock traffic is identical to the seed path (one acquire per
         task-bucket pair, same hashed lock ids), but bucket grouping and
         per-row reduction come from the plan instead of a per-call sort.
+
+        ``locks`` (``pool``'s C lock array, passed when the caller chose
+        the compiled path) runs the whole bucket loop in one
+        ``backend.scatter_locked`` call with the GIL released; otherwise
+        the loop below takes the pool's Python locks.
         """
         if self.nrows_in == 0:
             return
         reduced = self.reduce(contribs, ws, presorted=presorted, backend=backend)
+        if locks is not None:
+            self._scatter_locked(out, reduced, pool, locks, backend)
+            return
         p = _probe.current
         for k in range(self.bucket_ids.size):
             s = int(self.bucket_bounds[k])
@@ -349,6 +360,38 @@ class RowScatter:
                                   "RowScatter.scatter_mutex")
             finally:
                 pool.release(lid)
+
+    def _scatter_locked(self, out, reduced, pool, locks, backend) -> None:
+        """The compiled bucket loop, with the same counts as the Python one."""
+        if self._buckets64 is None:
+            self._buckets64 = (
+                *(a.astype(np.int64, copy=False)
+                  for a in (self.out_rows, self.bucket_bounds, self.bucket_ids)),
+                int(self.out_rows.max()),
+            )
+        rows64, bounds64, ids64, max_row = self._buckets64
+        # C indexes without bounds checks: refuse what Python would raise on
+        # (bucket ids ascend, so the last is the largest)
+        if int(ids64[-1]) >= pool.size or max_row >= out.shape[0]:
+            raise ValueError(
+                f"scatter plan needs {int(ids64[-1]) + 1} locks and "
+                f"{max_row + 1} rows; pool has {pool.size}, out {out.shape[0]}"
+            )
+        counts = np.empty(4, dtype=np.int64)
+        backend.scatter_locked(
+            out, np.ascontiguousarray(reduced, dtype=VALUE_DTYPE), rows64, bounds64,
+            ids64, locks, pool.kind, pool.sleeps, counts,
+        )
+        acquires, contended, yields, sleeps = (int(c) for c in counts)
+        pool.counters.add(lock_acquires=acquires, lock_contended=contended,
+                          task_yields=yields, sync_sleeps=sleeps)
+        p = _probe.current
+        if p is not None:
+            p.count("lock.acquires", acquires)
+            if contended:
+                p.count("lock.contended", contended)
+            if sleeps:
+                p.count("lock.sync_sleeps", sleeps)
 
 
 class SegmentSum:

@@ -19,12 +19,34 @@ count every acquisition and contention event for the performance model.
 
 Lock assignment hashes the protected row index into the pool exactly as
 SPLATT's ``mutex_pool`` does (index modulo pool size).
+
+Each pool has two lock flavours, and one MTTKRP call uses only one of them
+(:func:`~repro.mttkrp.csf_kernels.run_scatter_mutex` chooses on the
+dispatching thread):
+
+* **Compiled** — on a backend with ``locked_scatter`` (``cext``) and no
+  sanitizer installed, each task's whole bucket loop runs in C with the GIL
+  released, over the pool's C lock array (:meth:`MutexPool.c_locks`): one
+  64-byte-padded slot per lock, an ``atomic_flag`` test-and-set spinlock
+  with ``sched_yield`` for the atomic pool, a ``pthread_mutex_t`` for the
+  sync pool (sleeping in ``pthread_mutex_lock`` after a failed trylock
+  under Qthreads, spinning on trylock under fifo).  The counts reach
+  :attr:`MutexPool.counters` once per task-call; :meth:`MutexPool.acquire`
+  is never called, so nothing times it.
+* **Python** — everywhere else (numpy and numba backends, and every
+  sanitizer run, which must see each acquire and each write inside its
+  critical section): the ``threading`` locks below.
+
+The two flavours do not exclude each other.  That is safe because the
+tasks that write one output array all belong to one call, hence one
+flavour; separate calls write separate outputs.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+import weakref
 from abc import ABC, abstractmethod
 
 from repro import probe as _probe
@@ -40,7 +62,8 @@ __all__ = [
 ]
 
 #: SPLATT's default mutex pool size (``SPLATT_DEFAULT_NLOCKS``... 1024 locks,
-#: padded to separate cache lines in C; padding is moot in Python).
+#: padded to separate cache lines in C, as :meth:`MutexPool.c_locks` is;
+#: padding is moot for the Python locks).
 DEFAULT_POOL_SIZE = 1024
 
 
@@ -51,11 +74,32 @@ class MutexPool(ABC):
     index to a lock via :meth:`lock_id`.
     """
 
+    #: ``"atomic"`` or ``"sync"``: the lock kind of the C lock array.
+    kind: str
+    #: True when a contended acquire sleeps rather than spins.
+    sleeps: bool = False
+
     def __init__(self, size: int = DEFAULT_POOL_SIZE, counters: CostCounters | None = None):
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.size = size
         self.counters = counters if counters is not None else CostCounters()
+        self._c_locks = None
+        self._c_init = threading.Lock()
+
+    def c_locks(self, backend):
+        """The pool's C lock array, made by ``backend`` on first use.
+
+        ``size`` locks of :attr:`kind`, initialised by the backend's C
+        code and destroyed with the pool.  Independent of the Python locks.
+        """
+        if self._c_locks is None:
+            with self._c_init:
+                if self._c_locks is None:
+                    locks = backend.make_locks(self.size, self.kind)
+                    weakref.finalize(self, backend.free_locks, locks, self.kind)
+                    self._c_locks = locks
+        return self._c_locks
 
     def lock_id(self, index: int) -> int:
         """Hash a protected row index into the pool (SPLATT: ``i % nlocks``)."""
@@ -103,6 +147,8 @@ class AtomicLockPool(MutexPool):
     MTTKRP's short critical sections — the winner of Fig 4.
     """
 
+    kind = "atomic"
+
     def __init__(self, size: int = DEFAULT_POOL_SIZE, counters: CostCounters | None = None):
         super().__init__(size, counters)
         self._locks = [threading.Lock() for _ in range(size)]
@@ -145,6 +191,8 @@ class SyncLockPool(MutexPool):
     * ``fifo``: a blocked reader **spins**, equivalent to the atomic pool.
     """
 
+    kind = "sync"
+
     def __init__(
         self,
         size: int = DEFAULT_POOL_SIZE,
@@ -154,6 +202,7 @@ class SyncLockPool(MutexPool):
     ):
         super().__init__(size, counters)
         self.env = env if env is not None else ChapelEnv()
+        self.sleeps = self.env.sync_vars_sleep
         self._full = [True] * size
         self._conds = [threading.Condition(threading.Lock()) for _ in range(size)]
 

@@ -23,7 +23,6 @@ See docs/SERVING.md.
 
 from __future__ import annotations
 
-import socket
 import socketserver
 import threading
 import time
