@@ -22,6 +22,7 @@ from _bench_utils import BENCH_RANK
 from repro._util import as_rng
 from repro.bench.datasets import bench_dataset
 from repro.csf.build import build_csf_set
+from repro.tensor.generate import random_tensor
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +55,15 @@ def yelp_factors(yelp_tensor):
 def nell2_factors(nell2_tensor):
     rng = as_rng(0)
     return [np.asarray(rng.random((d, BENCH_RANK))) for d in nell2_tensor.dims]
+
+
+@pytest.fixture(scope="module")
+def mttkrp_workload():
+    """The steady-state MTTKRP guards' workload: a 400x300x200 tensor with
+    120k nonzeros, its factors and a root+internal+leaf CSF set, so every
+    MTTKRP algorithm runs.  Module scope gives each guard its own CSF set,
+    so the plan-cache counters in its record are its own."""
+    tensor = random_tensor((400, 300, 200), 120_000, seed=7)
+    rng = np.random.default_rng(123)
+    factors = [np.asarray(rng.random((d, BENCH_RANK))) for d in tensor.dims]
+    return tensor, factors, build_csf_set(tensor, allocation="one")

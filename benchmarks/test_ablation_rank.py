@@ -5,12 +5,11 @@ the expected linear MTTKRP scaling (work is R per nonzero) and the
 quadratic/cubic growth of the dense kernels (R² Grams, R³ Cholesky).
 """
 
-import time
-
 import numpy as np
 import pytest
 
 from repro._util import as_rng
+from repro.bench.runner import best_of
 from repro.linalg.ata import gram, hadamard_gram
 from repro.linalg.inverse import solve_normal_equations
 from repro.mttkrp.variants import mttkrp_csf
@@ -46,21 +45,19 @@ def test_ablation_rank_dense_kernels(benchmark, yelp_tensor, rank):
 def test_ablation_rank_scaling_is_subquadratic_for_mttkrp(benchmark, yelp_csf, yelp_tensor):
     """Measured MTTKRP time grows ~linearly in R (not quadratically)."""
     rng = as_rng(0)
+    factors = {
+        rank: [np.asarray(rng.random((d, rank))) for d in yelp_tensor.dims]
+        for rank in (8, 32)
+    }
 
-    def sweep():
-        times = {}
-        for rank in (8, 32):
-            factors = [np.asarray(rng.random((d, rank))) for d in yelp_tensor.dims]
-            best = float("inf")
-            for _ in range(5):
-                start = time.perf_counter()
-                for mode in range(3):
-                    mttkrp_csf(yelp_csf, factors, mode)
-                best = min(best, time.perf_counter() - start)
-            times[rank] = best
-        return times
+    def sweep(rank):
+        for mode in range(3):
+            mttkrp_csf(yelp_csf, factors[rank], mode)
 
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    times = benchmark.pedantic(
+        lambda: best_of({"r8": lambda: sweep(8), "r32": lambda: sweep(32)}, 5),
+        rounds=1, iterations=1,
+    )
     # 4x rank should cost clearly less than the quadratic 4^2 = 16x
     # (generous bound: timing noise under a loaded benchmark session)
-    assert times[32] / times[8] < 11
+    assert times["r32"] / times["r8"] < 11

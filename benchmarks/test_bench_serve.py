@@ -16,32 +16,30 @@ must favor the warm server by at least ``MIN_SPEEDUP`` (2x), and the
 engine's plan-cache counters must prove the reuse is real — one CSF
 build and exactly ``nmodes`` plan misses across the whole batch, with
 every later mode visit a hit.  The record lands in ``BENCH_serve.json``
-and CI replays this as a hard guard.
+and CI replays this as a hard guard.  The batches keep their own
+``perf_counter`` timers: each is one wall-clock span over subprocesses or
+socket round trips, run once, not a callable to repeat.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import pytest
-
+from repro.backend import resolve_backend
 from repro.serve import ReproServer, ServeClient, ServeConfig
 from repro.tensor.io import save_tns
 
-from _bench_utils import BENCH_RANK
+from _bench_utils import BENCH_RANK, REPO, tensor_workload, write_record
 from repro.bench.datasets import bench_dataset
 
 DATASET = "yelp"
 JOBS = 4
 ITERATIONS = 5
 MIN_SPEEDUP = 2.0
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_serve.json"
-REPO = Path(__file__).resolve().parents[1]
 
 
 def _cold_cli_batch(tns_path: Path) -> float:
@@ -101,6 +99,20 @@ def test_serve_warm_vs_cold_cli(benchmark, tmp_path):
 
     cold_s, warm_s, engine = benchmark.pedantic(measure, rounds=1, iterations=1)
     speedup = cold_s / warm_s
+    record = write_record(
+        "serve",
+        # both sides resolve the CLI's default backend, auto
+        workload=tensor_workload(tensor, backend=resolve_backend("auto").name,
+                                 dataset=DATASET, iterations=ITERATIONS,
+                                 jobs=JOBS),
+        seconds={"cold_cli": cold_s, "warm_server": warm_s},
+        guards=[{"name": "warm_speedup", "value": speedup,
+                 "min": MIN_SPEEDUP, "enforced": True}],
+        detail={"engine": engine},
+    )
+    print(f"\nserve warm vs cold ({JOBS} jobs): cold {cold_s:.2f}s, "
+          f"warm {warm_s:.2f}s -> {speedup:.1f}x "
+          f"(plan hits {engine['plan_hits']}, misses {engine['plan_misses']})")
 
     # the speedup must come from real cache reuse, not measurement noise:
     # one CSF build for the tensor, one plan miss per mode, hits for the
@@ -110,27 +122,4 @@ def test_serve_warm_vs_cold_cli(benchmark, tmp_path):
     min_hits = (JOBS + 1) * ITERATIONS * tensor.nmodes - tensor.nmodes
     assert engine["plan_hits"] >= min_hits, engine
     assert engine["tensor_cache_hits"] >= JOBS, engine
-
-    record = {
-        "dataset": DATASET,
-        "dims": list(tensor.dims),
-        "nnz": tensor.nnz,
-        "rank": BENCH_RANK,
-        "iterations": ITERATIONS,
-        "jobs": JOBS,
-        "cold_cli_seconds": cold_s,
-        "warm_server_seconds": warm_s,
-        "cold_jobs_per_second": JOBS / cold_s,
-        "warm_jobs_per_second": JOBS / warm_s,
-        "warm_speedup": speedup,
-        "min_speedup_guard": MIN_SPEEDUP,
-        "plan_hits": int(engine["plan_hits"]),
-        "plan_misses": int(engine["plan_misses"]),
-        "csf_cache_misses": int(engine["csf_cache_misses"]),
-    }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
-    print(f"\nserve warm vs cold ({JOBS} jobs): cold {cold_s:.2f}s, "
-          f"warm {warm_s:.2f}s -> {speedup:.1f}x "
-          f"(plan hits {engine['plan_hits']}, misses {engine['plan_misses']})")
-
     assert speedup >= MIN_SPEEDUP, record

@@ -13,21 +13,22 @@ match the simulated transport allclose (rtol 1e-10) and meter identical
 communication.  The ``MIN_SPEEDUP`` guard (>= 1.7x at 4 locales vs 1) is
 enforced only when the machine actually has >= 4 usable cores —
 process-level scale-out is physically impossible on fewer — but the
-measurement record is written to ``BENCH_shm.json`` either way, with
-``guard_enforced`` saying which case applied (CI runners have 4 vCPUs
-and do enforce it).
+measurement record is written to ``BENCH_shm.json`` either way, with the
+guard's ``enforced`` saying which case applied (CI runners have 4 vCPUs
+and do enforce it).  Timings read ``result.seconds`` rather than
+:func:`repro.bench.runner.best_of`, whose clock would include the worker
+spawn the paper's timed regions leave out.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from _bench_utils import BENCH_RANK
+from _bench_utils import BENCH_RANK, host_stamp, tensor_workload, write_record
+from repro.backend import resolve_backend
 from repro.bench.datasets import bench_dataset
 from repro.distributed import distributed_cp_als, leaked_segments
 
@@ -37,14 +38,6 @@ ITERATIONS = 5
 TRIALS = 3
 MIN_SPEEDUP = 1.7
 MIN_CORES_FOR_GUARD = 4
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_shm.json"
-
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _run(tensor, *, transport: str, nlocales: int):
@@ -56,7 +49,9 @@ def _run(tensor, *, transport: str, nlocales: int):
 
 def test_shm_scaling(benchmark):
     tensor = bench_dataset(DATASET).deduplicate()
-    cores = _usable_cores()
+    # workers resolve the library default backend, as this process does
+    backend = resolve_backend(None).name
+    cores = host_stamp(backend)["cpus_usable"]
 
     # --- correctness first: proc == sim, bit-compatible metering --------
     sim = _run(tensor, transport="sim", nlocales=4)
@@ -81,21 +76,15 @@ def test_shm_scaling(benchmark):
 
     speedup = {n: best[1] / best[n] for n in LOCALE_COUNTS}
     guard_enforced = cores >= MIN_CORES_FOR_GUARD
-
-    record = {
-        "dataset": DATASET,
-        "dims": list(tensor.dims),
-        "nnz": tensor.nnz,
-        "rank": BENCH_RANK,
-        "iterations": ITERATIONS,
-        "trials": TRIALS,
-        "cores": cores,
-        "sweep_seconds_by_locales": {str(n): best[n] for n in LOCALE_COUNTS},
-        "speedup_vs_1_locale": {str(n): speedup[n] for n in LOCALE_COUNTS},
-        "min_speedup_guard": MIN_SPEEDUP,
-        "guard_enforced": guard_enforced,
-    }
-    RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+    record = write_record(
+        "shm",
+        workload=tensor_workload(tensor, backend=backend, dataset=DATASET,
+                                 iterations=ITERATIONS, rounds=TRIALS),
+        seconds={f"proc@{n}": best[n] for n in LOCALE_COUNTS},
+        guards=[{"name": "speedup_4_locales_vs_1", "value": speedup[4],
+                 "min": MIN_SPEEDUP, "enforced": guard_enforced}],
+        detail={"comm": asdict(proc.comm)},
+    )
     print(f"\nshm scaling ({cores} cores): " + ", ".join(
         f"{n} locales {best[n] * 1e3:.0f} ms ({speedup[n]:.2f}x)"
         for n in LOCALE_COUNTS
@@ -105,6 +94,6 @@ def test_shm_scaling(benchmark):
         pytest.skip(
             f"only {cores} usable core(s): a {MIN_SPEEDUP}x multi-process "
             f"speedup needs >= {MIN_CORES_FOR_GUARD}; record written to "
-            f"{RESULT_PATH.name} without enforcing the guard"
+            f"BENCH_shm.json without enforcing the guard"
         )
     assert speedup[4] >= MIN_SPEEDUP, record

@@ -4,9 +4,9 @@ Measures repeated :func:`repro.mttkrp.mttkrp_csf` calls on a synthetic
 3rd-order tensor (>= 1e5 nonzeros) in two configurations:
 
 * **seed** — :func:`seed_mttkrp`, the pre-engine MTTKRP kept here as the
-  baseline, on a ``persistent=False`` tasking layer: thread spawn per
-  ``coforall``, plan-less tree walks, ``np.add.at`` scatters, per-call
-  partitioning, argsort, mutex pool and buffer allocation;
+  baseline, on :class:`SpawnPerCallLayer`: thread spawn per ``coforall``,
+  plan-less tree walks, ``np.add.at`` scatters, per-call partitioning,
+  argsort, mutex pool and buffer allocation;
 * **amortized** — the defaults: persistent worker pool, cached scatter
   plans and segment-sum operators, reusable workspaces.
 
@@ -14,20 +14,18 @@ Asserts that the seed baseline matches the dense oracle, ``np.allclose``
 agreement between the two on every algorithm/lock path, and a
 >= 2x steady-state speedup over a full sweep (every mode under both sync
 policies), and writes the measurements to ``benchmarks/BENCH_mttkrp.json``
-for tracking.  Timings are the minimum over interleaved trials — the two
-configurations alternate within each trial — so shared-machine noise
-cannot favour either side.
+for tracking.  Timings are the minimum over interleaved rounds
+(:func:`repro.bench.runner.best_of`) — the two configurations alternate
+within each round — so shared-machine noise cannot favour either side.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import numpy as np
-import pytest
 
+from _bench_utils import tensor_workload, write_record
+from repro.backend import resolve_backend
+from repro.bench.runner import best_of
 from repro.csf.build import build_csf_set
 from repro.mttkrp.csf_kernels import (
     internal_range_vectorized,
@@ -39,26 +37,22 @@ from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import DEFAULT_POOL_SIZE, make_mutex_pool
+from repro.runtime.pool import run_ephemeral
 from repro.runtime.reductions import array_reduce_buffers
-from repro.runtime.tasking import make_tasking_layer
+from repro.runtime.tasking import QthreadsLayer, make_tasking_layer
 from repro.tensor.generate import random_tensor
 
-DIMS = (400, 300, 200)
-NNZ = 120_000
-RANK = 16
 NTASKS = 2
 TRIALS = 7
 LOCK_CONFIGS = (False, True)
-RESULT_PATH = Path(__file__).resolve().parent / "BENCH_mttkrp.json"
+MIN_SPEEDUP = 2.0
 
 
-@pytest.fixture(scope="module")
-def workload():
-    tensor = random_tensor(DIMS, NNZ, seed=7)
-    rng = np.random.default_rng(123)
-    factors = [np.asarray(rng.random((d, RANK))) for d in tensor.dims]
-    csf_set = build_csf_set(tensor, allocation="one")  # root+internal+leaf
-    return tensor, factors, csf_set
+class SpawnPerCallLayer(QthreadsLayer):
+    """The seed tasking layer: fresh threads for every ``coforall``."""
+
+    def _run_tasks(self, ntasks, body):
+        run_ephemeral(ntasks, body)
 
 
 def seed_mttkrp(csf_set, factors, mode, layer, *, force_locks):
@@ -131,17 +125,6 @@ def _sweep(csf_set, factors, layer, *, seed):
     return outs
 
 
-def _best_sweep_seconds(csf_set, factors, configs, trials=TRIALS):
-    """Per-config best single-sweep time over interleaved trials."""
-    best = {name: float("inf") for name, _, _ in configs}
-    for _ in range(trials):
-        for name, layer, seed in configs:
-            start = time.perf_counter()
-            _sweep(csf_set, factors, layer, seed=seed)
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
-
-
 def _check_seed_against_oracle():
     """The seed baseline is an MTTKRP: it matches the dense oracle on a
     small tensor, every mode, both sync policies, one and two tasks."""
@@ -150,7 +133,7 @@ def _check_seed_against_oracle():
     factors = [rng.random((d, 4)) for d in tensor.dims]
     csf_set = build_csf_set(tensor, allocation="one")
     for ntasks in (1, NTASKS):
-        layer = make_tasking_layer(ChapelEnv(num_tasks=ntasks), persistent=False)
+        layer = SpawnPerCallLayer(ChapelEnv(num_tasks=ntasks))
         for force_locks in LOCK_CONFIGS:
             for mode in range(tensor.nmodes):
                 got = seed_mttkrp(csf_set, factors, mode, layer,
@@ -159,19 +142,20 @@ def _check_seed_against_oracle():
                 np.testing.assert_allclose(got, want, atol=1e-10)
 
 
-def test_amortized_engine_speedup(benchmark, workload):
-    tensor, factors, csf_set = workload
+def test_amortized_engine_speedup(benchmark, mttkrp_workload):
+    tensor, factors, csf_set = mttkrp_workload
     env = ChapelEnv(num_tasks=NTASKS)
-    seed_layer = make_tasking_layer(env, persistent=False)
+    seed_layer = SpawnPerCallLayer(env)
     amortized_layer = make_tasking_layer(env)
     try:
         # --- correctness: the seed matches the oracle, and every
-        # algorithm/lock path of the engine agrees with the seed ---
+        # algorithm/lock path of the engine agrees with the seed; the
+        # engine's first sweep builds every plan, so it is the cold time ---
         _check_seed_against_oracle()
         seed_outs = _sweep(csf_set, factors, seed_layer, seed=True)
-        cold_start = time.perf_counter()
-        amortized_outs = _sweep(csf_set, factors, amortized_layer, seed=False)
-        cold_seconds = time.perf_counter() - cold_start
+        amortized_outs = []
+        cold = best_of({"cold": lambda: amortized_outs.extend(
+            _sweep(csf_set, factors, amortized_layer, seed=False))}, rounds=1)
         algorithms = set()
         for (fl, mode, algo, expected), (_, _, _, got) in zip(seed_outs, amortized_outs):
             assert np.allclose(got, expected, atol=1e-10), (fl, mode, algo)
@@ -180,39 +164,34 @@ def test_amortized_engine_speedup(benchmark, workload):
 
         # --- timing: steady state (plans cached, pool warm) vs seed ---
         best = benchmark.pedantic(
-            lambda: _best_sweep_seconds(
-                csf_set, factors,
-                [("seed", seed_layer, True), ("steady", amortized_layer, False)],
-            ),
+            lambda: best_of({
+                "seed": lambda: _sweep(csf_set, factors, seed_layer, seed=True),
+                "steady": lambda: _sweep(csf_set, factors, amortized_layer,
+                                         seed=False),
+            }, TRIALS),
             rounds=1, iterations=1,
         )
-        seed_seconds, steady_seconds = best["seed"], best["steady"]
-        speedup = seed_seconds / steady_seconds
+        speedup = best["seed"] / best["steady"]
 
         ctx_stats = csf_set.mttkrp_context.stats()
         pool_stats = amortized_layer.worker_pool.stats()
-        record = {
-            "dims": list(DIMS),
-            "nnz": tensor.nnz,
-            "rank": RANK,
-            "num_tasks": NTASKS,
-            "trials": TRIALS,
-            "cold_sweep_seconds": cold_seconds,
-            "steady_sweep_seconds": steady_seconds,
-            "seed_sweep_seconds": seed_seconds,
-            "steady_speedup_vs_seed": speedup,
-            "plan_cache": ctx_stats,
-            "worker_pool": pool_stats,
-        }
-        RESULT_PATH.write_text(json.dumps(record, indent=2) + "\n")
+        record = write_record(
+            "mttkrp",
+            workload=tensor_workload(tensor, backend=resolve_backend(None).name,
+                                     tasks=NTASKS, rounds=TRIALS),
+            seconds=cold | best,
+            guards=[{"name": "steady_speedup_vs_seed", "value": speedup,
+                     "min": MIN_SPEEDUP, "enforced": True}],
+            detail={"plan_cache": ctx_stats, "worker_pool": pool_stats},
+        )
         print(f"\namortized MTTKRP engine: {speedup:.2f}x vs seed "
-              f"(seed {seed_seconds * 1e3:.1f} ms/sweep, "
-              f"steady {steady_seconds * 1e3:.1f} ms/sweep, "
-              f"cold {cold_seconds * 1e3:.1f} ms)")
+              f"(seed {best['seed'] * 1e3:.1f} ms/sweep, "
+              f"steady {best['steady'] * 1e3:.1f} ms/sweep, "
+              f"cold {cold['cold'] * 1e3:.1f} ms)")
 
         assert ctx_stats["plan_hits"] > 0
         assert pool_stats["dispatches"] > 0
-        assert speedup >= 2.0, record
+        assert speedup >= MIN_SPEEDUP, record
     finally:
         seed_layer.shutdown()
         amortized_layer.shutdown()

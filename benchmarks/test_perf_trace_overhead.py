@@ -7,8 +7,9 @@ the one instrumentation slot (``repro.probe.current``) or calls
 A true A/B against a never-instrumented build is impossible at runtime,
 so the guard bounds the overhead from measurable parts:
 
-1. time a steady-state amortized MTTKRP sweep with tracing disabled
-   (``T``, best over interleaved trials);
+1. time a steady-state amortized MTTKRP sweep on the shared
+   ``mttkrp_workload`` fixture with tracing disabled (``T``, best of
+   :func:`repro.bench.runner.best_of` rounds);
 2. run one traced sweep and read ``recorder.events_recorded`` — the
    number of instrumentation events the sweep emits (``N``), an upper
    bound on the disabled-path call count that matters;
@@ -16,43 +17,26 @@ so the guard bounds the overhead from measurable parts:
    ``count()``, a sanitizer ``pause()`` and a probe-slot read
    per event, ``c`` seconds amortized per call);
 
-and asserts ``N * c < 3% * T``.  The same interleaving discipline as the
-other perf benchmarks keeps shared-machine noise from biasing ``T``.
+and asserts ``N * c < 3% * T``.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
-import pytest
 
 from repro import probe
-from repro.csf.build import build_csf_set
+from repro.bench.runner import best_of
 from repro.mttkrp.variants import mttkrp_csf
 from repro.observe import spans as spans_mod
 from repro.observe import tracing
 from repro.runtime.env import ChapelEnv
 from repro.runtime.tasking import make_tasking_layer
 from repro.sanitize import detector as san_mod
-from repro.tensor.generate import random_tensor
 
-DIMS = (400, 300, 200)
-NNZ = 120_000
-RANK = 16
 NTASKS = 2
 TRIALS = 7
 OVERHEAD_BUDGET = 0.03  # the ISSUE's acceptance threshold
 NULLPATH_CALLS = 200_000
-
-
-@pytest.fixture(scope="module")
-def workload():
-    tensor = random_tensor(DIMS, NNZ, seed=7)
-    rng = np.random.default_rng(123)
-    factors = [np.asarray(rng.random((d, RANK))) for d in tensor.dims]
-    csf_set = build_csf_set(tensor, allocation="one")
-    return tensor, factors, csf_set
 
 
 def _sweep(csf_set, factors, layer):
@@ -72,15 +56,9 @@ def _disabled_event_cost() -> float:
     span = spans_mod.span
     count = spans_mod.count
     pause = san_mod.pause
-    # warm-up
-    for _ in range(1000):
-        with span("x", a=1):
-            pass
-        count("x")
-        pause("x")
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
+
+    # no separate warm-up: the minimum of three rounds absorbs a cold first one
+    def events() -> None:
         for _ in range(NULLPATH_CALLS):
             with span("x", a=1):
                 pass
@@ -90,12 +68,12 @@ def _disabled_event_cost() -> float:
             pause("x")
             if probe.current is not None:  # pragma: no cover
                 raise AssertionError
-        best = min(best, time.perf_counter() - start)
-    return best / NULLPATH_CALLS
+
+    return best_of({"events": events}, rounds=3)["events"] / NULLPATH_CALLS
 
 
-def test_disabled_tracing_overhead_under_budget(benchmark, workload):
-    tensor, factors, csf_set = workload
+def test_disabled_tracing_overhead_under_budget(benchmark, mttkrp_workload):
+    _, factors, csf_set = mttkrp_workload
     layer = make_tasking_layer(ChapelEnv(num_tasks=NTASKS))
     try:
         # warm the plan cache and worker pool so T is steady-state
@@ -109,12 +87,9 @@ def test_disabled_tracing_overhead_under_budget(benchmark, workload):
         assert events_per_sweep > 0  # instrumentation is actually present
 
         def measure():
-            best_sweep = float("inf")
-            for _ in range(TRIALS):
-                start = time.perf_counter()
-                _sweep(csf_set, factors, layer)
-                best_sweep = min(best_sweep, time.perf_counter() - start)
-            return best_sweep, _disabled_event_cost()
+            best = best_of({"sweep": lambda: _sweep(csf_set, factors, layer)},
+                           TRIALS)
+            return best["sweep"], _disabled_event_cost()
 
         sweep_seconds, per_event = benchmark.pedantic(
             measure, rounds=1, iterations=1
@@ -137,11 +112,11 @@ def test_disabled_tracing_overhead_under_budget(benchmark, workload):
         layer.shutdown()
 
 
-def test_traced_results_match_untraced(workload):
+def test_traced_results_match_untraced(mttkrp_workload):
     """Safety rail for the guard itself: tracing on/off is numerically
     equivalent on this exact workload (the property suite covers the
     general case)."""
-    _, factors, csf_set = workload
+    _, factors, csf_set = mttkrp_workload
     layer = make_tasking_layer(ChapelEnv(num_tasks=NTASKS))
     try:
         plain = [

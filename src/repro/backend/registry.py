@@ -29,11 +29,13 @@ the ``REPRO_BACKEND`` environment variable beats the library default
 ``REPRO_BACKEND_DISABLE`` (comma-separated names) masks backends for
 deterministic fallback testing.
 
-Because compiled kernels release the GIL, running them under the existing
-:class:`~repro.runtime.pool.WorkerPool` turns the simulated ``coforall``
-parallelism into real wall-clock multicore scaling — the pool's dispatch
-protocol is unchanged; only the task bodies stop serializing on the
-interpreter.
+Because compiled kernels release the GIL, task bodies running under the
+existing :class:`~repro.runtime.pool.WorkerPool` stop serializing on the
+interpreter; the pool's dispatch protocol is unchanged.  That buys no
+reliable wall-clock scaling: on the 2-core VM stamped in
+``benchmarks/BENCH_backend.json``, cext sweeps took 23.4 / 15.2 / 16.3 ms
+at 1 / 2 / 4 tasks in the committed record and 27.8 / 47.4 / 39.3 ms in
+another run.
 
 Compile cost is accounted separately: every backend's one-time preparation
 runs under a ``backend.compile`` observe span (plus a

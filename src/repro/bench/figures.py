@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.bench.datasets import BENCH_SCALE, bench_dataset
-from repro.bench.runner import ExperimentResult, experiment
+from repro.bench.runner import ExperimentResult, best_of, experiment
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.core.timers import ROUTINES
@@ -47,17 +47,14 @@ def fig1(*, measured: bool = False, scale: float = BENCH_SCALE) -> ExperimentRes
         rows = []
         for ntasks in (1, 2, 4):
             env = ChapelEnv(num_tasks=ntasks)
-            row = [ntasks]
-            for v in (*variants, "lexsort"):
-                best = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    sort_tensor(tensor, 0, variant=v, env=env)
-                    best = min(best, time.perf_counter() - start)
-                row.append(round(best, 4))
-            rows.append(row)
+            best = best_of({
+                v: lambda v=v: sort_tensor(tensor, 0, variant=v, env=env)
+                for v in (*variants, "lexsort")
+            }, rounds=3)
+            rows.append([ntasks, *(round(t, 4) for t in best.values())])
         notes = [
-            f"measured wall-clock at scale {scale:g}, best of 3; >1 task rows "
+            f"measured wall-clock at scale {scale:g}, best of 3 interleaved "
+            "rounds; >1 task rows "
             "run the real parallel bucket sort (GIL-bound for interpreted "
             "quicksorts, so no speedup is expected — structure and "
             "correctness are what is exercised)",
@@ -94,6 +91,12 @@ def fig1(*, measured: bool = False, scale: float = BENCH_SCALE) -> ExperimentRes
 # ----------------------------------------------------------------------
 # Figs 2 & 3 — MTTKRP matrix-access ladder
 # ----------------------------------------------------------------------
+def _mttkrp_sweep(csf_set, factors, variant: str) -> None:
+    """One serial MTTKRP over every mode with one access variant."""
+    for mode in range(len(factors)):
+        mttkrp_csf(csf_set, factors, mode, variant=variant)
+
+
 def _access_ladder(dataset: str, fig_id: str, paper_note: str, *, measured: bool, scale: float):
     variants = ("slicing", "index2d", "pointer")
     if measured:
@@ -102,15 +105,10 @@ def _access_ladder(dataset: str, fig_id: str, paper_note: str, *, measured: bool
         rank = 16
         rng = as_rng(0)
         factors = [np.asarray(rng.random((d, rank))) for d in tensor.dims]
-        # interleaved rounds, so a slow spell of the host hits every
-        # variant alike; each keeps its best of 3
-        best = dict.fromkeys((*variants, "vectorized"), float("inf"))
-        for _ in range(3):
-            for v in best:
-                start = time.perf_counter()
-                for mode in range(tensor.nmodes):
-                    mttkrp_csf(csf_set, factors, mode, variant=v)
-                best[v] = min(best[v], time.perf_counter() - start)
+        best = best_of({
+            v: lambda v=v: _mttkrp_sweep(csf_set, factors, v)
+            for v in (*variants, "vectorized")
+        }, rounds=3)
         rows = [[1, *(round(t, 4) for t in best.values())]]
         headers = ["tasks", "Initial(slicing)", "2D Index", "Pointer", "C(vectorized)"]
         notes = [
@@ -224,6 +222,8 @@ def _fig4_measured(scale: float) -> ExperimentResult:
             # A deliberately small pool concentrates lock traffic so real
             # contention (and sync sleeps) show up at bench scale.
             pool = make_mutex_pool(kind, size=8, env=env, counters=counters)
+            # one timed run, not best_of: the seconds column must come
+            # from the same run as the lock counters beside it
             start = time.perf_counter()
             mttkrp_csf(
                 csf_set, factors, locked_mode,
@@ -327,17 +327,14 @@ def _scaling_figure(dataset: str, fig_id: str, paper_note: str, *, measured: boo
         rank = 16
         rng = as_rng(0)
         factors = [np.asarray(rng.random((d, rank))) for d in tensor.dims]
-        row = [1]
-        times = {}
-        for v in ("vectorized", "slicing", "pointer"):
-            start = time.perf_counter()
-            for mode in range(tensor.nmodes):
-                mttkrp_csf(csf_set, factors, mode, variant=v)
-            times[v] = time.perf_counter() - start
-            row.append(round(times[v], 4))
-        row.append(f"{100 * times['vectorized'] / times['pointer']:.1f}%")
-        rows = [row]
-        notes = [f"measured wall-clock at scale {scale:g}, serial, all modes once",
+        times = best_of({
+            v: lambda v=v: _mttkrp_sweep(csf_set, factors, v)
+            for v in ("vectorized", "slicing", "pointer")
+        }, rounds=3)
+        rows = [[1, *(round(t, 4) for t in times.values()),
+                 f"{100 * times['vectorized'] / times['pointer']:.1f}%"]]
+        notes = [f"measured wall-clock at scale {scale:g}, serial, all modes, "
+                 "best of 3 interleaved rounds",
                  "shape criterion: C < optimized << initial"]
     else:
         stats = paper_scale_stats(dataset)

@@ -1,4 +1,4 @@
-"""Experiment registry and the result container.
+"""Experiment registry, the result container and the shared timer.
 
 Every table/figure module registers its experiment functions here via the
 :func:`experiment` decorator; the CLI (:mod:`repro.bench.cli`) and the
@@ -8,11 +8,32 @@ pytest-benchmark suite both dispatch through :func:`get_experiment`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Sequence
 
 from repro.bench.report import render_table
 
-__all__ = ["ExperimentResult", "experiment", "get_experiment", "all_experiments"]
+__all__ = ["ExperimentResult", "experiment", "get_experiment", "all_experiments",
+           "best_of"]
+
+
+def best_of(fns: dict[str, Callable[[], object]], rounds: int) -> dict[str, float]:
+    """Each callable's minimum wall-clock seconds over ``rounds`` rounds.
+
+    Every round calls each callable once, in ``fns`` order (A, B, A, B,
+    ...), so a slow spell of a shared host hits every configuration alike
+    instead of all the rounds of one.  This is the one timer behind every
+    measured figure and benchmark guard.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    best = dict.fromkeys(fns, float("inf"))
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            start = perf_counter()
+            fn()
+            best[name] = min(best[name], perf_counter() - start)
+    return best
 
 
 @dataclass

@@ -66,8 +66,9 @@ class CpalsResult:
         Amortized-engine accounting for the run: scatter-plan cache
         hits/misses and bytes (from the CSF set's
         :class:`~repro.mttkrp.scatter.MttkrpContext`) merged with the
-        tasking layer's worker-pool reuse counters.  Empty when the run
-        used neither (e.g. interpreted variants with ``persistent=False``).
+        tasking layer's worker-pool reuse counters.  The plan keys are
+        absent when no plan was built, the pool keys when no multi-task
+        loop ran.
     """
 
     kruskal: KruskalTensor

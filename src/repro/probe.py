@@ -81,7 +81,7 @@ class Probe:
         self.sanitizer.wait_end(key)
 
     def coforall(self, ntasks: int, body: Callable[[int], None],
-                 dispatch: Callable, *, layer: str, pooled: bool) -> None:
+                 dispatch: Callable, *, layer: str) -> None:
         """Task fork/join: run ``dispatch(ntasks, body, span)`` with every
         tool around it.
 
@@ -107,8 +107,7 @@ class Probe:
             if rec is None:
                 dispatch(ntasks, body, None)
                 return
-            with rec.span("coforall", {"ntasks": ntasks, "layer": layer,
-                                       "pooled": pooled}) as span:
+            with rec.span("coforall", {"ntasks": ntasks, "layer": layer}) as span:
                 traced = body
 
                 def body(tid: int) -> None:

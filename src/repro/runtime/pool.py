@@ -34,9 +34,11 @@ the GIL between vector calls, so the pool models Chapel's structure more
 than its speed.  With a compiled kernel backend selected
 (:mod:`repro.backend` — numba ``nogil`` JIT or the ctypes C extension,
 whose foreign calls release the GIL for their whole duration), the range
-kernels dispatched onto these workers run genuinely concurrently, and
-task-count scaling becomes real wall-clock scaling rather than simulated
-accounting.
+kernels dispatched onto these workers run concurrently.  Whether more
+tasks are faster depends on the host: ``benchmarks/BENCH_backend.json``
+(a 2-core shared Xeon VM, named in its ``host`` stamp) records best
+steady-state sweeps of 23.4 / 15.2 / 16.3 ms for cext at 1 / 2 / 4 tasks,
+and another run on the same VM measured 27.8 / 47.4 / 39.3 ms.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def run_ephemeral(ntasks: int, body: Callable[[int], None]) -> None:
     """Run ``body(tid)`` on ``ntasks`` fresh threads (the pre-pool path).
 
     All tasks join before the first exception (if any) propagates.  Kept as
-    the fallback for nested/concurrent dispatches and as the explicit
-    opt-out (``persistent=False``) used to benchmark the pool against the
-    seed behaviour.
+    the fallback for nested/concurrent dispatches and as the seed
+    spawn-per-call baseline the amortization benchmark measures the pool
+    against.
     """
     errors: list[BaseException] = []
     errors_lock = threading.Lock()

@@ -21,9 +21,7 @@ Like Qthreads, a layer does not spawn an OS thread per task: every
 multi-task ``coforall`` dispatches onto the layer's persistent
 :class:`~repro.runtime.pool.WorkerPool` (created on first use, reused for
 the lifetime of the layer), so steady-state parallel loops pay two event
-round-trips instead of a thread create/start/join cycle.  Pass
-``persistent=False`` to recover the spawn-per-call behaviour (used by the
-amortization benchmarks as the "before" configuration).
+round-trips instead of a thread create/start/join cycle.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Callable
 from repro import probe as _probe
 from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
-from repro.runtime.pool import WorkerPool, run_ephemeral
+from repro.runtime.pool import WorkerPool
 
 __all__ = [
     "TaskingLayer",
@@ -69,13 +67,7 @@ class TaskingLayer(ABC):
     #: Layer name ("qthreads" / "fifo").
     name: str = ""
 
-    def __init__(
-        self,
-        env: ChapelEnv,
-        counters: CostCounters | None = None,
-        *,
-        persistent: bool = True,
-    ):
+    def __init__(self, env: ChapelEnv, counters: CostCounters | None = None):
         if env.tasking_layer != self.name:
             raise ValueError(
                 f"env requests tasking layer {env.tasking_layer!r} "
@@ -83,7 +75,6 @@ class TaskingLayer(ABC):
             )
         self.env = env
         self.counters = counters if counters is not None else CostCounters()
-        self.persistent = persistent
         self._pool: WorkerPool | None = None
         #: Resilience accounting for this layer: retried dispatches,
         #: simulated backoff seconds, and dispatches degraded to serial.
@@ -121,11 +112,8 @@ class TaskingLayer(ABC):
 
     # ------------------------------------------------------------------
     def _run_tasks(self, ntasks: int, body: Callable[[int], None]) -> None:
-        """One dispatch attempt on the pooled or ephemeral substrate."""
-        if self.persistent:
-            self.worker_pool.run(ntasks, body)
-        else:
-            run_ephemeral(ntasks, body)
+        """One dispatch attempt on the layer's worker pool."""
+        self.worker_pool.run(ntasks, body)
 
     def _dispatch(self, ntasks: int, body: Callable[[int], None], span) -> None:
         """Dispatch with fault injection, retry and serial degradation.
@@ -171,8 +159,7 @@ class TaskingLayer(ABC):
 
         ``ntasks == 1`` runs inline (no thread involved), matching Chapel's
         serialization of singleton coforalls.  Multi-task loops dispatch to
-        the persistent worker pool (or fresh threads when the layer was
-        built with ``persistent=False``).  Exceptions raised by any task
+        the persistent worker pool.  Exceptions raised by any task
         propagate to the caller after all tasks finish (first one wins).
         Under an installed fault plan, injected dispatch failures are
         retried/degraded per the active retry policy (see :meth:`_dispatch`).
@@ -187,8 +174,7 @@ class TaskingLayer(ABC):
         if p is None:
             self._dispatch(ntasks, body, None)
         else:
-            p.coforall(ntasks, body, self._dispatch, layer=self.name,
-                       pooled=self.persistent)
+            p.coforall(ntasks, body, self._dispatch, layer=self.name)
 
     def forall(self, n: int, body: Callable[[int, int, int], None]) -> None:
         """Data-parallel loop: block ``0..n-1`` over ``env.num_tasks`` tasks.
@@ -233,18 +219,11 @@ class FifoLayer(TaskingLayer):
 
 
 def make_tasking_layer(
-    env: ChapelEnv,
-    counters: CostCounters | None = None,
-    *,
-    persistent: bool = True,
+    env: ChapelEnv, counters: CostCounters | None = None
 ) -> TaskingLayer:
-    """Instantiate the layer selected by ``env.tasking_layer``.
-
-    ``persistent=False`` disables the worker pool (spawn-per-coforall, the
-    seed behaviour) — used by the amortization benchmarks as a baseline.
-    """
+    """Instantiate the layer selected by ``env.tasking_layer``."""
     if env.tasking_layer == "qthreads":
-        return QthreadsLayer(env, counters, persistent=persistent)
+        return QthreadsLayer(env, counters)
     if env.tasking_layer == "fifo":
-        return FifoLayer(env, counters, persistent=persistent)
+        return FifoLayer(env, counters)
     raise ValueError(f"unknown tasking layer {env.tasking_layer!r}")

@@ -1,8 +1,8 @@
 """``repro.serve`` — the long-lived decomposition service (ROADMAP item 3).
 
 Every CLI invocation pays the full cold-start: CSF build, scatter-plan
-construction, worker-pool spin-up, backend compile (BENCH_mttkrp puts
-cold/steady at ~5x).  This package keeps all of that state alive in one
+construction, worker-pool spin-up, backend compile (in BENCH_mttkrp.json a
+cold MTTKRP sweep costs 1.6x a steady one).  This package keeps all of that state alive in one
 process and serves decompose/tucker/complete jobs over a line-delimited
 JSON socket:
 

@@ -1,10 +1,18 @@
-"""Unit tests for the benchmark harness (report, registry, experiments, CLI)."""
+"""Unit tests for the benchmark harness (report, registry, timer,
+experiments, CLI) and the committed benchmark records."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import runner
 from repro.bench.cli import main
 from repro.bench.report import format_cell, render_ratio, render_table
-from repro.bench.runner import ExperimentResult, all_experiments, get_experiment
+from repro.bench.runner import ExperimentResult, all_experiments, best_of, get_experiment
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+RECORD_KEYS = {"bench", "host", "workload", "seconds", "guards", "detail"}
 
 EXPECTED_IDS = {
     "table1", "table2", "table3",
@@ -58,6 +66,45 @@ class TestRegistry:
     def test_render_includes_notes(self):
         r = ExperimentResult("x", "t", ["a"], [[1]], notes=["hello"])
         assert "note: hello" in r.render()
+
+
+class TestBestOf:
+    def test_interleaved_exact_rounds_and_minimum(self, monkeypatch):
+        # the fake clock reads 0, 5, 7, 10, 11, 14, 20: each call lasts the
+        # gap between its two reads (a: 5, 3, 3; b: 2, 1, 6)
+        ticks = iter([0, 5, 5, 7, 7, 10, 10, 11, 11, 14, 14, 20])
+        monkeypatch.setattr(runner, "perf_counter", lambda: next(ticks))
+        calls = []
+        best = best_of({"a": lambda: calls.append("a"),
+                        "b": lambda: calls.append("b")}, rounds=3)
+        assert calls == ["a", "b", "a", "b", "a", "b"]
+        assert best == {"a": 3, "b": 1}
+
+    def test_rounds_must_be_positive(self):
+        with pytest.raises(ValueError, match="rounds"):
+            best_of({"a": lambda: None}, rounds=0)
+
+
+class TestBenchRecords:
+    """The committed ``benchmarks/BENCH_*.json`` guard records share one
+    host-stamped schema, and none records a failed enforced guard."""
+
+    def test_every_guard_has_a_record(self):
+        names = {p.stem for p in BENCH_DIR.glob("BENCH_*.json")}
+        assert names == {"BENCH_backend", "BENCH_mttkrp", "BENCH_serve", "BENCH_shm"}
+
+    @pytest.mark.parametrize("path", sorted(BENCH_DIR.glob("BENCH_*.json")),
+                             ids=lambda p: p.name)
+    def test_record_schema(self, path):
+        record = json.loads(path.read_text())
+        assert set(record) == RECORD_KEYS
+        assert record["bench"] == path.stem.removeprefix("BENCH_")
+        assert {"git_sha", "cpus_usable", "openblas"} <= set(record["host"])
+        assert record["guards"]
+        for guard in record["guards"]:
+            assert set(guard) == {"name", "value", "min", "enforced"}
+            if guard["enforced"]:
+                assert guard["value"] >= guard["min"], guard
 
 
 class TestSimulatedExperiments:

@@ -41,7 +41,7 @@ GOLDEN_SPANS = [
     ("mat_norm", set(), 3 * ITERATIONS),
     ("cpd_fit", set(), ITERATIONS),
     ("mat_ata", set(), None),                                 # 1 + 6/iteration
-    ("coforall", {"ntasks", "layer", "pooled"}, None),
+    ("coforall", {"ntasks", "layer"}, None),
     ("task", {"tid"}, None),
 ]
 
