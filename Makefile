@@ -18,7 +18,7 @@ experiments:
 	python -m repro.bench
 
 examples:
-	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+	@for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null || exit 1; done
 	@echo "all examples OK"
 
 all: lint test bench experiments examples

@@ -39,7 +39,7 @@ from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import DEFAULT_POOL_SIZE, make_mutex_pool
 from repro.runtime.pool import run_ephemeral
 from repro.runtime.reductions import array_reduce_buffers
-from repro.runtime.tasking import QthreadsLayer, make_tasking_layer
+from repro.runtime.tasking import TaskingLayer, make_tasking_layer
 from repro.tensor.generate import random_tensor
 
 NTASKS = 2
@@ -48,7 +48,7 @@ LOCK_CONFIGS = (False, True)
 MIN_SPEEDUP = 2.0
 
 
-class SpawnPerCallLayer(QthreadsLayer):
+class SpawnPerCallLayer(TaskingLayer):
     """The seed tasking layer: fresh threads for every ``coforall``."""
 
     def _run_tasks(self, ntasks, body):

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 
 from repro.runtime import (
-    AtomicBool,
+    AtomicLockPool,
     ChapelEnv,
     make_mutex_pool,
     make_tasking_layer,
@@ -71,17 +71,17 @@ print(f"  matrix set through the flat pointer: all ones = "
 print("\nListing 6 — acquiring/releasing locks via atomic variables")
 # while pool[lockID].testAndSet() { chpl_task_yield(); }  /  clear()
 # ----------------------------------------------------------------------
-flag = AtomicBool()
+flag = AtomicLockPool(size=1)      # one atomic bool
 counter = {"x": 0}
 
 
 def contender(tid: int) -> None:
     for _ in range(10_000):
-        flag.spin_lock()            # while testAndSet(): yield
+        flag.acquire(0)             # while testAndSet(): yield
         try:
             counter["x"] += 1
         finally:
-            flag.spin_unlock()      # clear()
+            flag.release(0)         # clear()
 
 
 layer.coforall(4, contender)

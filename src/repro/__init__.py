@@ -37,7 +37,7 @@ from repro.resilience import (
     retrying,
     save_checkpoint,
 )
-from repro.runtime import AtomicLockPool, ChapelEnv, SyncLockPool, SyncVar, make_tasking_layer
+from repro.runtime import AtomicLockPool, ChapelEnv, SyncLockPool, make_tasking_layer
 from repro.tucker import TuckerResult, ttmc, tucker_hooi
 from repro.tensor import (
     DATASET_SIGNATURES,
@@ -110,7 +110,6 @@ __all__ = [
     "ChapelEnv",
     "AtomicLockPool",
     "SyncLockPool",
-    "SyncVar",
     "make_tasking_layer",
     # completion
     "complete",

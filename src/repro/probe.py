@@ -63,11 +63,6 @@ class Probe:
         if self.sanitizer is not None:
             self.sanitizer.on_release(token)
 
-    def sync_op(self, key: tuple) -> None:
-        """A completed sync-variable transition (a happens-before handoff)."""
-        if self.sanitizer is not None:
-            self.sanitizer.on_sync_op(key)
-
     def wait_begin(self, key: tuple, what: str) -> bool:
         """The calling task blocks on ``key``; True when the wait is
         tracked (then pair it with :meth:`wait_end`)."""

@@ -13,27 +13,24 @@ This package reifies those mechanisms:
   (``CHPL_RT_NUM_THREADS_PER_LOCALE``, ``CHPL_TASKS``, ``QT_AFFINITY``,
   ``QT_SPINCOUNT``, ``OMP_NUM_THREADS``).
 * :mod:`~repro.runtime.locks` — ``sync``- and ``atomic``-based mutex pools
-  with real thread-safe behaviour *and* contention instrumentation.
+  with real thread-safe behaviour *and* contention instrumentation.  They
+  are the program's only ``sync`` and ``atomic`` variables:
+  :class:`SyncLockPool` is an array of ``sync bool`` (acquire = ``read_fe``,
+  release = ``write_ef``) and :class:`AtomicLockPool` is Listing 6's
+  test-and-set-and-yield spinlock.
 * :mod:`~repro.runtime.tasking` — ``coforall``/``forall`` built on real
   Python threads, parameterized by the tasking layer.
+* :mod:`~repro.runtime.reductions` — Listing 7's reduction of per-task
+  buffers; :mod:`~repro.runtime.schedule` — static/dynamic/guided loops.
 """
 
 from repro.runtime.accounting import CostCounters
-from repro.runtime.atomics import AtomicBool, AtomicInt, AtomicReal
-from repro.runtime.constructs import Barrier, TaskHandle, begin, cobegin
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import AtomicLockPool, MutexPool, SyncLockPool, make_mutex_pool
 from repro.runtime.pool import WorkerPool
-from repro.runtime.reductions import (
-    array_reduce_buffers,
-    max_reduce,
-    min_reduce,
-    reduce_blocks,
-    sum_reduce,
-)
+from repro.runtime.reductions import array_reduce_buffers
 from repro.runtime.schedule import SCHEDULES, forall_scheduled
-from repro.runtime.syncvar import SyncVar
-from repro.runtime.tasking import FifoLayer, QthreadsLayer, TaskingLayer, make_tasking_layer
+from repro.runtime.tasking import TaskingLayer, make_tasking_layer
 
 __all__ = [
     "ChapelEnv",
@@ -41,25 +38,11 @@ __all__ = [
     "AtomicLockPool",
     "SyncLockPool",
     "make_mutex_pool",
-    "SyncVar",
     "TaskingLayer",
-    "QthreadsLayer",
-    "FifoLayer",
     "make_tasking_layer",
     "CostCounters",
-    "reduce_blocks",
-    "sum_reduce",
-    "max_reduce",
-    "min_reduce",
     "array_reduce_buffers",
     "forall_scheduled",
     "SCHEDULES",
-    "AtomicInt",
-    "AtomicReal",
-    "AtomicBool",
-    "begin",
-    "cobegin",
-    "TaskHandle",
-    "Barrier",
     "WorkerPool",
 ]

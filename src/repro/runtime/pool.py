@@ -14,7 +14,7 @@ Dispatch protocol: the caller takes the dispatch lock, hands ``body`` and a
 ``tid`` to the first ``ntasks`` workers, and waits on their done events —
 two event round-trips instead of a thread create/start/join cycle.  A
 nested or concurrent dispatch (a ``coforall`` issued from inside a pool
-worker, or from a ``begin`` task while the pool is busy) falls back to
+worker, or from another thread while the pool is busy) falls back to
 ephemeral threads, so the pool can never deadlock on itself.
 
 Shutdown semantics: workers are daemon threads, so a forgotten pool cannot
@@ -209,7 +209,7 @@ class WorkerPool:
         """Execute ``body(tid)`` for ``tid in 0..ntasks-1``, one per worker.
 
         Every task runs on its own (persistent) worker thread, so tasks may
-        block on each other (sync variables, barriers) exactly as with the
+        block on each other (the sync lock pool's sleeps) exactly as with the
         spawn-per-call implementation.  The first task exception propagates
         after all tasks finish.  Re-entrant or concurrent calls fall back to
         :func:`run_ephemeral` rather than waiting on a busy pool.

@@ -1,115 +1,22 @@
-"""Chapel-style parallel reductions and whole-array operations.
+"""Chapel-style whole-array reduction of per-task buffers.
 
 The paper calls out "built-in reductions, whole array assignments and
 operations" as the Chapel features of *significant value* for the port
-(§IV-E).  This module provides those idioms on top of the tasking layer:
-
-* :func:`reduce_blocks` — the general ``op reduce`` over a blocked
-  iteration space; each task reduces its block, the partials combine
-  serially (Chapel's tree combine degenerates to this at task counts
-  ≤ 32).
-* :func:`sum_reduce`, :func:`max_reduce`, :func:`min_reduce` — the common
-  instantiations over NumPy arrays, chunked so each task's work is one
-  GIL-releasing vectorized call.
-* :func:`array_reduce_buffers` — the "reduction on myVals" pattern from
-  the paper's Listing 7: combine per-task private buffers into one output
-  (used by the privatized MTTKRP path).
+(§IV-E).  The one the program needs is :func:`array_reduce_buffers`: the
+"reduction on myVals" pattern from the paper's Listing 7, combining
+per-task private buffers into one output (used by the privatized MTTKRP
+path).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
-from repro.runtime.tasking import TaskingLayer, static_block
+from repro.runtime.tasking import TaskingLayer
 
-__all__ = [
-    "reduce_blocks",
-    "sum_reduce",
-    "max_reduce",
-    "min_reduce",
-    "array_reduce_buffers",
-]
-
-A = TypeVar("A")
-
-
-def reduce_blocks(
-    layer: TaskingLayer,
-    n: int,
-    block_fn: Callable[[int, int], A],
-    combine: Callable[[A, A], A],
-    identity: A,
-) -> A:
-    """``op reduce`` over ``0..n-1``: each task reduces one block.
-
-    Parameters
-    ----------
-    layer:
-        Tasking layer providing the tasks.
-    n:
-        Iteration-space size.
-    block_fn:
-        ``block_fn(lo, hi)`` → partial result for ``[lo, hi)``.
-    combine:
-        Associative combiner for partials.
-    identity:
-        Identity element of ``combine`` (returned when ``n == 0``).
-    """
-    if n <= 0:
-        return identity
-    ntasks = min(layer.env.num_tasks, n)
-    partials: list[A | None] = [None] * ntasks
-
-    def task(tid: int) -> None:
-        lo, hi = static_block(n, ntasks, tid)
-        if lo < hi:
-            partials[tid] = block_fn(lo, hi)
-
-    layer.coforall(ntasks, task)
-    result = identity
-    for p in partials:
-        if p is not None:
-            result = combine(result, p)
-    return result
-
-
-def sum_reduce(layer: TaskingLayer, array: np.ndarray) -> float:
-    """``+ reduce array`` — parallel sum of a 1-D array."""
-    flat = np.ascontiguousarray(array).ravel()
-    return reduce_blocks(
-        layer, flat.size,
-        lambda lo, hi: float(flat[lo:hi].sum()),
-        lambda a, b: a + b,
-        0.0,
-    )
-
-
-def max_reduce(layer: TaskingLayer, array: np.ndarray) -> float:
-    """``max reduce array``.  Raises on an empty array, like Chapel."""
-    flat = np.ascontiguousarray(array).ravel()
-    if flat.size == 0:
-        raise ValueError("max reduce of an empty array")
-    return reduce_blocks(
-        layer, flat.size,
-        lambda lo, hi: float(flat[lo:hi].max()),
-        max,
-        float("-inf"),
-    )
-
-
-def min_reduce(layer: TaskingLayer, array: np.ndarray) -> float:
-    """``min reduce array``.  Raises on an empty array, like Chapel."""
-    flat = np.ascontiguousarray(array).ravel()
-    if flat.size == 0:
-        raise ValueError("min reduce of an empty array")
-    return reduce_blocks(
-        layer, flat.size,
-        lambda lo, hi: float(flat[lo:hi].min()),
-        min,
-        float("inf"),
-    )
+__all__ = ["array_reduce_buffers"]
 
 
 def array_reduce_buffers(

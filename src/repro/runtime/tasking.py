@@ -1,10 +1,11 @@
 """Tasking layers: ``coforall``/``forall`` over real Python threads.
 
 Chapel maps *tasks* onto threads via a pluggable tasking layer; the paper
-uses Qthreads (default) and fifo (POSIX threads).  Here both layers execute
-tasks on real :mod:`threading` threads — NumPy kernels release the GIL, so
-chunked vectorized work genuinely overlaps — and differ in the properties
-the rest of the system cares about:
+uses Qthreads (default) and fifo (POSIX threads).  Here one
+:class:`TaskingLayer`, named by ``env.tasking_layer``, serves both: it
+executes tasks on real :mod:`threading` threads — NumPy kernels release the
+GIL, so chunked vectorized work genuinely overlaps — and the two layers
+differ in the properties the rest of the system cares about:
 
 * how ``sync`` variables behave (:attr:`ChapelEnv.sync_vars_sleep`),
 * worker pinning and spin-wait (consumed by
@@ -26,8 +27,6 @@ round-trips instead of a thread create/start/join cycle.
 
 from __future__ import annotations
 
-import time
-from abc import ABC
 from typing import Callable
 
 from repro import probe as _probe
@@ -37,8 +36,6 @@ from repro.runtime.pool import WorkerPool
 
 __all__ = [
     "TaskingLayer",
-    "QthreadsLayer",
-    "FifoLayer",
     "make_tasking_layer",
     "static_block",
 ]
@@ -61,18 +58,19 @@ def static_block(n: int, ntasks: int, tid: int) -> tuple[int, int]:
     return lo, hi
 
 
-class TaskingLayer(ABC):
-    """Executes Chapel-style parallel constructs on real threads."""
+class TaskingLayer:
+    """Executes Chapel-style parallel constructs on real threads.
 
-    #: Layer name ("qthreads" / "fifo").
-    name: str = ""
+    The layer is the one ``env.tasking_layer`` names: ``"qthreads"``
+    (Chapel's default: workers pinned when ``env.qt_affinity`` is set, sync
+    variables sleep) or ``"fifo"`` (POSIX threads: no pinning, sync
+    variables spin).  The lock pools and the perfmodel read the difference
+    from the env; here it decides only worker pinning.
+    """
 
     def __init__(self, env: ChapelEnv, counters: CostCounters | None = None):
-        if env.tasking_layer != self.name:
-            raise ValueError(
-                f"env requests tasking layer {env.tasking_layer!r} "
-                f"but this is the {self.name!r} layer"
-            )
+        #: Layer name ("qthreads" / "fifo").
+        self.name = env.tasking_layer
         self.env = env
         self.counters = counters if counters is not None else CostCounters()
         self._pool: WorkerPool | None = None
@@ -92,7 +90,7 @@ class TaskingLayer(ABC):
         """
         if self._pool is None:
             self._pool = WorkerPool(
-                name=f"{self.name or 'chpl'}-worker",
+                name=f"{self.name}-worker",
                 pin_workers=self.env.qt_affinity and self.name == "qthreads",
             )
         return self._pool
@@ -190,40 +188,9 @@ class TaskingLayer(ABC):
 
         self.coforall(ntasks, task)
 
-    def task_yield(self) -> None:
-        """``chpl_task_yield()`` — cede the thread; counted."""
-        self.counters.add(task_yields=1)
-        time.sleep(0)
-
-
-class QthreadsLayer(TaskingLayer):
-    """Chapel's default tasking layer.
-
-    Distinctive properties (all read by the perfmodel / lock pools):
-    workers pinned to cores by default (``env.qt_affinity``), long
-    spin-wait before suspending (``env.qt_spincount``), and sync variables
-    that *sleep* blocked tasks.
-    """
-
-    name = "qthreads"
-
-
-class FifoLayer(TaskingLayer):
-    """The fifo (POSIX threads) tasking layer.
-
-    No worker pinning, and sync variables *spin*, which is why Fig 4's
-    "FIFO-sync" curve tracks the atomic pool.
-    """
-
-    name = "fifo"
-
 
 def make_tasking_layer(
     env: ChapelEnv, counters: CostCounters | None = None
 ) -> TaskingLayer:
     """Instantiate the layer selected by ``env.tasking_layer``."""
-    if env.tasking_layer == "qthreads":
-        return QthreadsLayer(env, counters)
-    if env.tasking_layer == "fifo":
-        return FifoLayer(env, counters)
-    raise ValueError(f"unknown tasking layer {env.tasking_layer!r}")
+    return TaskingLayer(env, counters)

@@ -9,7 +9,7 @@ The detector only ever needs three operations:
 
 * ``tick`` — advance a task's own component (one logical step);
 * ``join`` — elementwise max, the effect of synchronizing with another
-  timeline (fork, join, sync-variable handoff);
+  timeline (fork, join);
 * the *epoch test* — did access ``(task t, timestamp c)`` happen before
   the state summarized by this clock?  True iff ``c <= clock[t]``
   (FastTrack's epoch rule): everything ``t`` did up to ``c`` has been

@@ -4,14 +4,13 @@ The paper's Fig-4 story rests on the claim that the mutex pool makes the
 parallel MTTKRP scatter race-free under both ``sync`` and ``atomic`` locks
 (§IV-A, Listing 6).  This module can *prove* it for a run, instead of
 observing that fits happen to match: the runtime's primitives
-(``coforall`` fork/join, the lock pools, sync variables, ``AtomicBool``
-spinlocks) and the MTTKRP scatter kernels report their events to an
-installed :class:`Sanitizer`, which maintains
+(``coforall`` fork/join and the lock pools) and the MTTKRP scatter
+kernels report their events to an installed :class:`Sanitizer`, which
+maintains
 
-* a **vector clock** per task (fork/join and sync-variable handoffs are
-  the happens-before edges — see :mod:`repro.sanitize.clocks`),
-* a **lockset** per task (which pool locks / spinlocks it currently
-  holds), and
+* a **vector clock** per task (fork/join are the happens-before edges —
+  see :mod:`repro.sanitize.clocks`),
+* a **lockset** per task (which pool locks it currently holds), and
 * **shadow state** per instrumented array row (the last write and reads
   per task, with the lockset each was performed under).
 
@@ -21,11 +20,9 @@ happens-before × lockset hybrid.  Lock acquire/release deliberately does
 *not* create happens-before edges (only mutual exclusion): that is what
 makes the verdict a property of the program's logical structure rather
 than of the interleaving the OS happened to pick, so the same run
-produces the same report every time.  Sync-variable handoffs *do* create
-edges, in the order the operations really serialized — findings that
-depend on dynamic schedules or sync serialization can therefore vary
-across runs, and docs/SANITIZER.md spells out which guarantees hold
-where.
+produces the same report every time.  Findings that depend on dynamic
+schedules can still vary across runs; docs/SANITIZER.md spells out which
+guarantees hold where.
 
 On top of the race detector sit a **lock-order graph** (ABBA deadlock
 potential, :mod:`repro.sanitize.lockgraph`), **outstanding-wait tracking**
@@ -216,7 +213,7 @@ class Sanitizer:
 
     Install with :class:`sanitizing`; the runtime and the scatter kernels
     find the instance through the probe slot and report fork/join,
-    lock, sync-variable, wait and array-access events.  Call
+    lock, wait and array-access events.  Call
     :meth:`report` afterwards for the verdict.
 
     Parameters
@@ -242,10 +239,8 @@ class Sanitizer:
         self.lock_graph = LockOrderGraph()
         self.perturber = SchedulePerturber(seed) if seed is not None else None
         self._waits: dict[tuple, dict[int, str]] = {}
-        self._sync_clocks: dict[tuple, VectorClock] = {}
         self.accesses = 0
         self.lock_events = 0
-        self.sync_events = 0
         self.tasks_created = 0
         self.max_findings = max_findings
 
@@ -342,28 +337,6 @@ class Sanitizer:
                 break
         with self._lock:
             self.lock_events += 1
-
-    # ------------------------------------------------------------------
-    # sync variables
-    # ------------------------------------------------------------------
-    def on_sync_op(self, key: tuple) -> None:
-        """A completed sync-variable state transition (read or write).
-
-        Full/empty transitions serialize: each operation acquires the
-        causal history of every earlier operation on the variable and
-        publishes its own — the edges follow the real serialization
-        order, which is what makes a sync-variable handoff actually
-        order the two sides.
-        """
-        task = self.current_task()
-        with self._lock:
-            slot = self._sync_clocks.get(key)
-            if slot is None:
-                slot = self._sync_clocks[key] = VectorClock()
-            task.clock.join(slot)
-            task.clock.tick(task.id)
-            slot.join(task.clock)
-            self.sync_events += 1
 
     # ------------------------------------------------------------------
     # waits (lost-wakeup detection)
@@ -577,7 +550,6 @@ class Sanitizer:
             stats = {
                 "accesses": self.accesses,
                 "lock_events": self.lock_events,
-                "sync_events": self.sync_events,
                 "tasks": self.tasks_created,
                 "arrays": len(self._shadow),
             }

@@ -4,10 +4,10 @@ The happens-before detector reasons about the *logical* structure of a
 parallel region (fork/join, locksets), so it finds races regardless of how
 the OS happened to interleave threads.  The fuzzer attacks the complement:
 bugs whose *numeric effect* only shows under unlucky interleavings (lost
-updates through an unlocked accumulate, lost wakeups on a sync variable).
+updates through an unlocked accumulate, lost wakeups on a sync lock).
 It injects tiny, deterministic-by-seed delays at the runtime's
 synchronization points — before lock acquires, at pooled task starts,
-between scheduler chunk claims, around sync-variable operations — driving
+between scheduler chunk claims, at pool dispatch — driving
 ``coforall`` / ``forall`` / ``forall_scheduled`` bodies through adversarial
 interleavings that a quiet machine would never produce.
 

@@ -1,6 +1,8 @@
 """Unit tests for the benchmark harness (report, registry, timer,
-experiments, CLI) and the committed benchmark records."""
+experiments, CLI), the committed benchmark records and perfbench's
+per-layer tracer."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -11,7 +13,8 @@ from repro.bench.cli import main
 from repro.bench.report import format_cell, render_ratio, render_table
 from repro.bench.runner import ExperimentResult, all_experiments, best_of, get_experiment
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+REPO = Path(__file__).resolve().parents[1]
+BENCH_DIR = REPO / "benchmarks"
 RECORD_KEYS = {"bench", "host", "workload", "seconds", "guards", "detail"}
 
 EXPECTED_IDS = {
@@ -105,6 +108,27 @@ class TestBenchRecords:
             assert set(guard) == {"name", "value", "min", "enforced"}
             if guard["enforced"]:
                 assert guard["value"] >= guard["min"], guard
+
+
+class TestPerfbenchTracer:
+    """``perfbench/layers.py`` times each layer by replacing program names
+    by attribute; a rename under ``src/repro`` must fail here, not as a
+    ``KeyError`` in the middle of a benchmark run."""
+
+    def test_every_patch_installs_and_restores(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_layers", REPO / "perfbench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+        tracer = layers.Tracer()
+        with tracer:
+            patched = list(tracer._saved)
+            assert len(patched) == 24
+            for owner, attr, original in patched:
+                assert owner.__dict__[attr] is not original, attr
+        assert tracer._saved == []
+        for owner, attr, original in patched:
+            assert owner.__dict__[attr] is original, attr
 
 
 class TestSimulatedExperiments:

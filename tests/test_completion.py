@@ -11,7 +11,14 @@ from repro.completion.driver import (
     CompletionResult,
     complete,
 )
-from repro.completion.losses import predict_entries, residuals, rmse, squared_loss
+from repro.completion.losses import (
+    evaluate,
+    mae,
+    predict_entries,
+    residuals,
+    rmse,
+    squared_loss,
+)
 from repro.completion.sgd import sgd_epoch
 from repro.tensor.coo import SparseTensor
 from repro.tensor.generate import planted_low_rank
@@ -289,3 +296,22 @@ class TestDriver:
         assert a.train_rmse == b.train_rmse
         for fa, fb in zip(a.factors, b.factors):
             np.testing.assert_array_equal(fa, fb)
+
+
+class TestCompletionEvaluate:
+    def test_bundle_keys_and_truth(self):
+        tensor, factors = planted_low_rank((8, 7, 6), 2, 200, seed=1)
+        scores = evaluate(factors, tensor.coords, tensor.values)
+        assert set(scores) == {"rmse", "mae", "baseline_rmse", "baseline_mae"}
+        assert scores["rmse"] < 1e-10  # exact factors
+        assert scores["mae"] < 1e-10
+        assert scores["baseline_rmse"] > 0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            evaluate([np.ones((2, 1))] * 2, np.empty((0, 2), dtype=int), np.empty(0))
+
+    def test_mae_definition(self):
+        t = SparseTensor(np.array([[0, 0], [1, 1]]), np.array([2.0, 4.0]), (2, 2))
+        factors = [np.zeros((2, 1)), np.zeros((2, 1))]  # predicts 0
+        assert mae(t.coords, t.values, factors) == pytest.approx(3.0)

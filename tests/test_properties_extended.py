@@ -3,7 +3,7 @@
 Invariants: completion losses/solvers (ALS optimality, CCD residual
 exactness, prediction multilinearity), constrained proxes (prox inequality,
 feasibility), distributed partitions (conservation, layer containment, grid
-algebra), reductions (agreement with NumPy).
+algebra).
 """
 
 import numpy as np
@@ -19,9 +19,6 @@ from repro.constrained.constraints import (
 )
 from repro.distributed.grid import LocaleGrid, choose_grid
 from repro.distributed.partition import partition_medium_grain
-from repro.runtime.env import ChapelEnv
-from repro.runtime.reductions import sum_reduce
-from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.coo import SparseTensor
 
 
@@ -164,15 +161,3 @@ def test_grid_rank_bijection(shape):
     grid = LocaleGrid(tuple(shape))
     ranks = [grid.rank_of(c) for c in grid.coords()]
     assert sorted(ranks) == list(range(grid.nlocales))
-
-
-# ----------------------------------------------------------------------
-# reductions
-# ----------------------------------------------------------------------
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=0, max_size=200),
-       st.integers(1, 8))
-def test_sum_reduce_matches_numpy(values, ntasks):
-    layer = make_tasking_layer(ChapelEnv(num_tasks=ntasks))
-    arr = np.asarray(values)
-    assert np.isclose(sum_reduce(layer, arr), arr.sum(), atol=1e-6)

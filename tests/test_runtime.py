@@ -1,8 +1,9 @@
-"""Unit tests for the Chapel-runtime substrate (env, locks, tasking)."""
+"""Unit tests for the Chapel-runtime substrate (env, locks, tasking, reductions)."""
 
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.runtime.accounting import CostCounters
@@ -12,12 +13,8 @@ from repro.runtime.locks import (
     SyncLockPool,
     make_mutex_pool,
 )
-from repro.runtime.tasking import (
-    FifoLayer,
-    QthreadsLayer,
-    make_tasking_layer,
-    static_block,
-)
+from repro.runtime.reductions import array_reduce_buffers
+from repro.runtime.tasking import TaskingLayer, make_tasking_layer, static_block
 
 
 class TestChapelEnv:
@@ -185,14 +182,10 @@ class TestMutexPools:
 
 class TestTaskingLayers:
     def test_factory(self):
-        assert isinstance(make_tasking_layer(ChapelEnv()), QthreadsLayer)
-        assert isinstance(
-            make_tasking_layer(ChapelEnv(tasking_layer="fifo")), FifoLayer
-        )
-
-    def test_layer_env_mismatch(self):
-        with pytest.raises(ValueError, match="tasking layer"):
-            FifoLayer(ChapelEnv(tasking_layer="qthreads"))
+        for name in ("qthreads", "fifo"):
+            layer = make_tasking_layer(ChapelEnv(tasking_layer=name))
+            assert isinstance(layer, TaskingLayer)
+            assert layer.name == name
 
     def test_coforall_runs_every_tid(self):
         layer = make_tasking_layer(ChapelEnv(num_tasks=5))
@@ -260,10 +253,32 @@ class TestTaskingLayers:
         layer.forall(3, body)
         assert hits == [1, 1, 1]
 
-    def test_task_yield_counted(self):
+
+class TestArrayReduceBuffers:
+    def test_sums_buffers(self, rng):
+        layer = make_tasking_layer(ChapelEnv(num_tasks=3))
+        out = np.zeros((10, 4))
+        buffers = [rng.random((10, 4)) for _ in range(5)]
+        array_reduce_buffers(layer, out, buffers)
+        np.testing.assert_allclose(out, sum(buffers))
+
+    def test_accumulates_into_existing(self, rng):
+        layer = make_tasking_layer(ChapelEnv(num_tasks=2))
+        out = np.ones((4, 2))
+        buf = rng.random((4, 2))
+        array_reduce_buffers(layer, out, [buf])
+        np.testing.assert_allclose(out, 1.0 + buf)
+
+    def test_no_buffers_is_noop(self):
         layer = make_tasking_layer(ChapelEnv())
-        layer.task_yield()
-        assert layer.counters.task_yields == 1
+        out = np.ones((3, 3))
+        array_reduce_buffers(layer, out, [])
+        np.testing.assert_allclose(out, 1.0)
+
+    def test_shape_mismatch_rejected(self):
+        layer = make_tasking_layer(ChapelEnv())
+        with pytest.raises(ValueError, match="shape"):
+            array_reduce_buffers(layer, np.zeros((2, 2)), [np.zeros((3, 2))])
 
 
 class TestCostCounters:

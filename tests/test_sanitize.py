@@ -9,15 +9,14 @@ disabled-path no-op behaviour.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.observe.spans import TraceRecorder, tracing
-from repro.runtime.atomics import AtomicBool
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import AtomicLockPool, SyncLockPool
-from repro.runtime.syncvar import SyncVar
 from repro.runtime.tasking import make_tasking_layer
 from repro.sanitize import (
     LockOrderGraph,
@@ -254,42 +253,43 @@ class TestLockOrderGraph:
 
 
 # ----------------------------------------------------------------------
-# sync-variable happens-before and lost wakeups
+# lost wakeups on the sync lock pool's sleep path
 # ----------------------------------------------------------------------
-class TestSyncVarSanitizer:
-    def test_handoff_creates_hb_edge(self):
-        # Producer writes arr then fills the sync var; consumer reads the
-        # sync var then writes arr: handoff edge ⇒ no race.
-        env = ChapelEnv(num_tasks=2, tasking_layer="fifo")
-        layer = make_tasking_layer(env)
-        sv: SyncVar[int] = SyncVar(env=env)
-        arr = np.zeros((2, 2))
-        with sanitizing() as san:
-            def task(tid: int) -> None:
-                if tid == 0:
-                    san.on_access(arr, [0], write=True, site="producer")
-                    sv.write_ef(42)
-                else:
-                    value = sv.read_fe()
-                    assert value == 42
-                    san.on_access(arr, [0], write=True, site="consumer")
-
-            layer.coforall(2, task)
-        layer.shutdown()
-        assert san.report().ok, san.report().render()
-
+class TestLostWakeup:
     def test_watchdog_flags_lost_wakeup(self):
-        env = ChapelEnv(num_tasks=1, tasking_layer="qthreads")
-        sv: SyncVar[int] = SyncVar(env=env)  # starts empty
+        pool = SyncLockPool(size=1, env=ChapelEnv(tasking_layer="qthreads"))
         with sanitizing() as san:
-            result = san.run_watched(sv.read_fe, timeout=0.3)
+            pool.acquire(0)  # held here, so the watched acquire sleeps
+            result = san.run_watched(lambda: pool.acquire(0), timeout=0.3)
             assert result is None  # timed out
             report = san.report()
             assert len(report.by_kind("lost-wakeup")) == 1
             assert "full" in report.by_kind("lost-wakeup")[0].sites[0]
-            # Unblock the stuck daemon thread so it exits cleanly (the
-            # daemon's read_fe consumes this value).
-            sv.write_xf(1)
+            # Wake the stuck daemon thread so it exits cleanly (it takes
+            # the lock and returns).
+            pool.release(0)
+
+    def test_clean_handoff_leaves_no_pending_wait(self):
+        pool = SyncLockPool(size=1, env=ChapelEnv(tasking_layer="qthreads"))
+        with sanitizing() as san:
+            pool.acquire(0)
+
+            def contender() -> None:
+                pool.acquire(0)
+                pool.release(0)
+
+            t = threading.Thread(target=contender)
+            t.start()
+            deadline = time.monotonic() + 10
+            while not san.pending_waits() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert len(san.pending_waits()) == 1  # the contender sleeps
+            pool.release(0)
+            t.join(timeout=10)
+            assert not t.is_alive()
+            assert san.pending_waits() == []  # the wait was ended by the wake
+        assert pool.counters.sync_sleeps >= 1
+        assert san.report().ok
 
     def test_watchdog_passes_through_results_and_errors(self):
         san = Sanitizer()
