@@ -1,7 +1,7 @@
 """§V-E — Qthreads × OpenMP interference on the LAPACK inverse.
 
-Benchmarks the real Cholesky solve (the routine at the center of §V-E) and
-asserts the interference model's published anchors.
+Benchmarks the real normal-equations solve (the routine at the center of
+§V-E) and asserts the interference model's published anchors.
 """
 
 import numpy as np
@@ -13,7 +13,8 @@ from repro.linalg.inverse import solve_normal_equations
 
 
 def test_sec5e_real_inverse_kernel(benchmark, yelp_factors):
-    """The actual potrf/potrs solve on bench-scale factor matrices."""
+    """The actual solve on bench-scale factor matrices: potrf, potrs against
+    the R×R identity, then one GEMM with the tall MTTKRP result."""
     rank = yelp_factors[0].shape[1]
     v = yelp_factors[0].T @ yelp_factors[0] + np.eye(rank)
     m = np.ascontiguousarray(yelp_factors[2])

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import INDEX_DTYPE
 from repro.csf.permute import CSF_ALLOCATIONS, mode_order
 from repro.csf.tree import CsfTensor
 from repro.observe import spans as _obs
 from repro.tensor.coo import SparseTensor
-from repro.tensor.sort import sort_tensor
+from repro.tensor.sort import lex_order, sort_tensor
 
 __all__ = ["build_csf", "build_csf_set", "CsfSet"]
 
@@ -44,8 +43,9 @@ def build_csf(
     -----
     SPLATT sorts with the *output mode primary, rest ascending*; CSF
     construction instead needs a full lexicographic sort in ``dim_perm``
-    order.  We therefore sort with a permuted view and un-permute after,
-    which is exactly what SPLATT's pointer-swap trick accomplishes.
+    order.  The vectorized sort takes the key modes in ``dim_perm`` order
+    directly, which is what SPLATT's pointer-swap trick accomplishes; the
+    Fig 1 ladder variants sort a mode-permuted copy instead.
     """
     if dim_perm is None:
         dim_perm = mode_order(tensor.dims)
@@ -61,49 +61,37 @@ def build_csf(
 def _build_csf_sorted(
     tensor: SparseTensor, dim_perm: tuple[int, ...], sort_variant: str
 ) -> CsfTensor:
-    nmodes = tensor.nmodes
-    # Sort nonzeros lexicographically in dim_perm order.  sort_tensor sorts
-    # (mode, then remaining ascending); permuting modes first makes its key
-    # order equal dim_perm, then we map columns back.
-    permuted = tensor.permute_modes(dim_perm)
-    sorted_perm = sort_tensor(permuted, 0, variant=sort_variant)
+    # Sort the nonzeros lexicographically in dim_perm order; cols[level] is
+    # the sorted mode-dim_perm[level] column.  The vectorized sort orders
+    # the unpermuted coordinates directly; the Fig 1 ladder sorts (mode,
+    # then remaining ascending), so it sorts a mode-permuted copy.
+    if sort_variant == "lexsort":
+        keys = [tensor.coords[:, m] for m in dim_perm]
+        order = lex_order(keys, [tensor.dims[m] for m in dim_perm])
+        cols = [key[order] for key in keys]
+        values = tensor.values[order]
+    else:
+        sorted_perm = sort_tensor(tensor.permute_modes(dim_perm), 0, variant=sort_variant)
+        cols = list(sorted_perm.coords.T)
+        values = sorted_perm.values
 
-    coords = sorted_perm.coords  # (nnz, N) in dim_perm level order
-    values = sorted_perm.values
-    nnz = tensor.nnz
-
-    fids: list[np.ndarray] = []
+    # is_start[x]: nonzero x begins a new node at the current level, i.e.
+    # differs from its predecessor in any of the levels so far.
+    is_start = np.zeros(tensor.nnz, dtype=bool)
+    is_start[:1] = True
     fptr: list[np.ndarray] = []
-    if nnz == 0:
-        for level in range(nmodes):
-            fids.append(np.empty(0, dtype=INDEX_DTYPE))
-            if level < nmodes - 1:
-                fptr.append(np.zeros(1, dtype=INDEX_DTYPE))
-        return CsfTensor(tensor.dims, tuple(dim_perm), fptr, fids, values)
-
-    # new_prefix[level][x] — nonzero x starts a new node at `level`
-    # (i.e. differs from its predecessor in any of modes 0..level).
-    new_prefix = np.zeros((nmodes, nnz), dtype=bool)
-    new_prefix[:, 0] = True
-    running = np.zeros(nnz - 1, dtype=bool)
-    for level in range(nmodes):
-        running |= coords[1:, level] != coords[:-1, level]
-        new_prefix[level, 1:] = running
-
-    # Node ids per level: cumulative count of starts.
-    for level in range(nmodes):
-        starts = np.flatnonzero(new_prefix[level])
-        fids.append(coords[starts, level].astype(INDEX_DTYPE))
-    # fptr[level][i] = index into level+1 nodes where node i's children begin.
-    for level in range(nmodes - 1):
-        starts = np.flatnonzero(new_prefix[level])
-        child_rank = np.cumsum(new_prefix[level + 1]) - 1  # node id at child level
-        ptr = np.empty(starts.size + 1, dtype=INDEX_DTYPE)
-        ptr[:-1] = child_rank[starts]
-        ptr[-1] = fids[level + 1].shape[0]
-        fptr.append(ptr)
-
-    return CsfTensor(tensor.dims, tuple(dim_perm), fptr, fids, values)
+    fids: list[np.ndarray] = []
+    for level, col in enumerate(cols):
+        parent_start = is_start
+        is_start = parent_start.copy()
+        is_start[1:] |= col[1:] != col[:-1]
+        starts = np.flatnonzero(is_start)
+        if level:
+            # fptr[level-1][i]: the child node starting where parent node i
+            # starts, i.e. the rank of i's start among this level's starts.
+            fptr.append(np.append(np.flatnonzero(parent_start[starts]), starts.size))
+        fids.append(col[starts])
+    return CsfTensor(tensor.dims, dim_perm, fptr, fids, values)
 
 
 @dataclass

@@ -7,7 +7,9 @@ These are the non-MTTKRP routines of the paper's per-routine breakdown:
 the dense reference MTTKRP in tests.
 
 SPLATT calls OpenBLAS ``syrk``/``potrf``/``potrs`` here; we call the same
-algorithms through :mod:`scipy.linalg` (see DESIGN.md §2).
+algorithms through :mod:`scipy.linalg`, except that ``potrs`` runs only
+against the ``R×R`` identity and one GEMM applies the inverse to the tall
+MTTKRP result (see DESIGN.md §2).
 """
 
 from repro.linalg.ata import gram, hadamard_gram

@@ -56,6 +56,7 @@ from repro._util import VALUE_DTYPE
 from repro.csf.tree import CsfTensor
 from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.observe import spans as _obs
+from repro.tensor.sort import lex_order
 
 __all__ = [
     "sorted_scatter_add",
@@ -194,9 +195,11 @@ class RowScatter:
             buckets = None
         else:
             buckets = rows % pool_size
-            # lexsort is stable: groups by bucket, then row, preserving the
-            # original order of each row's contributions.
-            self.order = np.lexsort((rows, buckets)).astype(np.intp, copy=False)
+            # a stable sort on (bucket, row): groups by bucket, then row,
+            # preserving the original order of each row's contributions.
+            self.order = lex_order(
+                (buckets, rows), (pool_size, int(rows.max()) + 1)
+            ).astype(np.intp, copy=False)
         sorted_rows = rows[self.order]
         starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
         self.seg_starts = np.concatenate(([0], starts)).astype(np.intp, copy=False)

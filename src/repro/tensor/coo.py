@@ -166,9 +166,11 @@ class SparseTensor:
         Mirrors SPLATT's post-read fixup; CSF construction assumes unique
         coordinates.
         """
+        from repro.tensor.sort import lex_order
+
         if self.nnz == 0:
             return self.copy()
-        order = np.lexsort(self.coords.T[::-1])
+        order = lex_order(self.coords.T, self.dims)
         sorted_coords = self.coords[order]
         sorted_vals = self.values[order]
         boundary = np.empty(self.nnz, dtype=bool)

@@ -29,8 +29,14 @@ real:
     Both fixes ("All-opts").
 
 ``lexsort``
-    The role of the C reference: a fully vectorized
-    :func:`numpy.lexsort`-based sort with no interpreted inner loop.
+    The role of the C reference: a fully vectorized sort with no
+    interpreted inner loop.  It packs each coordinate tuple, in key-mode
+    order, into one mixed-radix int64 (ALTO's linearized index used as a
+    sort key) with the nonzero's position in the low bits and sorts those
+    unique keys, falling back to :func:`numpy.lexsort` over the columns
+    when the packed key does not fit in an int64.  :func:`lex_order` is that sort; CSF construction,
+    :meth:`~repro.tensor.coo.SparseTensor.deduplicate` and the MTTKRP
+    scatter plans use it too.
 
 All variants produce byte-identical orderings of the nonzeros with respect to
 the sort *key* (ties between identical coordinate tuples are broken
@@ -43,13 +49,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro._util import check_axis
+from repro._util import check_axis, prod
 from repro.tensor.coo import SparseTensor
 
-__all__ = ["SORT_VARIANTS", "SortCounters", "sort_tensor", "sort_perm_for_mode"]
+__all__ = ["SORT_VARIANTS", "SortCounters", "lex_order", "sort_tensor", "sort_perm_for_mode"]
 
 #: Below this many elements the quicksort switches to insertion sort, the
 #: same cutoff SPLATT uses (``MIN_QUICKSORT_SIZE``).
@@ -103,13 +110,35 @@ def sort_perm_for_mode(mode: int, nmodes: int) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# the "C" baseline: vectorized lexsort
+# the "C" baseline: one packed key
 # ----------------------------------------------------------------------
+def lex_order(keys: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
+    """Stable order that sorts rows lexicographically by ``keys``.
+
+    ``keys`` are equal-length non-negative integer columns, primary first;
+    ``keys[k]`` is below ``sizes[k]``.  The result is exactly
+    ``np.lexsort(keys[::-1])``.  The columns are packed into one
+    mixed-radix int64, whose order is the tuple order, with the row number
+    in the low bits: the packed keys are then unique, so one plain value
+    sort yields the stable order.  When ``prod(sizes)`` times the row
+    count's power of two does not fit in an int64, it runs that lexsort.
+    """
+    shift = max(len(keys[0]) - 1, 0).bit_length()
+    if prod(sizes) << shift > 2**63:
+        return np.lexsort(tuple(reversed(keys)))
+    packed = np.array(keys[0], dtype=np.int64)
+    for key, size in zip(keys[1:], sizes[1:]):
+        packed *= size
+        packed += key
+    packed <<= shift
+    packed |= np.arange(packed.shape[0])
+    packed.sort()
+    return packed & ((1 << shift) - 1)
+
+
 def _sort_lexsort(tensor: SparseTensor, perm: tuple[int, ...]) -> tuple[SparseTensor, SortCounters]:
     """Vectorized sort standing in for SPLATT's compiled C sort."""
-    # np.lexsort's *last* key is primary, so feed the permutation reversed.
-    keys = tuple(tensor.coords[:, m] for m in reversed(perm))
-    order = np.lexsort(keys) if tensor.nnz else np.empty(0, dtype=np.int64)
+    order = lex_order([tensor.coords[:, m] for m in perm], [tensor.dims[m] for m in perm])
     out = SparseTensor(
         np.ascontiguousarray(tensor.coords[order]),
         np.ascontiguousarray(tensor.values[order]),

@@ -132,6 +132,44 @@ class TestBuildCsf:
             csf.tile()
 
 
+def _parent_build(tensor, dim_perm):
+    """CSF construction by mode-permuting, lexsorting and ranking prefix
+    starts with a cumulative sum: the reference for :func:`build_csf`."""
+    permuted = tensor.permute_modes(dim_perm)
+    order = np.lexsort(permuted.coords.T[::-1])
+    coords, values = permuted.coords[order], permuted.values[order]
+    nmodes, nnz = tensor.nmodes, tensor.nnz
+    new_prefix = np.zeros((nmodes, nnz), dtype=bool)
+    new_prefix[:, 0] = True
+    running = np.zeros(nnz - 1, dtype=bool)
+    for level in range(nmodes):
+        running |= coords[1:, level] != coords[:-1, level]
+        new_prefix[level, 1:] = running
+    fids = [coords[np.flatnonzero(new_prefix[level]), level] for level in range(nmodes)]
+    fptr = []
+    for level in range(nmodes - 1):
+        child_rank = np.cumsum(new_prefix[level + 1]) - 1
+        fptr.append(np.append(child_rank[np.flatnonzero(new_prefix[level])],
+                              fids[level + 1].shape[0]))
+    return fptr, fids, values
+
+
+class TestBuildMatchesPermuteThenSort:
+    @pytest.mark.parametrize("allocation", ["one", "two", "all"])
+    @pytest.mark.parametrize("dims,nnz", [((40, 9, 25), 900), ((6, 5, 7, 4), 400)])
+    def test_byte_identical(self, allocation, dims, nnz):
+        t = random_tensor(dims, nnz, seed=4)
+        # shuffled input, so the sort does real work
+        shuffle = np.random.default_rng(0).permutation(t.nnz)
+        t = SparseTensor(t.coords[shuffle], t.values[shuffle], t.dims)
+        for tree in build_csf_set(t, allocation=allocation).trees:
+            fptr, fids, values = _parent_build(t, tree.dim_perm)
+            for got, want in zip(tree.fptr + tree.fids, fptr + fids):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            assert tree.values.tobytes() == values.tobytes()
+
+
 class TestCsfValidation:
     def test_bad_fptr_length(self, small_tensor):
         csf = build_csf(small_tensor)

@@ -79,6 +79,17 @@ class TestInverse:
             solve_normal_equations(m, v), m @ pseudo_inverse_gram(v), atol=1e-9
         )
 
+    def test_solve_is_c_contiguous_and_matches_cho_solve(self, rng):
+        from scipy import linalg as sla
+
+        m = rng.random((500, 16))
+        a = rng.random((300, 16))
+        v = a.T @ a + 0.1 * np.eye(16)
+        out = solve_normal_equations(m, v)
+        assert out.flags.c_contiguous
+        want = sla.cho_solve(sla.cho_factor(v), m.T).T
+        assert np.linalg.norm(out - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_solve_singular_v(self, rng):
         m = rng.random((5, 2))
         v = np.ones((2, 2))  # rank 1

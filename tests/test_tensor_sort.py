@@ -5,7 +5,7 @@ import pytest
 
 from repro.tensor.coo import SparseTensor
 from repro.tensor.generate import random_tensor
-from repro.tensor.sort import SORT_VARIANTS, sort_perm_for_mode, sort_tensor
+from repro.tensor.sort import SORT_VARIANTS, lex_order, sort_perm_for_mode, sort_tensor
 
 
 def _is_sorted_by(tensor: SparseTensor, perm) -> bool:
@@ -26,6 +26,52 @@ class TestSortPerm:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             sort_perm_for_mode(3, 3)
+
+
+class TestLexOrder:
+    """The packed-key order is exactly ``np.lexsort`` over the same keys."""
+
+    @staticmethod
+    def _tuples(dims, n, seed):
+        rng = np.random.default_rng(seed)
+        cols = [rng.integers(0, d, n) for d in dims]
+        # duplicate tuples at shuffled positions: the stable tie order shows
+        dup = rng.integers(0, n, n // 4)
+        cols = [np.concatenate([c, c[dup]]) for c in cols]
+        shuffle = rng.permutation(cols[0].size)
+        return [c[shuffle] for c in cols]
+
+    @pytest.mark.parametrize("dims", [(7,), (5, 3, 4), (9, 2, 6, 3), (40, 30, 50)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_lexsort(self, dims, seed):
+        keys = self._tuples(dims, 300, seed)
+        np.testing.assert_array_equal(lex_order(keys, dims), np.lexsort(keys[::-1]))
+
+    @pytest.mark.parametrize("dims", [
+        (2**20, 2**20, 2**20),  # the key fits, key plus row number does not
+        (2**22, 2**22, 2**22),  # prod(dims) > 2**63
+    ])
+    def test_lexsort_fallback(self, dims):
+        keys = self._tuples(dims, 300, 2)
+        keys[0][:10] = dims[0] - 1  # top bits set: a packed key would overflow
+        np.testing.assert_array_equal(lex_order(keys, dims), np.lexsort(keys[::-1]))
+
+    def test_empty(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert lex_order([empty, empty], (3, 4)).size == 0
+
+    @pytest.mark.parametrize("pool_size", [1, 3, 1024])
+    def test_locked_scatter_plan_order(self, pool_size):
+        from repro.mttkrp.scatter import RowScatter
+
+        rows = np.random.default_rng(pool_size).integers(0, 40, 300)
+        np.testing.assert_array_equal(RowScatter(rows, pool_size=pool_size).order,
+                                      np.lexsort((rows, rows % pool_size)))
+
+    def test_deduplicate_order(self):
+        coords = np.stack(self._tuples((5, 3, 4), 300, 3), axis=1)
+        t = SparseTensor(coords, np.ones(coords.shape[0]), (5, 3, 4)).deduplicate()
+        np.testing.assert_array_equal(t.coords, np.unique(coords, axis=0))
 
 
 class TestAllVariantsAgree:
