@@ -684,7 +684,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="seconds to hold the queue open so same-shape jobs "
                         "group into one batch (default: 0.05)")
     p.add_argument("--spool", metavar="DIR",
-                   help="checkpoint spool directory for suspend/resume "
+                   help="spool directory for suspend snapshots "
                         "(default: a fresh temp dir)")
     p.add_argument("--max-nnz", type=int, default=0, metavar="N",
                    help="per-job tensor nonzero cap, all tenants (0 = off)")
@@ -726,9 +726,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="with --metrics: Prometheus text format")
     p.add_argument("--status", metavar="JOB", help="print one job's status")
     p.add_argument("--suspend", metavar="JOB",
-                   help="checkpoint and suspend a queued/running job")
+                   help="suspend a queued or running job (a running cpd "
+                        "job writes one snapshot to the spool)")
     p.add_argument("--resume", metavar="JOB",
-                   help="re-enqueue a suspended job from its checkpoint")
+                   help="re-enqueue a suspended job (it continues from its "
+                        "snapshot, if it has one)")
     p.add_argument("--cancel", metavar="JOB", help="cancel a queued job")
     p.add_argument("--shutdown", action="store_true",
                    help="ask the daemon to shut down gracefully")

@@ -38,7 +38,7 @@ from repro.runtime.locks import make_mutex_pool
 from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.coo import SparseTensor
 
-__all__ = ["cp_als", "CpalsResult"]
+__all__ = ["cp_als", "CpalsResult", "save_cpals_checkpoint"]
 
 
 @dataclass
@@ -124,6 +124,26 @@ def init_factors(
     """Random uniform factor initialization (SPLATT's ``mat_rand``)."""
     rng = as_rng(seed)
     return [np.asarray(rng.random((d, rank)), dtype=VALUE_DTYPE) for d in dims]
+
+
+def save_cpals_checkpoint(
+    path, tensor: SparseTensor, iteration: int,
+    factors: list[np.ndarray], weights: np.ndarray, fits: list[float],
+) -> None:
+    """Snapshot CP-ALS state after ``iteration`` completed sweeps.
+
+    The one writer of the ``cp_als`` checkpoint layout that
+    ``resume_from`` reads: ``cp_als``'s periodic write and the serve
+    daemon's suspend write both go through it.
+    """
+    save_checkpoint(
+        path,
+        kind="cp_als",
+        iteration=iteration,
+        factors=factors,
+        arrays={"lambda": weights, "fits": np.asarray(fits, dtype=float)},
+        meta={"rank": len(weights), "dims": list(tensor.dims), "nnz": tensor.nnz},
+    )
 
 
 def cp_als(
@@ -269,18 +289,6 @@ def cp_als(
         converged = False
         iterations = start_iteration
 
-        def checkpoint(completed: int) -> None:
-            if opts.checkpoint_path is None or completed % opts.checkpoint_every:
-                return
-            save_checkpoint(
-                opts.checkpoint_path,
-                kind="cp_als",
-                iteration=completed,
-                factors=factors,
-                arrays={"lambda": lam, "fits": np.asarray(fits, dtype=float)},
-                meta={"rank": rank, "dims": list(tensor.dims), "nnz": tensor.nnz},
-            )
-
         for it in range(start_iteration, opts.max_iterations):
             last_mttkrp: np.ndarray | None = None
             with _obs.span("cp_als.iteration", iteration=it + 1):
@@ -317,7 +325,9 @@ def cp_als(
                     fit = calc_fit(xnorm2, lam, factors, last_mttkrp, grams=grams)
             fits.append(fit)
             iterations = it + 1
-            checkpoint(iterations)
+            if opts.checkpoint_path is not None and iterations % opts.checkpoint_every == 0:
+                save_cpals_checkpoint(opts.checkpoint_path, tensor, iterations,
+                                      factors, lam, fits)
             if callback is not None and callback(iterations, fit, factors):
                 break
             if opts.tolerance > 0 and it > 0 and abs(fits[-1] - fits[-2]) < opts.tolerance:

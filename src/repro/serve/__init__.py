@@ -15,7 +15,8 @@ JSON socket:
   max resident bytes, max queued jobs) with structured rejections;
 * :mod:`~repro.serve.engine` — the warm state: tensor + CSF/plan caches,
   one persistent tasking layer and worker pool, the resolved backend,
-  per-job checkpoint/suspend/resume and job-level fault retry;
+  one solver snapshot per suspend of a running cpd job (read by its
+  resume), and job-level fault retry;
 * :mod:`~repro.serve.scheduler` — batching: jobs arriving within the
   batch window that share a batch key (same tensor, rank and solver
   options modulo seed) run back-to-back against the same hot CSF set;

@@ -9,19 +9,25 @@ This is the reason the service exists.  One process-wide instance owns:
 * a **tensor cache** keyed by content fingerprint (path + mtime + size
   for file specs, a content hash for inline specs), so ten tenants
   decomposing the same tensor load it once;
-* a **CSF/plan cache**: one :class:`~repro.csf.build.CsfSet` per
-  (tensor, allocation, sort variant), whose generation-keyed
+* a **CSF/plan cache**: one :class:`~repro.csf.build.CsfSet` per cached
+  tensor, built with the ``two`` allocation, whose generation-keyed
   :class:`~repro.mttkrp.scatter.MttkrpContext` carries scatter plans and
   workspaces from request to request — the cumulative ``plan_hits``
   counters surfaced at ``/metrics`` are the direct evidence of reuse.
+  At most :data:`MAX_CACHED_TENSORS` tensors (and their CSF sets) stay
+  cached; the least recently used one is evicted first.
 
 Execution is **serialized** through one run lock: the compute plane is a
 single shared worker pool (jobs inside a run still fan out across its
 workers), while the protocol plane stays fully concurrent.  Each job
 runs under the resilience layer — the ``serve.job`` fault site is poked
-per attempt, injected faults are retried up to ``max_job_retries``, and
-suspendable jobs checkpoint to the spool directory so ``suspend`` /
-``resume`` round-trip through the standard checkpoint format.
+per attempt, and injected faults are retried up to ``max_job_retries``.
+A cpd job that stops for a suspend writes one snapshot of its solver
+state to the spool directory, in the standard ``cp_als`` checkpoint
+format; ``resume`` continues from it, and the job store deletes the
+file once the job ends (done, failed or cancelled).  No other job state is written to disk: the job
+records live in memory, so nothing could resume from a periodic snapshot
+after a daemon crash.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from repro._util import INDEX_DTYPE, VALUE_DTYPE
 from repro.backend import resolve_backend
-from repro.core.cpals import cp_als
+from repro.core.cpals import cp_als, save_cpals_checkpoint
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
 from repro.observe import TraceRecorder, tracing
@@ -50,13 +56,16 @@ from repro.serve.jobstore import Job
 from repro.tensor.coo import SparseTensor
 from repro.tensor.io import load_binary, load_mmap, load_tns
 
-__all__ = ["WarmEngine", "JOB_FAULT_SITE"]
+__all__ = ["WarmEngine", "JOB_FAULT_SITE", "MAX_CACHED_TENSORS"]
 
 #: The job-layer fault-injection site: poked once per execution attempt,
 #: so a (site, occurrence) target fails exactly the Nth attempt served.
 JOB_FAULT_SITE = "serve.job"
 
 JOB_KINDS = ("cpd", "tucker", "complete")
+
+#: Tensors (with their CSF sets) the engine keeps cached, LRU-evicted.
+MAX_CACHED_TENSORS = 32
 
 
 def _tensor_bytes(tensor: SparseTensor) -> int:
@@ -71,29 +80,23 @@ class WarmEngine:
         *,
         tasks: int = 1,
         backend: str | None = "auto",
-        allocation: str = "two",
-        sort_variant: str = "lexsort",
         spool: str | Path,
         max_job_retries: int = 2,
-        max_cached_tensors: int = 32,
     ) -> None:
         self.env = ChapelEnv(num_tasks=tasks)
         self.layer = make_tasking_layer(self.env)
         self.backend = resolve_backend(backend)
         if self.backend.compiled:
             self.backend.ensure_ready()
-        self.allocation = allocation
-        self.sort_variant = sort_variant
         self.spool = Path(spool)
         self.spool.mkdir(parents=True, exist_ok=True)
         self.max_job_retries = max_job_retries
-        self.max_cached_tensors = max_cached_tensors
 
         #: Serializes solver execution: one compute plane, many protocol
         #: threads.  Also protects the caches below.
         self._run_lock = threading.Lock()
         self._tensors: OrderedDict[str, SparseTensor] = OrderedDict()
-        self._csf: OrderedDict[tuple, Any] = OrderedDict()
+        self._csf: OrderedDict[str, Any] = OrderedDict()
         self._metrics_lock = threading.Lock()
         self._counters: dict[str, float] = {
             "tensor_cache_hits": 0, "tensor_cache_misses": 0,
@@ -171,10 +174,9 @@ class WarmEngine:
         self.bump("tensor_cache_misses")
         with self._run_lock:
             self._tensors[key] = tensor
-            while len(self._tensors) > self.max_cached_tensors:
+            while len(self._tensors) > MAX_CACHED_TENSORS:
                 old_key, _ = self._tensors.popitem(last=False)
-                for ck in [k for k in self._csf if k[0] == old_key]:
-                    del self._csf[ck]
+                self._csf.pop(old_key, None)
         return tensor, key
 
     def _csf_for(self, tensor: SparseTensor, key: str):
@@ -183,17 +185,14 @@ class WarmEngine:
         Caller must hold ``_run_lock`` — the set's plan cache and
         workspaces are not safe under concurrent solves.
         """
-        ck = (key, self.allocation, self.sort_variant)
-        cs = self._csf.get(ck)
+        cs = self._csf.get(key)
         if cs is not None:
-            self._csf.move_to_end(ck)
+            self._csf.move_to_end(key)
             self.bump("csf_cache_hits")
             return cs
         with _obs.span("serve.csf_build", key=key):
-            cs = build_csf_set(
-                tensor, allocation=self.allocation, sort_variant=self.sort_variant
-            )
-        self._csf[ck] = cs
+            cs = build_csf_set(tensor)
+        self._csf[key] = cs
         self.bump("csf_cache_misses")
         return cs
 
@@ -272,26 +271,17 @@ class WarmEngine:
         spec = job.spec
         rank = int(spec.get("rank", 8))
         suspend_after = spec.get("suspend_after_iterations")
-        # a job suspended while still queued has no snapshot yet — it
-        # simply starts from scratch on resume
-        resume_from = None
-        if job.resumed and job.checkpoint_path and Path(job.checkpoint_path).exists():
-            resume_from = job.checkpoint_path
-        ck_path = self.spool / f"{job.id}.ck.npz"
+        # resume from the snapshot of the job's last suspend while running;
+        # a job that never stopped that way has none and starts from scratch
         opts = CpalsOptions(
             max_iterations=int(spec.get("iterations", 20)),
             tolerance=float(spec.get("tolerance", 1e-5)),
             variant=str(spec.get("variant", "vectorized")),
-            allocation=self.allocation,
-            sort_variant=self.sort_variant,
             env=self.env,
             seed=spec.get("seed", 0),
             backend=self.backend.name,
-            checkpoint_path=str(ck_path),
-            checkpoint_every=int(spec.get("checkpoint_every", 1)),
-            resume_from=resume_from,
+            resume_from=job.checkpoint_path,
         )
-        job.checkpoint_path = str(ck_path)
         suspended = {"flag": False}
 
         def observer(iteration: int, fit: float, factors) -> bool:
@@ -309,8 +299,12 @@ class WarmEngine:
                         csf_set=csf_set, layer=self.layer)
         self._absorb_engine_stats(result.engine_stats)
         if suspended["flag"]:
-            # the per-iteration checkpoint written just before the
-            # callback stopped the loop is the resume point
+            # the state the loop stopped in is the resume point
+            ck_path = str(self.spool / f"{job.id}.ck.npz")
+            save_cpals_checkpoint(ck_path, tensor, result.iterations,
+                                  result.kruskal.factors, result.kruskal.weights,
+                                  result.fits)
+            job.checkpoint_path = ck_path
             return "suspended"
         job.iterations_done = result.iterations
         job.result = {

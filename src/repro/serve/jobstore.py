@@ -8,13 +8,18 @@ A job moves through::
        ├────────> cancelled            (cancel while still queued)
        └────────> suspended            (suspend while still queued)
 
-    suspended ──resume──> queued       (continues from its checkpoint)
+    suspended ──resume──> queued       (continues from its snapshot)
 
 Terminal states are ``done``, ``failed`` and ``cancelled``.  Suspension
-relies on the resilience layer: a suspendable job checkpoints its solver
-state to the server's spool directory, and resume re-enqueues it with
-``resume_from`` pointing at that snapshot, so the resumed run reproduces
-the uninterrupted one (the checkpoint golden tests pin this down).
+relies on the resilience layer: a cpd job that stops running for a
+suspend writes one snapshot of its solver state to the server's spool
+directory and records it in ``Job.checkpoint_path``; resume re-enqueues
+the job, which then runs with ``resume_from`` pointing at that snapshot,
+so the resumed run reproduces the uninterrupted one (the checkpoint
+golden tests pin this down).  The snapshot is deleted when the job
+reaches a terminal state.  A job suspended before it ever ran has no
+snapshot and starts over.  The store lives in memory only: a daemon
+that exits forgets every job, queued, running or suspended.
 
 All mutation goes through :class:`JobStore`, which holds one lock; the
 protocol handlers, the scheduler thread and the engine all touch jobs
@@ -26,6 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any
 
 __all__ = ["Job", "JobStore", "QUEUED", "RUNNING", "SUSPENDED", "DONE",
@@ -49,7 +55,9 @@ class Job:
     solver options); everything else is server-side bookkeeping.  The
     ``done`` event fires on every transition into a terminal state *or*
     into ``suspended`` — both end the current execution, which is what
-    ``wait`` callers block on.
+    ``wait`` callers block on.  ``checkpoint_path`` is set only while a
+    suspend snapshot exists for the job; :meth:`JobStore.transition`
+    deletes it when the job ends.
     """
 
     id: str
@@ -142,8 +150,13 @@ class JobStore:
     # transitions (all under the store lock; events fired outside it)
     # ------------------------------------------------------------------
     def transition(self, job: Job, state: str, *, error: dict | None = None) -> None:
-        """Move ``job`` to ``state``, stamping times and firing events."""
+        """Move ``job`` to ``state``, stamping times and firing events.
+
+        A job entering a terminal state can never be resumed, so its
+        suspend snapshot, if any, is deleted before waiters are woken.
+        """
         fire = False
+        snapshot = None
         with self._lock:
             job.state = state
             if state == RUNNING:
@@ -154,9 +167,13 @@ class JobStore:
                 job.finished_s = time.time()
                 if error is not None:
                     job.error = error
+                if state in TERMINAL_STATES:
+                    snapshot, job.checkpoint_path = job.checkpoint_path, None
                 fire = True
             elif state == QUEUED:  # resume path
                 job.done.clear()
                 job.suspend_requested.clear()
+        if snapshot is not None:
+            Path(snapshot).unlink(missing_ok=True)
         if fire:
             job.done.set()

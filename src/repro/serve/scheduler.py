@@ -19,7 +19,7 @@ The scheduler owns exactly one executor thread; the engine's run lock
 makes that the single compute plane.  Suspending a *queued* job removes
 it from the queue before it ever runs; suspending a *running* job sets
 its ``suspend_requested`` event, which the per-iteration callback in the
-engine honors at the next checkpoint boundary.
+engine honors at the next iteration.
 """
 
 from __future__ import annotations

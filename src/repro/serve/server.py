@@ -53,11 +53,9 @@ class ServeConfig:
         batch_window: float = 0.05,
         tasks: int = 1,
         backend: str | None = "auto",
-        allocation: str = "two",
         spool: str | Path | None = None,
         quotas: QuotaPolicy | None = None,
         max_job_retries: int = 2,
-        max_cached_tensors: int = 32,
         sanitize: bool = False,
         sanitize_seed: int | None = None,
         fault_targets: list[tuple[str, int]] | None = None,
@@ -67,11 +65,9 @@ class ServeConfig:
         self.batch_window = batch_window
         self.tasks = tasks
         self.backend = backend
-        self.allocation = allocation
         self.spool = spool
         self.quotas = quotas if quotas is not None else QuotaPolicy()
         self.max_job_retries = max_job_retries
-        self.max_cached_tensors = max_cached_tensors
         self.sanitize = sanitize
         self.sanitize_seed = sanitize_seed
         self.fault_targets = list(fault_targets or [])
@@ -133,10 +129,8 @@ class ReproServer:
         self.engine = WarmEngine(
             tasks=self.config.tasks,
             backend=self.config.backend,
-            allocation=self.config.allocation,
             spool=spool,
             max_job_retries=self.config.max_job_retries,
-            max_cached_tensors=self.config.max_cached_tensors,
         )
         self.scheduler = Scheduler(self.engine, self.store,
                                    batch_window=self.config.batch_window)
@@ -328,8 +322,8 @@ class ReproServer:
             self.store.transition(job, js.SUSPENDED)
             self.engine.bump("jobs_suspended")
             return proto.ok(id=job.id, state=job.state)
-        # running: the engine callback will checkpoint and stop at the
-        # next iteration boundary
+        # running: the engine callback stops the solve at the next
+        # iteration boundary and writes the job's one snapshot
         job.done.wait(timeout=float(request.get("timeout", 300.0)))
         if job.state == js.SUSPENDED:
             self.engine.bump("jobs_suspended")

@@ -252,3 +252,27 @@ class TestCsfSet:
         t = random_tensor((5,), 3, seed=0)
         cs = build_csf_set(t, allocation="two")
         assert len(cs.trees) == 1
+
+
+class TestPublicApiSurface:
+    def test_top_level_all_resolves(self):
+        import repro
+
+        for name in repro.__all__:
+            assert hasattr(repro, name), f"repro.__all__ lists missing {name!r}"
+
+    def test_subpackage_all_resolves(self):
+        import importlib
+
+        for pkg in ("repro.tensor", "repro.csf", "repro.linalg", "repro.mttkrp",
+                    "repro.runtime", "repro.core", "repro.perfmodel",
+                    "repro.completion", "repro.constrained", "repro.distributed",
+                    "repro.analysis", "repro.tucker", "repro.bench"):
+            module = importlib.import_module(pkg)
+            for name in getattr(module, "__all__", []):
+                assert hasattr(module, name), f"{pkg}.__all__ lists missing {name!r}"
+
+    def test_version(self):
+        import repro
+
+        assert repro.__version__ == "1.0.0"

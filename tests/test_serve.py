@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.resilience.checkpoint import load_checkpoint
 from repro.serve import (
     QuotaExceeded,
     QuotaPolicy,
@@ -30,6 +31,7 @@ from repro.serve import (
     ServeError,
     TenantQuotas,
 )
+from repro.serve import engine as serve_engine
 from repro.serve import jobstore as js
 from repro.serve import protocol as proto
 from repro.serve.engine import JOB_FAULT_SITE
@@ -325,6 +327,20 @@ class TestWarmReuse:
         stats = server.scheduler.stats()
         assert stats["largest_batch"] >= 3
 
+    def test_tensor_eviction_drops_its_csf_set(self, server, client,
+                                               monkeypatch):
+        monkeypatch.setattr(serve_engine, "MAX_CACHED_TENSORS", 1)
+        first = client.submit(cpd_spec(seed=1, tensor_seed=0))["id"]
+        client.wait(first, timeout=60)
+        first_key = server.store.get(first).tensor_key
+        assert first_key in server.engine._csf
+        second = client.submit(cpd_spec(seed=1, tensor_seed=1))["id"]
+        assert client.wait(second, timeout=60)["job"]["state"] == "done"
+        assert list(server.engine._csf) == [server.store.get(second).tensor_key]
+        engine = client.metrics()["metrics"]["engine"]
+        assert engine["cached_tensors"] == 1
+        assert engine["cached_csf_sets"] == 1
+
     def test_seeds_still_differ_within_batch(self, client):
         a = client.submit(cpd_spec(seed=1))["id"]
         b = client.submit(cpd_spec(seed=2))["id"]
@@ -372,7 +388,7 @@ class TestQuotaEnforcement:
 
 class TestSuspendResume:
     def test_self_suspend_then_resume_reproduces_clean_run(self, client):
-        # suspends itself after 3 of 8 iterations (checkpointing each)
+        # suspends itself after 3 of 8 iterations (one snapshot at the stop)
         job = client.submit(cpd_spec(seed=5, iterations=8,
                                      suspend_after_iterations=3))
         suspended = client.wait(job["id"], timeout=60)["job"]
@@ -390,6 +406,36 @@ class TestSuspendResume:
             reference["result"]["fit"], abs=1e-12)
         assert np.allclose(finished["result"]["lambda"],
                            reference["result"]["lambda"])
+
+    def test_completed_jobs_leave_spool_empty(self, server, client):
+        ids = [client.submit(cpd_spec(seed=s))["id"] for s in (1, 2, 3)]
+        assert all(client.wait(i, timeout=60)["job"]["state"] == "done"
+                   for i in ids)
+        assert list(server.engine.spool.iterdir()) == []
+
+    def test_suspend_writes_one_snapshot_deleted_when_done(self, server, client):
+        job = client.submit(cpd_spec(seed=5, iterations=8,
+                                     suspend_after_iterations=3))
+        assert client.wait(job["id"], timeout=60)["job"]["state"] == "suspended"
+        snapshots = list(server.engine.spool.iterdir())
+        assert len(snapshots) == 1
+        ck = load_checkpoint(snapshots[0], expect_kind="cp_als")
+        assert ck.iteration == 3
+        assert len(ck.arrays["fits"]) == 3
+        client.resume(job["id"])
+        assert client.wait(job["id"], timeout=60)["job"]["state"] == "done"
+        assert list(server.engine.spool.iterdir()) == []
+        assert server.store.get(job["id"]).checkpoint_path is None
+
+    def test_cancelled_resume_drops_snapshot(self, server, client):
+        job = client.submit(cpd_spec(seed=5, iterations=8,
+                                     suspend_after_iterations=3))
+        client.wait(job["id"], timeout=60)
+        assert len(list(server.engine.spool.iterdir())) == 1
+        server.scheduler.batch_window = 0.5
+        client.resume(job["id"])
+        assert client.cancel(job["id"])["state"] == "cancelled"
+        assert list(server.engine.spool.iterdir()) == []
 
     def test_suspend_while_queued_needs_no_checkpoint(self, server):
         server.scheduler.batch_window = 0.5
@@ -451,6 +497,35 @@ class TestFaultRetry:
         assert np.allclose(retried["result"]["lambda"],
                            clean["result"]["lambda"])
         assert retried["result"]["fit"] == pytest.approx(
+            clean["result"]["fit"], abs=1e-12)
+
+    def test_faulted_resume_retries_from_snapshot(self, tmp_path):
+        spec = cpd_spec(seed=14, iterations=8)
+        with ReproServer(ServeConfig(port=0, spool=tmp_path / "clean")) as srv:
+            with ServeClient(port=srv.port) as c:
+                clean = c.wait(c.submit(spec)["id"], timeout=60)
+
+        # attempt 1 suspends at iteration 3; attempt 2 (the resume)
+        # faults; attempt 3 must pick up the snapshot again
+        config = ServeConfig(port=0, spool=tmp_path / "faulty",
+                             fault_targets=[(JOB_FAULT_SITE, 2)])
+        with ReproServer(config) as srv:
+            with ServeClient(port=srv.port) as c:
+                job = c.submit({**spec, "suspend_after_iterations": 3,
+                                "trace": True})
+                assert c.wait(job["id"], timeout=60)["job"]["state"] == "suspended"
+                c.resume(job["id"])
+                resumed = c.wait(job["id"], timeout=60)
+                assert resumed["job"]["state"] == "done"
+                assert resumed["job"]["attempts"] == 3
+                assert c.metrics()["metrics"]["engine"]["job_retries"] == 1
+                # the trace is the last attempt's: it resumed, not restarted
+                events = c.trace(job["id"])["trace"]["traceEvents"]
+        solves = [e for e in events if e.get("name") == "cp_als"]
+        assert [e["args"].get("resumed_from_iteration") for e in solves] == [3]
+        assert list((tmp_path / "faulty").iterdir()) == []
+        assert resumed["result"]["iterations"] == 8
+        assert resumed["result"]["fit"] == pytest.approx(
             clean["result"]["fit"], abs=1e-12)
 
     def test_persistent_fault_exhausts_retries(self, tmp_path):
