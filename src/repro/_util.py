@@ -1,4 +1,4 @@
-"""Shared internal helpers: validation, RNG handling, index math.
+"""Shared internal helpers: validation, RNG handling, index math, atomic writes.
 
 These utilities are deliberately tiny and dependency-free so every
 subpackage (tensor, csf, mttkrp, runtime, perfmodel) can use them without
@@ -7,7 +7,10 @@ import cycles.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -15,6 +18,7 @@ __all__ = [
     "INDEX_DTYPE",
     "VALUE_DTYPE",
     "as_rng",
+    "atomic_write",
     "check_axis",
     "check_positive",
     "check_rank",
@@ -107,3 +111,24 @@ def human_bytes(nbytes: float) -> str:
             return f"{size:.2f} {unit}"
         size /= 1024.0
     raise AssertionError("unreachable")
+
+
+@contextmanager
+def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Write ``path`` all-or-nothing: yield a binary handle to a temp file.
+
+    The temp file sits next to ``path``; on a clean exit it is flushed,
+    fsynced and ``os.replace``-d over ``path``.  A crash at any point
+    leaves the previous complete file (or none), never a torn one, and a
+    raised error also removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # failed write: don't litter

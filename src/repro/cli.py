@@ -202,28 +202,44 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cpd_distributed(args: argparse.Namespace, tensor, opts: CpalsOptions):
-    """Run ``cpd`` through the medium-grained distributed driver."""
-    from repro.distributed import distributed_cp_als
-
-    # checkpoint/resume × distributed is rejected by CpalsOptions itself
-    # (the options object cannot be constructed), so the CLI and the
-    # programmatic API agree by construction.
-    if getattr(args, "sanitize", False) and opts.transport == "proc":
+def _check_distributed_args(args: argparse.Namespace) -> None:
+    """Reject every ``cpd`` flag the distributed route would drop."""
+    if args.locales < 1:
+        raise ValueError(f"--locales must be >= 1, got {args.locales}")
+    route = "is not supported with --locales > 1 or --transport proc"
+    for flag, given, only in (("--allocation", args.allocation, "two"),
+                              ("--variant", args.variant, "vectorized"),
+                              ("--tasks", args.tasks, 1)):
+        if given != only:
+            raise ValueError(
+                f"{flag} {given} {route}: distributed runs always use {flag} {only}"
+            )
+    for flag, path in (("--checkpoint", args.checkpoint), ("--resume", args.resume)):
+        if path is not None:
+            raise ValueError(
+                f"{flag} {route}: distributed runs have no checkpoint format"
+            )
+    if args.sanitize and args.transport == "proc":
         raise ValueError(
             "--sanitize instruments in-process tasking and cannot observe "
             "spawned locale workers; use --transport sim to sanitize"
         )
+
+
+def _cmd_cpd_distributed(args: argparse.Namespace, tensor):
+    """Run ``cpd`` through the medium-grained distributed driver."""
+    from repro.distributed import distributed_cp_als
+
     with _traced(args), _SanitizeScope(args) as san_scope:
         result = distributed_cp_als(
             tensor,
             args.rank,
-            nlocales=opts.locales,
-            transport=opts.transport,
-            backend=opts.backend,
-            max_iterations=opts.max_iterations,
-            tolerance=opts.tolerance,
-            seed=opts.seed,
+            nlocales=args.locales,
+            transport=args.transport,
+            backend=args.backend,
+            max_iterations=args.iterations,
+            tolerance=args.tolerance,
+            seed=args.seed,
         )
     _report_trace(args)
     grid = "x".join(str(g) for g in result.grid.shape)
@@ -246,24 +262,23 @@ def _cmd_cpd_distributed(args: argparse.Namespace, tensor, opts: CpalsOptions):
 
 
 def _cmd_cpd(args: argparse.Namespace) -> int:
-    tensor = _load(args.tensor)
-    opts = CpalsOptions(
-        max_iterations=args.iterations,
-        tolerance=args.tolerance,
-        variant=args.variant,
-        allocation=args.allocation,
-        env=ChapelEnv(num_tasks=args.tasks),
-        seed=args.seed,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        resume_from=args.resume,
-        backend=args.backend,
-        locales=args.locales,
-        transport=args.transport,
-    )
-    if opts.distributed:
-        result, san_scope = _cmd_cpd_distributed(args, tensor, opts)
+    if args.locales != 1 or args.transport == "proc":
+        _check_distributed_args(args)
+        result, san_scope = _cmd_cpd_distributed(args, _load(args.tensor))
     else:
+        tensor = _load(args.tensor)
+        opts = CpalsOptions(
+            max_iterations=args.iterations,
+            tolerance=args.tolerance,
+            variant=args.variant,
+            allocation=args.allocation,
+            env=ChapelEnv(num_tasks=args.tasks),
+            seed=args.seed,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            resume_from=args.resume,
+            backend=args.backend,
+        )
         with _traced(args), _SanitizeScope(args) as san_scope:
             result = cp_als(tensor, args.rank, opts)
         _report_trace(args)
@@ -606,12 +621,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write a Chrome-trace-format JSON timeline of the run")
     p.add_argument("--locales", "-l", type=int, default=1,
                    help="locale count for distributed CP-ALS (medium-grained "
-                        "grid; default 1 = serial)")
+                        "grid; default 1 = serial); the distributed route "
+                        "rejects the serial-only flags listed in "
+                        "docs/DISTRIBUTED.md")
     p.add_argument("--transport", default="sim", choices=["sim", "proc"],
                    help="distributed data plane: 'sim' runs locales "
                         "in-process (metered simulation), 'proc' spawns one "
                         "worker process per locale exchanging through shared "
-                        "memory — see docs/DISTRIBUTED.md")
+                        "memory (also for one locale) — see docs/DISTRIBUTED.md")
     _add_backend_flag(p)
     _add_sanitize_flags(p)
     _add_checkpoint_flags(p)

@@ -141,10 +141,6 @@ class CompletionResult:
     def final_train_rmse(self) -> float:
         return self.train_rmse[-1] if self.train_rmse else float("nan")
 
-    @property
-    def final_val_rmse(self) -> float:
-        return self.val_rmse[-1] if self.val_rmse else float("nan")
-
 
 def _split(
     tensor: SparseTensor, fraction: float, rng: np.random.Generator

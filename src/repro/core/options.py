@@ -19,7 +19,12 @@ DEFAULT_ITERATIONS = 20
 
 @dataclass
 class CpalsOptions:
-    """Everything configurable about a CP-ALS run.
+    """Everything configurable about one :func:`~repro.core.cpals.cp_als` run.
+
+    Every field is read by ``cp_als``.  Distributed runs are not configured
+    here: :func:`~repro.distributed.cpals.distributed_cp_als` takes its own
+    ``nlocales``/``transport`` arguments, and ``repro cpd`` picks that route
+    from ``--locales``/``--transport``.
 
     Attributes
     ----------
@@ -51,17 +56,6 @@ class CpalsOptions:
         See ``docs/BACKENDS.md``.
     seed:
         Seed for the random factor initialization.
-    locales:
-        Locale count for distributed runs.  ``1`` (the default) runs
-        serial :func:`~repro.core.cpals.cp_als`; values > 1 route through
-        :func:`~repro.distributed.cpals.distributed_cp_als` on a
-        :func:`~repro.distributed.grid.choose_grid` grid.
-    transport:
-        Data plane for distributed runs: ``"sim"`` (in-process locales,
-        metered simulation) or ``"proc"`` (spawned worker processes over
-        shared memory — see docs/DISTRIBUTED.md).  Ignored when
-        ``locales == 1`` unless set to ``"proc"``, which forces the
-        distributed path even for a single locale.
     checkpoint_path:
         When set, snapshot the ALS state to this path (atomic ``.npz``,
         see :mod:`repro.resilience.checkpoint`) every
@@ -88,8 +82,6 @@ class CpalsOptions:
     checkpoint_path: str | os.PathLike | None = None
     checkpoint_every: int = 1
     resume_from: str | os.PathLike | None = None
-    locales: int = 1
-    transport: str = "sim"
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
@@ -120,26 +112,3 @@ class CpalsOptions:
                     f"unknown backend {self.backend!r}; choose from "
                     f"{', '.join(registered_backends())} or 'auto'"
                 )
-        if self.locales < 1:
-            raise ValueError(f"locales must be >= 1, got {self.locales}")
-        # Imported lazily, like the backend check above: core.options must
-        # not import repro.distributed (which imports core) at module scope.
-        from repro.distributed.transport import TRANSPORTS
-
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {self.transport!r}; choose from {TRANSPORTS}"
-            )
-        if self.distributed and (
-            self.checkpoint_path is not None or self.resume_from is not None
-        ):
-            raise ValueError(
-                "checkpoint_path/resume_from (--checkpoint/--resume) are not "
-                "supported with locales > 1 or transport='proc' — distributed "
-                "runs have no checkpoint format yet; checkpoint serial runs only"
-            )
-
-    @property
-    def distributed(self) -> bool:
-        """Whether this configuration routes through distributed CP-ALS."""
-        return self.locales > 1 or self.transport == "proc"

@@ -169,21 +169,22 @@ def build_csf_set(
     tensor: SparseTensor,
     *,
     allocation: str = "two",
-    ordering: str = "sorted_smallest",
     sort_variant: str = "lexsort",
 ) -> CsfSet:
     """Build CSF tree(s) per the chosen allocation policy.
 
     ``allocation`` is one of :data:`repro.csf.permute.CSF_ALLOCATIONS`:
     ``"one"`` (single tree), ``"two"`` (SPLATT's default: smallest-rooted +
-    largest-rooted), or ``"all"`` (one per mode).
+    largest-rooted), or ``"all"`` (one per mode).  Every tree orders its
+    non-root levels by :func:`~repro.csf.permute.mode_order`'s default
+    ``"sorted_smallest"`` policy.
     """
     if allocation not in CSF_ALLOCATIONS:
         raise ValueError(f"unknown allocation {allocation!r}; choose from {CSF_ALLOCATIONS}")
     dims = tensor.dims
     nmodes = tensor.nmodes
     roots: list[int]
-    base = mode_order(dims, ordering=ordering)
+    base = mode_order(dims)
     if allocation == "one" or nmodes == 1:
         roots = [base[0]]
     elif allocation == "two":
@@ -198,7 +199,7 @@ def build_csf_set(
         trees = [
             build_csf(
                 tensor,
-                mode_order(dims, ordering=ordering, root=r),
+                mode_order(dims, root=r),
                 sort_variant=sort_variant,
             )
             for r in roots

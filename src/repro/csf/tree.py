@@ -149,19 +149,6 @@ class CsfTensor:
             starts = self.fptr[lower][starts]
         return ends - starts
 
-    def tile(self, *args, **kwargs):  # noqa: D401 - deliberate stub
-        """Mode tiling — intentionally unimplemented.
-
-        SPLATT's optional cache-tiling of tensor modes was omitted from the
-        paper's Chapel port ("as it is not commonly used, and is not
-        evaluated in our experiments", §V-A); we mirror that scoping
-        decision and keep the hook for future work.
-        """
-        raise NotImplementedError(
-            "mode tiling was omitted from the paper's port (§V-A) and from "
-            "this reproduction; see DESIGN.md §6"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"CsfTensor(dims={self.dims}, perm={self.dim_perm}, "

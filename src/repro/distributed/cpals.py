@@ -103,8 +103,6 @@ def distributed_cp_als(
     max_iterations: int = 20,
     tolerance: float = 1e-5,
     seed: int | None = 0,
-    checkpoint_path=None,
-    resume_from=None,
 ) -> DistributedResult:
     """CP-ALS over a medium-grained locale decomposition.
 
@@ -121,12 +119,6 @@ def distributed_cp_als(
         Kernel backend for the local MTTKRPs (``None`` defers to
         ``$REPRO_BACKEND``/default; under ``proc`` each worker resolves
         and compiles it independently).
-    checkpoint_path / resume_from:
-        **Not supported.**  Distributed runs have no checkpoint format
-        yet; both are accepted only so direct callers get the same
-        explicit :class:`ValueError` the serial API raises (via
-        :class:`~repro.core.options.CpalsOptions`) instead of a silently
-        ignored keyword.
     Other parameters follow :func:`repro.core.cpals.cp_als`.
 
     Returns
@@ -141,12 +133,6 @@ def distributed_cp_als(
     exclude one-time setup.
     """
     rank = check_rank(rank)
-    if checkpoint_path is not None or resume_from is not None:
-        raise ValueError(
-            "checkpoint_path/resume_from are not supported by "
-            "distributed_cp_als — distributed runs have no checkpoint "
-            "format yet; checkpoint serial cp_als runs only"
-        )
     if tensor.nnz == 0:
         raise ValueError("cannot decompose an empty tensor")
     if grid is None:

@@ -42,7 +42,7 @@ from repro.observe import spans as _obs
 
 __all__ = ["Transport", "SimTransport", "ProcTransport", "make_transport", "TRANSPORTS"]
 
-#: Registered transport names (`--transport` / ``CpalsOptions.transport``).
+#: Registered transport names (``distributed_cp_als(transport=)``, `--transport`).
 TRANSPORTS: tuple[str, ...] = ("sim", "proc")
 
 #: Seconds to wait for a worker to spawn, import and build its CSF.
@@ -63,12 +63,11 @@ class Transport:
     name: str = "abstract"
 
     def __init__(self, part: MediumGrainPartition, grid: LocaleGrid, rank: int,
-                 *, backend=None, allocation: str = "two"):
+                 *, backend=None):
         self.part = part
         self.grid = grid
         self.rank = rank
         self.backend = backend
-        self.allocation = allocation
         #: Locale ranks that own at least one nonzero, ascending.
         self.active = [
             lrank for lrank, sub in enumerate(part.locale_tensors) if sub.nnz
@@ -126,9 +125,7 @@ class SimTransport(Transport):
         from repro.csf.build import build_csf_set
 
         self._csf = {
-            lrank: build_csf_set(
-                self.part.locale_tensors[lrank], allocation=self.allocation
-            )
+            lrank: build_csf_set(self.part.locale_tensors[lrank])
             for lrank in self.active
         }
 
@@ -199,7 +196,6 @@ class ProcTransport(Transport):
                             "rank": self.rank,
                             "nnz_range": (int(offsets[lrank]), int(offsets[lrank + 1])),
                             "blocks": self.blocks[lrank],
-                            "allocation": self.allocation,
                             "backend": self._backend_name(),
                         }
                         proc = ctx.Process(
@@ -306,11 +302,10 @@ def make_transport(
     rank: int,
     *,
     backend=None,
-    allocation: str = "two",
 ) -> Transport:
     """Instantiate a registered transport by name."""
     if name == "sim":
-        return SimTransport(part, grid, rank, backend=backend, allocation=allocation)
+        return SimTransport(part, grid, rank, backend=backend)
     if name == "proc":
-        return ProcTransport(part, grid, rank, backend=backend, allocation=allocation)
+        return ProcTransport(part, grid, rank, backend=backend)
     raise ValueError(f"unknown transport {name!r}; choose from {TRANSPORTS}")

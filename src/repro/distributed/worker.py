@@ -61,7 +61,7 @@ def _serve(conn, locale_rank: int, manifest: dict, spec: dict) -> None:
         values = arena["values"][lo_nnz:hi_nnz]
         sub = SparseTensor(coords, values, dims, name=f"locale{locale_rank}")
         with _obs.span("locale.csf.build", locale=locale_rank):
-            csf_set = build_csf_set(sub, allocation=spec["allocation"])
+            csf_set = build_csf_set(sub)
         backend = resolve_backend(spec["backend"])
         backend.ensure_ready()
         _obs.gauge("locale.backend", backend.name)

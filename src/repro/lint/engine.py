@@ -310,10 +310,6 @@ class ModuleView:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def enclosing_def_lines(self, node: ast.AST) -> list[int]:
-        """Line numbers of every enclosing ``def``/``class`` statement."""
-        return [a.lineno for a in self.ancestors(node) if isinstance(a, _SCOPE_NODES)]
-
     # -- hot-context analysis -------------------------------------------
     def in_loop(self, node: ast.AST) -> bool:
         """Inside a loop/comprehension within the innermost function?"""

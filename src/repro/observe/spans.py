@@ -238,13 +238,6 @@ class TraceRecorder:
             self._records.append(record)
             self.events_recorded += 1
 
-    def current_span_id(self) -> int | None:
-        """Id of the calling thread's innermost open span (or ``None``)."""
-        stack = getattr(self._tls, "stack", None)
-        if not stack:
-            return None
-        return stack[-1].id
-
     # ------------------------------------------------------------------
     def count(self, name: str, n: int | float = 1) -> None:
         """Thread-safe monotone counter increment."""

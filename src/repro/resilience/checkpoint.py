@@ -21,7 +21,8 @@ File format (version 1) — one NumPy ``.npz`` archive:
                           residuals, best-so-far factors, ...).
 ========================  =============================================
 
-Writes are **atomic**: the archive is written to a same-directory
+Writes are **atomic** (:func:`repro._util.atomic_write`, shared with
+``.tnsb`` tensors): the archive is written to a same-directory
 temporary file, flushed and fsynced, then ``os.replace``-d over the
 destination — a kill mid-write leaves either the previous complete
 checkpoint or none, never a torn one.  ``allow_pickle`` stays ``False``
@@ -42,6 +43,7 @@ from zipfile import BadZipFile
 
 import numpy as np
 
+from repro._util import atomic_write
 from repro.observe import spans as _obs
 
 __all__ = [
@@ -116,7 +118,6 @@ def save_checkpoint(
         Generator whose bit-generator state should be captured (needed by
         stochastic solvers — SGD shuffling must resume mid-stream).
     """
-    path = Path(path)
     header = {
         "version": CHECKPOINT_VERSION,
         "kind": str(kind),
@@ -135,16 +136,8 @@ def save_checkpoint(
         payload[f"arr_{name}"] = np.asarray(arr)
 
     with _obs.span("checkpoint.save", kind=kind, iteration=iteration, path=str(path)):
-        tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-        try:
-            with open(tmp, "wb") as fh:
-                np.savez(fh, **payload)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():  # failed write: don't litter
-                tmp.unlink(missing_ok=True)
+        with atomic_write(path) as fh:
+            np.savez(fh, **payload)
     _obs.count("checkpoint.saves")
 
 

@@ -107,28 +107,6 @@ class ChapelEnv:
             raise ValueError("omp_num_threads must be >= 1")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_environ(cls, environ: dict[str, str] | None = None) -> "ChapelEnv":
-        """Build from environment variables, using Chapel/Qthreads names.
-
-        Recognized: ``CHPL_RT_NUM_THREADS_PER_LOCALE``, ``CHPL_TASKS``,
-        ``QT_AFFINITY`` (``yes``/``no``), ``QT_SPINCOUNT``,
-        ``OMP_NUM_THREADS``.  Unset variables keep the defaults.
-        """
-        env = os.environ if environ is None else environ
-        kwargs: dict = {}
-        if "CHPL_RT_NUM_THREADS_PER_LOCALE" in env:
-            kwargs["num_tasks"] = int(env["CHPL_RT_NUM_THREADS_PER_LOCALE"])
-        if "CHPL_TASKS" in env:
-            kwargs["tasking_layer"] = env["CHPL_TASKS"].lower()
-        if "QT_AFFINITY" in env:
-            kwargs["qt_affinity"] = env["QT_AFFINITY"].lower() not in ("no", "0", "false")
-        if "QT_SPINCOUNT" in env:
-            kwargs["qt_spincount"] = int(env["QT_SPINCOUNT"])
-        if "OMP_NUM_THREADS" in env:
-            kwargs["omp_num_threads"] = int(env["OMP_NUM_THREADS"])
-        return cls(**kwargs)
-
     def with_tasks(self, num_tasks: int) -> "ChapelEnv":
         """Copy of this env with a different task count (sweep helper)."""
         return replace(self, num_tasks=num_tasks)

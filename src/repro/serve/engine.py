@@ -68,10 +68,6 @@ JOB_KINDS = ("cpd", "tucker", "complete")
 MAX_CACHED_TENSORS = 32
 
 
-def _tensor_bytes(tensor: SparseTensor) -> int:
-    return int(tensor.coords.nbytes + tensor.values.nbytes)
-
-
 class WarmEngine:
     """Executes jobs against long-lived caches.  One per server."""
 

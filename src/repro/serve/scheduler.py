@@ -97,10 +97,6 @@ class Scheduler:
         with self._cv:
             return len(self._queue)
 
-    def running_job(self) -> Job | None:
-        with self._cv:
-            return self._running_job
-
     def stats(self) -> dict[str, Any]:
         with self._cv:
             return {

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro._util import INDEX_DTYPE, VALUE_DTYPE
+from repro._util import INDEX_DTYPE, VALUE_DTYPE, atomic_write
 from repro.tensor.coo import SparseTensor
 
 __all__ = [
@@ -245,31 +245,22 @@ def save_mmap(tensor: SparseTensor, path: str | os.PathLike) -> None:
     little-endian arrays — so :func:`load_mmap` can hand back zero-copy
     ``np.memmap`` views instead of parsing anything.
 
-    The write is **atomic** (same write-temp–fsync–rename discipline as
+    The write is **atomic** (:func:`repro._util.atomic_write`, shared with
     :mod:`repro.resilience.checkpoint`): ``.tnsb`` files are mapped by
     every process sharing the page cache, so an in-place overwrite killed
     mid-write would leave a truncated file for all of them.  A crash
     leaves either the previous complete file or none — never a torn one.
     """
-    path = Path(path)
     coords = np.ascontiguousarray(tensor.coords, dtype=INDEX_DTYPE)
     values = np.ascontiguousarray(tensor.values, dtype=VALUE_DTYPE)
     header = np.array(
         [tensor.nmodes, tensor.nnz, *tensor.dims], dtype=_HEADER_DTYPE
     )
-    tmp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(MMAP_MAGIC)
-            fh.write(header.tobytes())
-            fh.write(coords.tobytes())
-            fh.write(values.tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # failed write: don't litter
-            tmp.unlink(missing_ok=True)
+    with atomic_write(path) as fh:
+        fh.write(MMAP_MAGIC)
+        fh.write(header.tobytes())
+        fh.write(coords.tobytes())
+        fh.write(values.tobytes())
 
 
 def load_mmap(path: str | os.PathLike) -> SparseTensor:

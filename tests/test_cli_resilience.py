@@ -62,6 +62,50 @@ class TestErrorHandling:
             main(["cpd", tns_file, "--no-such-flag"])
 
 
+class TestDistributedFlags:
+    """``repro cpd`` takes the distributed route on ``--locales`` != 1 or
+    ``--transport proc``; a flag that route would not read exits 1 and
+    names the flag, before any tensor is loaded or worker spawned."""
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--locales", "0"], "--locales"),
+        (["--locales", "2", "--allocation", "all"], "--allocation"),
+        (["--locales", "2", "--variant", "pointer"], "--variant"),
+        (["--locales", "2", "--tasks", "2"], "--tasks"),
+        (["--transport", "proc", "--allocation", "one"], "--allocation"),
+        (["--transport", "proc", "--checkpoint", "ck.npz"], "--checkpoint"),
+        (["--locales", "2", "--resume", "ck.npz"], "--resume"),
+        (["--transport", "proc", "--sanitize"], "--sanitize"),
+    ], ids=["locales-0", "allocation", "variant", "tasks", "proc-allocation",
+            "proc-checkpoint", "resume", "proc-sanitize"])
+    def test_dropped_flag_exits_1(self, tns_file, tmp_path, capsys, flags, named):
+        flags = [str(tmp_path / f) if f.endswith(".npz") else f for f in flags]
+        assert main(["cpd", tns_file, "-r", "2", "-i", "2", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "ck.npz").exists()
+
+    def test_distributed_run_matches_driver(self, tns_file, capsys):
+        from repro.distributed import distributed_cp_als
+        from repro.tensor.io import load_tns
+
+        assert main(["cpd", tns_file, "-r", "2", "-i", "3", "--tolerance", "0",
+                     "--locales", "2"]) == 0
+        out = capsys.readouterr().out
+        ref = distributed_cp_als(load_tns(tns_file), 2, nlocales=2,
+                                 max_iterations=3, tolerance=0, seed=0)
+        assert f"fit = {ref.fit:.6f} after 3 iterations" in out
+        assert "transport: sim" in out
+        assert (f"comm: fold {ref.comm.fold_rows} rows / "
+                f"{ref.comm.fold_messages} msgs") in out
+
+    def test_serial_route_keeps_serial_flags(self, tns_file, capsys):
+        assert main(["cpd", tns_file, "-r", "2", "-i", "2", "--locales", "1",
+                     "--allocation", "all", "--variant", "pointer",
+                     "--tasks", "2"]) == 0
+        assert "transport:" not in capsys.readouterr().out
+
+
 class TestCheckpointFlags:
     def test_cpd_checkpoint_and_resume_match_baseline(self, tns_file, tmp_path, capsys):
         base = tmp_path / "base.npz"
@@ -93,8 +137,8 @@ class TestCheckpointFlags:
         capsys.readouterr()
 
     def test_checkpoint_with_locales_exits_1(self, tns_file, tmp_path, capsys):
-        """CLI and programmatic API agree: checkpoint × distributed is a
-        clear error (raised by CpalsOptions itself), exit code 1."""
+        """checkpoint × distributed is a clear error, exit code 1, and
+        writes no snapshot."""
         ck = tmp_path / "ck.npz"
         assert main(["cpd", tns_file, "-r", "2", "-i", "2", "--locales", "2",
                      "--checkpoint", str(ck)]) == 1

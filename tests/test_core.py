@@ -1,5 +1,8 @@
 """Unit tests for the CP-ALS core: Kruskal tensors, timers, options, driver."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -126,20 +129,17 @@ class TestOptions:
         with pytest.raises(ValueError):
             CpalsOptions(pool_size=0)
 
-    def test_checkpoint_with_distributed_rejected(self):
-        """Regression: ``checkpoint_path`` + ``locales > 1`` used to be
-        silently ignored through the programmatic API (only the CLI
-        rejected the combination)."""
-        with pytest.raises(ValueError, match="not .*supported"):
-            CpalsOptions(checkpoint_path="ck.npz", locales=2)
-        with pytest.raises(ValueError, match="not .*supported"):
-            CpalsOptions(resume_from="ck.npz", locales=4)
-        with pytest.raises(ValueError, match="not .*supported"):
-            CpalsOptions(checkpoint_path="ck.npz", transport="proc")
-
     def test_checkpoint_serial_still_accepted(self):
-        opts = CpalsOptions(checkpoint_path="ck.npz", locales=1)
-        assert not opts.distributed
+        opts = CpalsOptions(checkpoint_path="ck.npz", resume_from="ck.npz")
+        assert opts.checkpoint_path == opts.resume_from == "ck.npz"
+
+    def test_cp_als_reads_every_field(self):
+        """An option ``cp_als`` never reads configures nothing: each field
+        must appear as ``opts.<name>`` in the solver's source."""
+        source = inspect.getsource(cp_als)
+        unread = [f.name for f in dataclasses.fields(CpalsOptions)
+                  if f"opts.{f.name}" not in source]
+        assert not unread, f"CpalsOptions fields cp_als never reads: {unread}"
 
 
 class TestInitFactors:

@@ -126,11 +126,6 @@ class TestBuildCsf:
         assert csf.level_of_mode(0) == 1
         assert csf.level_of_mode(1) == 2
 
-    def test_tiling_unimplemented(self, small_tensor):
-        csf = build_csf(small_tensor)
-        with pytest.raises(NotImplementedError, match="tiling"):
-            csf.tile()
-
 
 def _parent_build(tensor, dim_perm):
     """CSF construction by mode-permuting, lexsorting and ranking prefix

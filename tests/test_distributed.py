@@ -263,12 +263,12 @@ class TestTransportParam:
             distributed_cp_als(tensor, 2, nlocales=2, transport="mpi")
 
     def test_checkpoint_kwargs_rejected(self, tensor):
-        """Regression: direct callers passing checkpoint/resume paths must
-        get a clear error, not a silently ignored keyword (distributed
-        runs have no checkpoint format)."""
-        with pytest.raises(ValueError, match="checkpoint"):
+        """Distributed runs have no checkpoint format, so the signature has
+        no checkpoint/resume keywords: passing one is an error, never a
+        silently ignored keyword."""
+        with pytest.raises(TypeError, match="checkpoint_path"):
             distributed_cp_als(tensor, 2, nlocales=2, checkpoint_path="ck.npz")
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(TypeError, match="resume_from"):
             distributed_cp_als(tensor, 2, nlocales=2, resume_from="ck.npz")
 
 

@@ -197,14 +197,6 @@ def test_span_tree_shape():
     assert root["start"] >= 0 and root["duration"] >= 0
 
 
-def test_current_span_id():
-    rec = TraceRecorder()
-    assert rec.current_span_id() is None
-    with rec.span("s") as live:
-        assert rec.current_span_id() == live.id
-    assert rec.current_span_id() is None
-
-
 # ----------------------------------------------------------------------
 # the tracing() installer
 # ----------------------------------------------------------------------

@@ -34,23 +34,6 @@ class TestChapelEnv:
         env = ChapelEnv(num_tasks=2).with_tasks(8)
         assert env.num_tasks == 8
 
-    def test_from_environ(self):
-        env = ChapelEnv.from_environ({
-            "CHPL_RT_NUM_THREADS_PER_LOCALE": "16",
-            "CHPL_TASKS": "fifo",
-            "QT_AFFINITY": "no",
-            "QT_SPINCOUNT": "300",
-            "OMP_NUM_THREADS": "4",
-        })
-        assert env.num_tasks == 16
-        assert env.tasking_layer == "fifo"
-        assert env.qt_affinity is False
-        assert env.qt_spincount == 300
-        assert env.omp_num_threads == 4
-
-    def test_from_environ_defaults(self):
-        assert ChapelEnv.from_environ({}) == ChapelEnv()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChapelEnv(num_tasks=0)
