@@ -11,8 +11,8 @@ kernel signature is a fixed set of flat arrays plus scalars, and one JIT
 specialization serves tensors of any order.
 
 A ``PackedTree`` is immutable per tree and cached in
-:class:`~repro.mttkrp.scatter.MttkrpContext` under the tree's generation
-token (evicted with the tree).  The packed factor matrix changes every
+:class:`~repro.mttkrp.scatter.MttkrpContext` of the tree's CSF set, which
+lives exactly as long as the set.  The packed factor matrix changes every
 call (factors are updated each ALS sweep) and is rebuilt into a reused
 workspace buffer — an ``O(Σ dims · R)`` copy, negligible against the
 ``O(nnz · R)`` kernel work it unlocks.

@@ -212,8 +212,8 @@ class BackendCall:
 def prepare_call(backend: Backend, ctx, tree, factors: Sequence[np.ndarray]) -> BackendCall:
     """Build the :class:`BackendCall` for one MTTKRP on ``tree``.
 
-    The packed tree comes from ``ctx``'s generation-keyed cache (built once
-    per tree); the packed factor matrix is refreshed into a reused arena
+    The packed tree comes from ``ctx``, the cache of the set owning ``tree``
+    (built once per tree); the packed factor matrix is refreshed into a reused arena
     buffer every call.  ``factors`` must already be canonical.
     """
     backend.ensure_ready()

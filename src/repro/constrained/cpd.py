@@ -26,8 +26,10 @@ from repro.constrained.constraints import Constraint, make_constraint
 from repro.core.cpals import init_factors
 from repro.csf.build import build_csf_set
 from repro.linalg.ata import gram, hadamard_gram
+from repro.linalg.fit import calc_fit
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
+from repro.runtime.locks import make_mutex_pool
 from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.coo import SparseTensor
 
@@ -59,20 +61,6 @@ class ConstrainedResult:
         for m, f in enumerate(self.factors):
             acc *= f[coords[:, m]]
         return acc.sum(axis=1)
-
-
-def _fit(xnorm2: float, factors: Sequence[np.ndarray], last_mttkrp: np.ndarray,
-         grams: Sequence[np.ndarray]) -> float:
-    """Relative fit with weights folded into the factors (λ ≡ 1)."""
-    rank = factors[0].shape[1]
-    had = np.ones((rank, rank), dtype=VALUE_DTYPE)
-    for g in grams:
-        had *= g
-    znorm2 = max(float(had.sum()), 0.0)  # 1ᵀ (∗ grams) 1
-    inner = float(np.einsum("ir,ir->", last_mttkrp, factors[-1]))
-    residual_sq = max(xnorm2 + znorm2 - 2.0 * inner, 0.0)
-    xnorm = float(np.sqrt(xnorm2))
-    return 1.0 - float(np.sqrt(residual_sq)) / xnorm if xnorm else 1.0
 
 
 def constrained_cp_als(
@@ -115,6 +103,7 @@ def constrained_cp_als(
         cons = [make_constraint(c) for c in constraints]
 
     layer = make_tasking_layer(env if env is not None else ChapelEnv())
+    pool = make_mutex_pool("atomic", env=layer.env)
     csf_set = build_csf_set(tensor)
     rng = as_rng(seed)
     factors = init_factors(tensor.dims, rank, rng)
@@ -140,7 +129,8 @@ def constrained_cp_als(
         for mode in range(nmodes):
             v = hadamard_gram(factors, mode, grams=grams)
             m_out, _ = mttkrp_csf(
-                csf_set, factors, mode, layer=layer, out=out_buffers[mode]
+                csf_set, factors, mode, layer=layer, pool=pool,
+                out=out_buffers[mode],
             )
             new_factor, aux, dual, inner = admm_mode_solve(
                 m_out, v, cons[mode],
@@ -159,7 +149,8 @@ def constrained_cp_als(
             raise RuntimeError(
                 "constrained CP-ALS sweep updated no modes; cannot compute fit"
             )
-        fits.append(_fit(xnorm2, factors, last_mttkrp, grams))
+        # weights stay folded into the factors: λ ≡ 1
+        fits.append(calc_fit(xnorm2, np.ones(rank), factors, last_mttkrp, grams=grams))
         iterations = it + 1
         if tolerance > 0 and it > 0 and abs(fits[-1] - fits[-2]) < tolerance:
             converged = True

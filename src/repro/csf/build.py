@@ -128,14 +128,6 @@ class CsfSet:
             object.__setattr__(self, "_mttkrp_context", ctx)
         return ctx
 
-    def clear_plan_cache(self) -> None:
-        """Drop the set's cached MTTKRP plans/workspaces (no-op when the
-        context was never created).  See
-        :meth:`repro.mttkrp.scatter.MttkrpContext.clear_plan_cache`."""
-        ctx = getattr(self, "_mttkrp_context", None)
-        if ctx is not None:
-            ctx.clear_plan_cache()
-
     def memory_bytes(self) -> int:
         """Total storage over all trees (the one/two/all trade-off number)."""
         return sum(t.memory_bytes() for t in self.trees)

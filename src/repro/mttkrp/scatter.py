@@ -45,10 +45,6 @@ sites whose rows change every call (TTMc chunks, one-off scatters).
 
 from __future__ import annotations
 
-import itertools
-import threading  # reprolint: allow(raw-threading) — generation-token cache lock only; no task parallelism originates here
-import weakref
-
 import numpy as np
 
 from repro import probe as _probe
@@ -171,27 +167,23 @@ class RowScatter:
     """
 
     __slots__ = ("nrows_in", "order", "seg_starts", "out_rows",
-                 "bucket_ids", "bucket_bounds", "tag", "_order64", "_starts64",
-                 "_buckets64")
+                 "bucket_ids", "bucket_bounds", "tag", "_buckets64")
 
     def __init__(self, rows: np.ndarray, pool_size: int | None = None, tag=None):
         self.nrows_in = int(rows.shape[0])
         self.tag = ("scatter",) if tag is None else tag
-        # int64 views of order/seg_starts for compiled backends, built on
-        # first backend use (np.intp is int64 on 64-bit platforms, so these
-        # are usually zero-copy aliases).
-        self._order64 = None
-        self._starts64 = None
+        # order/seg_starts are int64 (np.intp on every supported platform),
+        # so compiled backends take them as they are.
         self._buckets64 = None
         if self.nrows_in == 0:
-            self.order = np.empty(0, dtype=np.intp)
-            self.seg_starts = np.empty(0, dtype=np.intp)
+            self.order = np.empty(0, dtype=np.int64)
+            self.seg_starts = np.empty(0, dtype=np.int64)
             self.out_rows = np.empty(0, dtype=rows.dtype)
             self.bucket_ids = None
             self.bucket_bounds = None
             return
         if pool_size is None:
-            self.order = np.argsort(rows, kind="stable").astype(np.intp, copy=False)
+            self.order = np.argsort(rows, kind="stable").astype(np.int64, copy=False)
             buckets = None
         else:
             buckets = rows % pool_size
@@ -199,10 +191,10 @@ class RowScatter:
             # preserving the original order of each row's contributions.
             self.order = lex_order(
                 (buckets, rows), (pool_size, int(rows.max()) + 1)
-            ).astype(np.intp, copy=False)
+            ).astype(np.int64, copy=False)
         sorted_rows = rows[self.order]
         starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
-        self.seg_starts = np.concatenate(([0], starts)).astype(np.intp, copy=False)
+        self.seg_starts = np.concatenate(([0], starts)).astype(np.int64, copy=False)
         self.out_rows = sorted_rows[self.seg_starts]
         if buckets is None:
             self.bucket_ids = None
@@ -212,8 +204,14 @@ class RowScatter:
             bstarts = np.flatnonzero(seg_buckets[1:] != seg_buckets[:-1]) + 1
             self.bucket_bounds = np.concatenate(
                 ([0], bstarts, [seg_buckets.size])
-            ).astype(np.intp, copy=False)
+            ).astype(np.int64, copy=False)
             self.bucket_ids = seg_buckets[self.bucket_bounds[:-1]]
+            # the compiled locked scatter's (rows, bounds, ids, max row)
+            self._buckets64 = (
+                *(a.astype(np.int64, copy=False)
+                  for a in (self.out_rows, self.bucket_bounds, self.bucket_ids)),
+                int(self.out_rows.max()),
+            )
 
     # ------------------------------------------------------------------
     def reduce(
@@ -237,9 +235,6 @@ class RowScatter:
             and contribs.dtype == VALUE_DTYPE
             and contribs.flags.c_contiguous
         ):
-            if self._starts64 is None:
-                self._order64 = self.order.astype(np.int64, copy=False)
-                self._starts64 = self.seg_starts.astype(np.int64, copy=False)
             shape = (self.seg_starts.size,) + contribs.shape[1:]
             if ws is None:
                 reduced = np.empty(shape, dtype=VALUE_DTYPE)
@@ -254,10 +249,10 @@ class RowScatter:
             flat = contribs.reshape(contribs.shape[0], width)
             flat_out = reduced.reshape(reduced.shape[0], width)
             if presorted:
-                backend.segment_sum(flat, self._starts64, flat_out)
+                backend.segment_sum(flat, self.seg_starts, flat_out)
             else:
                 backend.gather_segment_sum(
-                    flat, self._order64, self._starts64, flat_out
+                    flat, self.order, self.seg_starts, flat_out
                 )
             return reduced
         if presorted:
@@ -366,12 +361,6 @@ class RowScatter:
 
     def _scatter_locked(self, out, reduced, pool, locks, backend) -> None:
         """The compiled bucket loop, with the same counts as the Python one."""
-        if self._buckets64 is None:
-            self._buckets64 = (
-                *(a.astype(np.int64, copy=False)
-                  for a in (self.out_rows, self.bucket_bounds, self.bucket_ids)),
-                int(self.out_rows.max()),
-            )
         rows64, bounds64, ids64, max_row = self._buckets64
         # C indexes without bounds checks: refuse what Python would raise on
         # (bucket ids ascend, so the last is the largest)
@@ -568,80 +557,34 @@ class ScatterPlan:
         return total
 
 
-#: Monotone generation tokens for CSF trees: unlike ``id()``, a token is
-#: never reused, so a cache keyed by token can never alias a new tree onto
-#: a dead tree's plan.  Assigned lazily, one per tree, process-wide.
-_tree_token_counter = itertools.count(1)
-_tree_token_lock = threading.Lock()
-
-
-def _tree_token(tree: CsfTensor) -> int:
-    """The tree's generation token, assigned on first use."""
-    token = getattr(tree, "_mttkrp_token", None)
-    if token is None:
-        with _tree_token_lock:
-            token = getattr(tree, "_mttkrp_token", None)
-            if token is None:
-                token = next(_tree_token_counter)
-                tree._mttkrp_token = token
-    return token
-
-
-def _evict_context_tree(ctx_ref: "weakref.ref[MttkrpContext]", token: int) -> None:
-    """``weakref.finalize`` callback: drop a dead tree's cache entries."""
-    ctx = ctx_ref()
-    if ctx is not None:
-        ctx._evict_tree(token)
-
-
 class MttkrpContext:
     """Per-:class:`~repro.csf.build.CsfSet` cache of plans and workspaces.
 
-    Tree-scoped entries are keyed by a per-tree *generation token* rather
-    than ``id(tree)``: Python reuses object ids after garbage collection,
-    so an id-keyed cache in a long-lived context could silently hand a new
-    tree another tree's stale plan.  Tokens are never reused, and a
-    ``weakref.finalize`` on each tree evicts its entries when the tree is
-    collected, so a context fed a stream of transient trees does not grow
-    without bound.  Tracks plan hits/misses for the engine report
-    (``cp_als`` summary, benchmarks).
+    Tree-scoped entries are keyed by ``id(tree)``.  The context also holds
+    a strong reference to every tree it has seen, so no id can be reused
+    while its entries exist; for the owning set's own trees (the only
+    trees :func:`~repro.mttkrp.variants.mttkrp_csf` passes) that costs
+    nothing, and the whole cache lives exactly as long as the set.  Tracks
+    plan hits/misses for the engine report (``cp_als`` summary,
+    benchmarks).
     """
 
     def __init__(self) -> None:
+        self._trees: dict[int, CsfTensor] = {}
         self._traversals: dict = {}
         self._plans: dict = {}
         self._buffers: dict = {}
         self._workspaces: dict = {}
         self._packed: dict = {}
-        self._mutex_pools: dict = {}
-        self._finalized_tokens: set[int] = set()
-        # Reentrant: a finalize-driven eviction can fire from a GC pass
-        # triggered by an allocation while this thread already holds it.
-        self._evict_lock = threading.RLock()
         self.plan_hits = 0
         self.plan_misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------
     def _tree_key(self, tree: CsfTensor) -> int:
-        """The tree's token, registering the eviction finalizer once per
-        (context, tree) pair."""
-        token = _tree_token(tree)
-        with self._evict_lock:
-            if token not in self._finalized_tokens:
-                self._finalized_tokens.add(token)
-                weakref.finalize(tree, _evict_context_tree, weakref.ref(self), token)
-        return token
-
-    def _evict_tree(self, token: int) -> None:
-        """Drop every cache entry belonging to a collected tree."""
-        with self._evict_lock:
-            for cache in (self._traversals, self._plans, self._workspaces,
-                          self._buffers, self._packed):
-                for key in [k for k in cache if k[0] == token]:
-                    del cache[key]
-            self._finalized_tokens.discard(token)
-            self.evictions += 1
+        """``id(tree)``, pinned by holding the tree for the context's life."""
+        key = id(tree)
+        self._trees.setdefault(key, tree)
+        return key
 
     def _shared_traversals(
         self, tree: CsfTensor, ntasks: int
@@ -698,10 +641,10 @@ class MttkrpContext:
 
     def packed_tree(self, tree: CsfTensor):
         """The tree's cached :class:`~repro.backend.packing.PackedTree`
-        (flat compiled-kernel layout), built once per tree generation."""
+        (flat compiled-kernel layout), built once per tree."""
         from repro.backend.packing import PackedTree
 
-        key = (self._tree_key(tree),)
+        key = self._tree_key(tree)
         pk = self._packed.get(key)
         if pk is None:
             pk = PackedTree(tree)
@@ -712,22 +655,6 @@ class MttkrpContext:
         """The arena holding a backend's packed factor matrix for ``tree``
         (rebuilt into the same buffer every MTTKRP call)."""
         return self.workspaces(tree, 1, "pack:" + backend)[0]
-
-    def mutex_pool(self, kind: str, size: int, env):
-        """A cached mutex pool for amortized calls that didn't pass one.
-
-        Building a pool is ``size`` lock allocations per call — another
-        iteration-invariant setup cost.  Callers that pass their own pool
-        (``cp_als`` shares one across the whole run) never reach this.
-        """
-        key = (kind, size, id(env))
-        the_pool = self._mutex_pools.get(key)
-        if the_pool is None:
-            from repro.runtime.locks import make_mutex_pool
-
-            the_pool = make_mutex_pool(kind, size=size, env=env)
-            self._mutex_pools[key] = the_pool
-        return the_pool
 
     def buffers(
         self, tree: CsfTensor, level: int, ntasks: int, shape: tuple[int, ...]
@@ -746,38 +673,6 @@ class MttkrpContext:
         return bufs
 
     # ------------------------------------------------------------------
-    def cache_entries(self) -> dict[str, int]:
-        """Entry counts per internal cache (size accounting for tests and
-        capacity planning; byte totals live in :meth:`stats`)."""
-        return {
-            "plans": len(self._plans),
-            "traversals": len(self._traversals),
-            "workspaces": len(self._workspaces),
-            "buffers": len(self._buffers),
-            "packed": len(self._packed),
-            "mutex_pools": len(self._mutex_pools),
-        }
-
-    def clear_plan_cache(self) -> None:
-        """Drop every cached plan, traversal, workspace, privatization
-        buffer and mutex pool.
-
-        Dead trees evict their own entries automatically (token keys +
-        ``weakref.finalize``); this clears everything at once for processes
-        that want to release plan memory for *live* trees too.  Hit/miss
-        counters are preserved — they describe the run, not the cache
-        contents.  The next :meth:`plan` call rebuilds from scratch (a
-        miss) and yields identical results.
-        """
-        with self._evict_lock:
-            self._traversals.clear()
-            self._plans.clear()
-            self._buffers.clear()
-            self._workspaces.clear()
-            self._packed.clear()
-            self._mutex_pools.clear()
-            self._finalized_tokens.clear()
-
     def stats(self) -> dict[str, int]:
         """Cache accounting: plans held, hits, misses, bytes cached."""
         plan_bytes = sum(p.memory_bytes() for p in self._plans.values())
@@ -792,5 +687,4 @@ class MttkrpContext:
             "workspace_bytes": ws_bytes,
             "buffer_bytes": buf_bytes,
             "packed_bytes": packed_bytes,
-            "evictions": self.evictions,
         }

@@ -401,8 +401,9 @@ def mttkrp_csf(
         Runtime configuration; ``layer`` wins if both given, default is a
         serial Qthreads layer.
     mutex_kind / pool_size / pool:
-        Mutex pool configuration when locks are selected; pass ``pool`` to
-        share one pool (and its counters) across calls.
+        Mutex pool configuration when locks are selected.  Without
+        ``pool`` a locked call builds a fresh ``pool_size`` pool; repeated
+        callers pass ``pool`` to share one pool (and its counters).
     force_locks:
         Override the lock decision (used by Fig 4's sweep); ``None`` defers
         to :func:`needs_locks`.
@@ -460,12 +461,9 @@ def mttkrp_csf(
 
     the_pool: MutexPool | None = None
     if use_locks:
-        if pool is not None:
-            the_pool = pool
-        elif variant == "vectorized":
-            the_pool = csf_set.mttkrp_context.mutex_pool(mutex_kind, pool_size, env)
-        else:
-            the_pool = make_mutex_pool(mutex_kind, size=pool_size, env=env)
+        the_pool = pool if pool is not None else make_mutex_pool(
+            mutex_kind, size=pool_size, env=env
+        )
 
     plan_hit: bool | None = None
 

@@ -16,8 +16,11 @@ exception type listed in ``retry_on``):
   (metered as ``degraded_exchanges``), instead of killing the run.
 
 Real errors raised by task bodies are never retried — only the exception
-types in ``retry_on`` — so a buggy kernel still fails fast.  Every site
-retries through :meth:`repro.probe.Probe.retry`, the one retry loop.
+types in ``retry_on`` — so a buggy kernel still fails fast.  Every runtime
+site retries through :meth:`repro.probe.Probe.retry`; the one other loop
+is :meth:`repro.serve.engine.WarmEngine.execute`, which reruns a whole
+job up to ``max_job_retries`` times when an injected fault reaches it (from
+its ``serve.job`` site, or escaping the solver's own retries).
 
 **Idempotency caveat**: dispatch-level sites (``tasking.coforall``,
 ``pool.dispatch``, ``comm.*``) fire *before* any task body runs, so

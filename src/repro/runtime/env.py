@@ -1,9 +1,10 @@
 """Execution-environment configuration (the paper's Table II knobs).
 
-Collects every runtime variable the paper manipulates into one validated
-dataclass.  The same object drives both *real* execution (thread counts for
-the tasking layer) and *simulated* execution (the performance model reads
-the layer, affinity and spincount to decide lock and interference costs).
+Collects the runtime variables a real run uses into one validated
+dataclass: the task count sizes the tasking layer, the layer decides
+``sync``-variable behaviour, affinity pins Qthreads workers.  The
+performance model takes its own :class:`~repro.perfmodel.simulate.SimConfig`,
+which also carries the Qthreads spincount (:data:`DEFAULT_SPINCOUNT`).
 """
 
 from __future__ import annotations
@@ -80,18 +81,15 @@ class ChapelEnv:
         Qthreads worker pinning (``QT_AFFINITY``).  ``True`` is the
         Qthreads default; the paper sets ``no`` to let spin-waiting workers
         migrate away from OpenMP threads.
-    qt_spincount:
-        Spin-wait iterations before a Qthreads worker suspends
-        (``QT_SPINCOUNT``).
     omp_num_threads:
         OpenMP threads available to OpenBLAS inside the inverse routine
         (``OMP_NUM_THREADS``); the paper pins this to 1 for Chapel runs.
+        Validated and carried, but no run applies it yet.
     """
 
     num_tasks: int = 1
     tasking_layer: str = "qthreads"
     qt_affinity: bool = True
-    qt_spincount: int = DEFAULT_SPINCOUNT
     omp_num_threads: int = 1
 
     def __post_init__(self) -> None:
@@ -101,8 +99,6 @@ class ChapelEnv:
             raise ValueError(
                 f"unknown tasking layer {self.tasking_layer!r}; choose from {TASKING_LAYERS}"
             )
-        if self.qt_spincount < 0:
-            raise ValueError("qt_spincount must be >= 0")
         if self.omp_num_threads < 1:
             raise ValueError("omp_num_threads must be >= 1")
 

@@ -61,6 +61,7 @@ def certify_scatter_mutex(
     from repro.csf.build import build_csf_set
     from repro.mttkrp.variants import mttkrp_csf
     from repro.runtime.env import ChapelEnv
+    from repro.runtime.locks import make_mutex_pool
     from repro.runtime.tasking import make_tasking_layer
     from repro.tensor.generate import random_tensor
 
@@ -75,6 +76,7 @@ def certify_scatter_mutex(
         for layer_name in layer_names:
             env = ChapelEnv(num_tasks=ntasks, tasking_layer=layer_name)
             layer = make_tasking_layer(env)
+            pool = make_mutex_pool(kind, size=pool_size, env=env)
             csf_set = build_csf_set(tensor, allocation="two")
             try:
                 with sanitizing(seed=fuzz_seed) as san:
@@ -82,8 +84,7 @@ def certify_scatter_mutex(
                         mttkrp_csf(
                             csf_set, factors, mode,
                             layer=layer,
-                            mutex_kind=kind,
-                            pool_size=pool_size,
+                            pool=pool,
                             force_locks=True,
                         )
             finally:

@@ -10,9 +10,9 @@ This is the reason the service exists.  One process-wide instance owns:
   for file specs, a content hash for inline specs), so ten tenants
   decomposing the same tensor load it once;
 * a **CSF/plan cache**: one :class:`~repro.csf.build.CsfSet` per cached
-  tensor, built with the ``two`` allocation, whose generation-keyed
-  :class:`~repro.mttkrp.scatter.MttkrpContext` carries scatter plans and
-  workspaces from request to request — the cumulative ``plan_hits``
+  tensor, built with the ``two`` allocation, which owns the
+  :class:`~repro.mttkrp.scatter.MttkrpContext` that carries scatter plans
+  and workspaces from request to request — the cumulative ``plan_hits``
   counters surfaced at ``/metrics`` are the direct evidence of reuse.
   At most :data:`MAX_CACHED_TENSORS` tensors (and their CSF sets) stay
   cached; the least recently used one is evicted first.

@@ -1,20 +1,29 @@
 """Plan-cache lifecycle tests for :class:`repro.mttkrp.scatter.MttkrpContext`.
 
-The cache keys embed ``id(tree)``, so a long-lived context must be
-clearable: stale entries for dead trees both leak memory and — if an id is
-recycled — could alias a *new* tree onto an old plan.  These tests pin the
-``clear_plan_cache`` / ``cache_entries`` contract and verify fresh
-decompositions never share or retain plans.
+Each :class:`~repro.csf.build.CsfSet` owns one context, keyed by
+``id(tree)``; the context holds every tree it has seen, so an id cannot be
+reused while its entries exist and the cache lives exactly as long as the
+set.  These tests pin the ``stats()`` accounting, verify fresh sets and
+runs never share plans, and check that a locked MTTKRP without ``pool=``
+builds its own pool.
 """
 
 from __future__ import annotations
 
+import gc
+
 import numpy as np
+import pytest
 
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
+from repro.mttkrp import variants
+from repro.mttkrp.scatter import MttkrpContext
 from repro.mttkrp.variants import mttkrp_csf
+from repro.runtime.env import ChapelEnv
+from repro.runtime.locks import make_mutex_pool
+from repro.runtime.tasking import make_tasking_layer
 from repro.tensor.generate import random_tensor
 
 
@@ -34,50 +43,18 @@ def test_cache_entries_accounting():
     tensor = random_tensor((10, 8, 6), 120, seed=0)
     csf_set = build_csf_set(tensor)
     ctx = csf_set.mttkrp_context
-    assert all(v == 0 for v in ctx.cache_entries().values())
+    assert ctx.stats()["plans"] == 0
     factors = _factors(tensor)
     _sweep(csf_set, factors)
-    entries = ctx.cache_entries()
-    assert entries["plans"] > 0
-    assert entries["traversals"] > 0
-    assert entries["workspaces"] > 0
-    assert ctx.plan_misses == entries["plans"]
+    stats = ctx.stats()
+    assert stats["plans"] > 0
+    assert stats["plan_bytes"] > 0
+    assert ctx.plan_misses == stats["plans"]
     assert ctx.plan_hits == 0
-    # a second sweep is all hits: no new entries
+    # a second sweep is all hits: no new plans
     _sweep(csf_set, factors)
-    assert ctx.cache_entries() == entries
+    assert ctx.stats()["plans"] == stats["plans"]
     assert ctx.plan_hits == ctx.plan_misses
-
-
-def test_clear_plan_cache_empties_every_cache_and_keeps_counters():
-    tensor = random_tensor((9, 7, 8), 100, seed=1)
-    csf_set = build_csf_set(tensor)
-    factors = _factors(tensor)
-    before = _sweep(csf_set, factors)
-    ctx = csf_set.mttkrp_context
-    hits, misses = ctx.plan_hits, ctx.plan_misses
-    assert sum(ctx.cache_entries().values()) > 0
-
-    ctx.clear_plan_cache()
-    assert all(v == 0 for v in ctx.cache_entries().values())
-    assert (ctx.plan_hits, ctx.plan_misses) == (hits, misses)
-
-    # rebuild after clear is a miss with identical results
-    after = _sweep(csf_set, factors)
-    assert ctx.plan_misses > misses
-    for a, b in zip(before, after):
-        np.testing.assert_allclose(a, b)
-
-
-def test_csf_set_clear_is_safe_before_context_exists():
-    tensor = random_tensor((6, 5, 4), 40, seed=2)
-    csf_set = build_csf_set(tensor)
-    csf_set.clear_plan_cache()  # no context yet: must be a no-op
-    assert getattr(csf_set, "_mttkrp_context", None) is None
-    _sweep(csf_set, _factors(tensor))
-    assert sum(csf_set.mttkrp_context.cache_entries().values()) > 0
-    csf_set.clear_plan_cache()
-    assert all(v == 0 for v in csf_set.mttkrp_context.cache_entries().values())
 
 
 def test_fresh_decompositions_do_not_retain_stale_plans():
@@ -94,11 +71,11 @@ def test_fresh_decompositions_do_not_retain_stale_plans():
     set_b = build_csf_set(tensor_b)
     ctx_b = set_b.mttkrp_context
     assert ctx_b is not ctx_a
-    assert all(v == 0 for v in ctx_b.cache_entries().values())
+    assert ctx_b.stats()["plans"] == 0
     _sweep(set_b, _factors(tensor_b))
     # b built its own plans; a's cache is untouched
     assert ctx_b.plan_misses > 0 and ctx_b.plan_hits == 0
-    assert ctx_a.cache_entries() == ctx_b.cache_entries()
+    assert ctx_a.stats()["plans"] == ctx_b.stats()["plans"]
 
 
 def test_cp_als_runs_have_independent_plan_caches():
@@ -116,66 +93,69 @@ def test_cp_als_runs_have_independent_plan_caches():
         np.testing.assert_allclose(f1, f2)
 
 
-def test_clear_mid_run_preserves_results():
-    tensor = random_tensor((8, 8, 8), 110, seed=7)
-    csf_set = build_csf_set(tensor)
-    factors = _factors(tensor)
-    baseline = _sweep(csf_set, factors)
-    for _ in range(3):
-        csf_set.clear_plan_cache()
-        again = _sweep(csf_set, factors)
-        for a, b in zip(baseline, again):
-            np.testing.assert_allclose(a, b)
-
-
-def test_dropped_trees_are_evicted_and_ids_cannot_alias():
-    """ISSUE 4 satellite: the context used to key caches by ``id(tree)``,
-    so a dropped tree whose id CPython reused handed the new tree a stale
-    plan.  Keys are now per-tree generation tokens with weakref eviction:
-    build/drop/rebuild in a loop must never alias and must actually evict.
-    """
-    import gc
-
-    from repro.mttkrp.scatter import MttkrpContext
-
+def test_shared_context_survives_dropped_trees():
+    """One context fed a new set's trees per generation, each set dropped
+    and collected by the caller, must keep matching a fresh set: the
+    context holds every tree it keyed, so a new tree can never reuse a
+    dead tree's id and pick up its plan."""
     ctx = MttkrpContext()
-    results = []
+    plans = 0
     for i in range(6):
         tensor = random_tensor((10, 8, 6), 120, seed=i)
         csf_set = build_csf_set(tensor)
         # share one context across generations (CsfSet is frozen)
         object.__setattr__(csf_set, "_mttkrp_context", ctx)
         factors = _factors(tensor, seed=i)
-        results.append(_sweep(csf_set, factors))
-        # recompute with a fresh context as ground truth: a stale plan from
-        # an earlier (dropped, possibly id-reused) tree would corrupt this
+        got = _sweep(csf_set, factors)
         fresh = build_csf_set(random_tensor((10, 8, 6), 120, seed=i))
-        expected = _sweep(fresh, factors)
-        for got, want in zip(results[-1], expected):
-            np.testing.assert_allclose(got, want)
+        for g, want in zip(got, _sweep(fresh, factors)):
+            np.testing.assert_allclose(g, want)
+        # every generation builds its own plans: none is a stale hit
+        assert ctx.plan_hits == 0
+        assert ctx.stats()["plans"] > plans
+        plans = ctx.stats()["plans"]
         del tensor, csf_set, fresh
         gc.collect()
-    assert ctx.evictions > 0, "dropped trees should evict their cache keys"
-    # all entries for dead trees are gone; the context is not a leak
-    entries = ctx.cache_entries()
-    assert entries["plans"] == 0
-    assert entries["traversals"] == 0
 
 
-def test_tree_tokens_are_stable_and_unique():
-    from repro.mttkrp.scatter import _tree_token
+@pytest.mark.parametrize("kind", ["atomic", "sync"])
+def test_locked_call_without_pool_builds_its_own(kind, monkeypatch):
+    """``force_locks=True`` with no ``pool=`` matches an explicit pool in
+    result and lock traffic, building one fresh pool per call."""
+    tensor = random_tensor((12, 10, 8), 160, seed=8)
+    factors = _factors(tensor)
+    env = ChapelEnv(num_tasks=2, tasking_layer="fifo")
+    layer = make_tasking_layer(env)
+    built = []
 
-    tensor = random_tensor((8, 6, 5), 80, seed=1)
-    csf_set = build_csf_set(tensor)
-    trees = list(csf_set.trees)
-    tokens = [_tree_token(t) for t in trees]
-    assert len(set(tokens)) == len(tokens)
-    assert tokens == [_tree_token(t) for t in trees]  # stable on re-ask
+    def recording_pool(*args, **kwargs):
+        built.append(make_mutex_pool(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(variants, "make_mutex_pool", recording_pool)
+    try:
+        csf_set = build_csf_set(tensor)
+        mode = next(m for m in range(tensor.nmodes)
+                    if csf_set.tree_for_mode(m)[1] != "root")
+        explicit = make_mutex_pool(kind, size=64, env=env)
+        want, info = mttkrp_csf(csf_set, factors, mode, layer=layer,
+                                pool=explicit, force_locks=True)
+        assert info.used_locks and not built
+        for _ in range(2):
+            got, _ = mttkrp_csf(csf_set, factors, mode, layer=layer,
+                                mutex_kind=kind, pool_size=64, force_locks=True)
+            np.testing.assert_allclose(got, want)
+        assert len(built) == 2 and built[0] is not built[1]
+        for pool in built:
+            assert pool.kind == kind and pool.size == 64
+            assert pool.counters.lock_acquires == explicit.counters.lock_acquires > 0
+    finally:
+        layer.shutdown()
 
 
 def test_workspace_buf_keyed_by_dtype():
-    """ISSUE 4 satellite: the arena used to key on tag alone, so reusing a
-    tag with a second dtype evicted (and could alias) the first."""
+    """The arena keys on (tag, dtype): reusing a tag with a second dtype
+    must neither evict nor alias the first."""
     from repro.mttkrp.scatter import Workspace
 
     ws = Workspace()
@@ -189,22 +169,3 @@ def test_workspace_buf_keyed_by_dtype():
     bigger = ws.buf("t", (5, 3), np.float64)
     assert bigger.shape == (5, 3)
     assert ws.buf("t", (4, 3), np.float32) is f32  # other slot untouched
-
-
-def test_clear_plan_cache_resets_finalized_bookkeeping():
-    import gc
-
-    from repro.mttkrp.scatter import MttkrpContext
-
-    ctx = MttkrpContext()
-    tensor = random_tensor((8, 6, 5), 80, seed=2)
-    csf_set = build_csf_set(tensor)
-    object.__setattr__(csf_set, "_mttkrp_context", ctx)
-    _sweep(csf_set, _factors(tensor))
-    ctx.clear_plan_cache()
-    assert all(v == 0 for v in ctx.cache_entries().values())
-    # the context stays usable after a clear + tree drop cycle
-    _sweep(csf_set, _factors(tensor))
-    del tensor, csf_set
-    gc.collect()
-    assert ctx.cache_entries()["plans"] == 0

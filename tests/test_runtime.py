@@ -1,7 +1,10 @@
 """Unit tests for the Chapel-runtime substrate (env, locks, tasking, reductions)."""
 
+import ast
+import dataclasses
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ class TestChapelEnv:
         assert env.num_tasks == 1
         assert env.tasking_layer == "qthreads"
         assert env.qt_affinity is True
-        assert env.qt_spincount == DEFAULT_SPINCOUNT == 300_000
+        assert DEFAULT_SPINCOUNT == 300_000  # SimConfig's spincount default
         assert env.omp_num_threads == 1
 
     def test_sync_vars_sleep_under_qthreads_only(self):
@@ -40,9 +43,30 @@ class TestChapelEnv:
         with pytest.raises(ValueError):
             ChapelEnv(tasking_layer="openmp")
         with pytest.raises(ValueError):
-            ChapelEnv(qt_spincount=-1)
-        with pytest.raises(ValueError):
             ChapelEnv(omp_num_threads=0)
+
+    def test_every_field_has_a_reader(self):
+        """A knob no run reads configures nothing: each field must be read
+        as ``env.<name>`` (``self.env``, ``layer.env``, ...) somewhere in
+        ``src/repro`` outside ``runtime/env.py``.  ``omp_num_threads`` is
+        the one expected miss until a run applies it."""
+        import repro
+
+        src = Path(repro.__file__).parent
+        read: set[str] = set()
+        for path in src.rglob("*.py"):
+            if path == src / "runtime" / "env.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id == "env") or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "env"
+                ):
+                    read.add(node.attr)
+        unread = [f.name for f in dataclasses.fields(ChapelEnv) if f.name not in read]
+        assert unread == ["omp_num_threads"], f"ChapelEnv fields no run reads: {unread}"
 
 
 class TestStaticBlock:
