@@ -1,15 +1,15 @@
 """Compiled kernel backends vs the NumPy reference: steady-state speedup.
 
 Measures full MTTKRP sweeps (every mode, plans cached, workspaces warm)
-on the shared ``mttkrp_workload`` fixture, once per registered backend
-that is available in this environment, at 1, 2 and 4 tasks.  Timings are
+on the shared ``mttkrp_workload`` fixture, once per backend that is
+available in this environment, at 1, 2 and 4 tasks.  Timings are
 minima over interleaved rounds (:func:`repro.bench.runner.best_of`) — the
 configurations alternate within each round so shared-machine noise cannot
-favour one side.  One-time compile/JIT cost is recorded separately
+favour one side.  One-time compile cost is recorded separately
 (``compile_seconds``; it runs under the ``backend.compile`` span and is
 never part of a sweep measurement).
 
-Asserts, for every available *compiled* backend (numba and/or cext):
+Asserts, for the compiled backend (cext) when it is available:
 
 * allclose (rtol 1e-10) agreement with the numpy reference on every
   mode × lock-policy output, and
@@ -54,8 +54,8 @@ def _sweep(csf_set, factors, layer, backend):
 def test_backend_speedup(benchmark, mttkrp_workload):
     compiled = [n for n in available_backends() if get_backend(n).compiled]
     if not compiled:
-        pytest.skip("no compiled backend available (numba not installed, "
-                    "no C compiler) — nothing to benchmark against numpy")
+        pytest.skip("no compiled backend available (no C compiler) — "
+                    "nothing to benchmark against numpy")
     tensor, factors, csf_set = mttkrp_workload
     names = ["numpy", *compiled]
     layers = {nt: make_tasking_layer(ChapelEnv(num_tasks=nt)) for nt in SCALING_TASKS}

@@ -72,7 +72,7 @@ locked_mode = next(m for m in range(3) if csf_set.tree_for_mode(m)[1] != "root")
 for kind, layer_name in (("sync", "qthreads"), ("atomic", "qthreads"), ("sync", "fifo")):
     env = repro.ChapelEnv(num_tasks=4, tasking_layer=layer_name)
     counters = CostCounters()
-    layer = make_tasking_layer(env, counters)
+    layer = make_tasking_layer(env)
     pool = make_mutex_pool(kind, size=8, env=env, counters=counters)
     start = time.perf_counter()
     repro.mttkrp_csf(

@@ -1,12 +1,11 @@
-"""Multi-backend compiled kernel dispatch (``numpy`` / ``numba`` / ``cext``).
+"""Compiled kernel dispatch over two backends (``numpy`` / ``cext``).
 
-Importing this package registers all three backends but imports none of
-the optional machinery: ``numba`` and the C toolchain are only touched
-when their backend is first requested.  On a system with neither, the
-package still imports cleanly and registers the always-available ``numpy``
-reference backend — ``--backend auto`` falls back to it silently, while
-naming an unavailable backend explicitly raises
-:class:`BackendUnavailableError` with an actionable message.
+Importing this package touches no C toolchain: ``cext`` is compiled only
+when it is first requested.  On a system without a compiler the package
+still imports cleanly and the always-available ``numpy`` reference
+backend serves — ``--backend auto`` falls back to it silently, while
+naming ``cext`` explicitly raises :class:`BackendUnavailableError` with
+the reason.
 
 See :mod:`repro.backend.registry` for selection semantics and
 ``docs/BACKENDS.md`` for the user-facing guide.
@@ -23,15 +22,11 @@ from repro.backend.registry import (
     ENV_DISABLE,
     available_backends,
     canonical_factors,
+    check_backend_name,
     get_backend,
     prepare_call,
-    register_backend,
-    registered_backends,
     resolve_backend,
 )
-
-# The reference backend registers itself unconditionally on import.
-from repro.backend import numpy_ref as _numpy_ref  # noqa: F401
 
 __all__ = [
     "AUTO_ORDER",
@@ -42,37 +37,8 @@ __all__ = [
     "ENV_DISABLE",
     "available_backends",
     "canonical_factors",
+    "check_backend_name",
     "get_backend",
     "prepare_call",
-    "register_backend",
-    "registered_backends",
     "resolve_backend",
 ]
-
-
-def _numba_factory() -> Backend:
-    try:
-        from repro.backend.numba_jit import NumbaBackend
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            "backend 'numba' is unavailable: numba is not installed — "
-            "install the optional extra (pip install 'repro[numba]') "
-            "or use --backend auto to fall back"
-        ) from exc
-    backend = NumbaBackend()
-    # Availability means "compiles and passes the warm-up self-check", so
-    # auto-selection never picks a backend that would fail mid-run.
-    backend.ensure_ready()
-    return backend
-
-
-def _cext_factory() -> Backend:
-    from repro.backend.cext import CextBackend
-
-    backend = CextBackend()
-    backend.ensure_ready()  # raises BackendUnavailableError if no compiler
-    return backend
-
-
-register_backend("numba", _numba_factory)
-register_backend("cext", _cext_factory)

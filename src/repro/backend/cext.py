@@ -4,8 +4,8 @@ A line-for-line C translation of :mod:`repro.backend.kernels_ref`,
 compiled with the system C compiler (``$CC``, ``cc`` or ``gcc``) into a
 shared object cached under a content-hash name, and called through
 :mod:`ctypes` — which releases the GIL for the duration of every foreign
-call, giving this backend the same worker-pool scaling property as the
-Numba one with zero Python-package dependencies beyond a toolchain.
+call, so per-task kernel calls from the worker pool can run on distinct
+cores, with zero Python-package dependencies beyond a toolchain.
 Beyond that translation it has the mutex-pool scatter: a task's whole
 locked bucket loop in one call, over C locks (``repro_scatter_locked``;
 docs/RUNTIME.md says when it runs).

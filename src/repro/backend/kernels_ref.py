@@ -1,20 +1,19 @@
-"""The packed-kernel algorithms, written once in a Numba-compilable subset.
+"""The packed-kernel algorithms, written once as plain loops over flat arrays.
 
 These functions are the *single source of truth* for the compiled MTTKRP
 range kernels, the segment-sum scatter primitives and symmetric AᵀA.  The
-``numba`` backend compiles **these exact functions** with ``@njit`` (see
-:mod:`repro.backend.numba_jit`); the ``cext`` backend is a line-for-line C
-translation of them (:mod:`repro.backend.cext`).  Because the Python text
-here is what Numba compiles, the unit tests that run these functions
-uninterpreted (slow, but exact) certify the algorithm the JIT will execute
-even on machines where Numba is not installed.
+``cext`` backend is a line-for-line C translation of them
+(:mod:`repro.backend.cext`).  The unit tests run these functions
+interpreted (slow, but exact) through the full dispatch path, certifying
+the algorithm the C translates on any machine, with or without a
+compiler.
 
 Data layout (see :mod:`repro.backend.packing`): the CSF tree arrives as
 flat concatenated ``int64`` arrays (``fptr_cat``/``fptr_off``,
 ``fids_cat``/``fids_off``), the factor matrices as one packed C-contiguous
 ``float64`` matrix with per-level row offsets (``row_off``).  Flat arrays
-keep the compiled signatures *order-independent*: one JIT specialization
-covers tensors of any order, so warm-up compiles each kernel exactly once.
+keep the compiled signatures *order-independent*: one C function covers
+tensors of any order.
 
 Algorithm: a single linear scan over the task's leaves with one running
 accumulator per tree level and an upward "cascade" that fires whenever a

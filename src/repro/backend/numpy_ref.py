@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.registry import Backend, register_backend
+from repro.backend.registry import Backend
 
 __all__ = ["NumpyBackend"]
 
@@ -50,5 +50,3 @@ class NumpyBackend(Backend):
     def ata(self, a, out) -> None:
         np.matmul(a.T, a, out=out)
 
-
-register_backend("numpy", NumpyBackend)

@@ -1,14 +1,14 @@
 """Flat data layouts feeding the compiled kernels.
 
-Compiled backends (Numba ``@njit``, the C extension) cannot take the
-list-of-arrays CSF representation: Numba would specialize per tuple length
-(one compile per tensor order) and C cannot take Python lists at all.
+The compiled backend (the C extension) cannot take the list-of-arrays CSF
+representation: C cannot take Python lists at all, and a per-order
+signature would need one function per tensor order.
 :class:`PackedTree` concatenates the per-level ``fptr``/``fids`` arrays
 into single ``int64`` vectors with level offset tables, and
 :func:`pack_factors` stacks the factor matrices (in tree-level order) into
 one C-contiguous ``float64`` matrix with per-level row offsets — so every
-kernel signature is a fixed set of flat arrays plus scalars, and one JIT
-specialization serves tensors of any order.
+kernel signature is a fixed set of flat arrays plus scalars, and one
+compiled function serves tensors of any order.
 
 A ``PackedTree`` is immutable per tree and cached in
 :class:`~repro.mttkrp.scatter.MttkrpContext` of the tree's CSF set, which

@@ -1,30 +1,26 @@
-"""Backend registry, selection and per-call dispatch.
+"""Backend table, selection and per-call dispatch.
 
 A **backend** supplies compiled implementations of the numerical hot spots
 — the three CSF MTTKRP range kernels, the segment-sum scatter primitives
 and symmetric AᵀA, optionally the locked mutex-pool scatter — behind a
 uniform interface, mirroring how Genten
-(Phipps & Kolda) ports the same sparse kernels across execution spaces
-behind one dispatch layer.  Registered backends:
+(Phipps & Kolda) keeps one kernel source per execution space behind one
+dispatch layer.  The two backends:
 
 ``numpy``
     The reference: the existing vectorized NumPy/SciPy code paths run
     untouched.  Always available.
-``numba``
-    ``@njit(nogil=True, cache=True)`` compilations of
-    :mod:`repro.backend.kernels_ref`.  Available when the optional
-    ``numba`` extra is installed (``pip install 'repro[numba]'``).
 ``cext``
-    The same kernels as C, compiled on first use with the system C
-    compiler and loaded through :mod:`ctypes` (which releases the GIL for
-    the call's duration), plus the locked mutex-pool scatter.  Available
-    when a C compiler is present.
+    The kernels of :mod:`repro.backend.kernels_ref` as C, compiled on
+    first use with the system C compiler and loaded through :mod:`ctypes`
+    (which releases the GIL for the call's duration), plus the locked
+    mutex-pool scatter.  Available when a C compiler is present.
 
 Selection precedence (docs/BACKENDS.md): an explicit API argument beats
 the ``REPRO_BACKEND`` environment variable beats the library default
 (``numpy`` — the CLI passes ``--backend``, default ``auto``, explicitly).
-``auto`` picks the first available of ``numba`` > ``cext`` > ``numpy`` and
-*silently* falls back; naming an unavailable backend explicitly raises
+``auto`` picks ``cext`` when it builds and otherwise *silently* falls back
+to ``numpy``; naming an unavailable backend explicitly raises
 :class:`BackendUnavailableError` with an actionable message instead.
 ``REPRO_BACKEND_DISABLE`` (comma-separated names) masks backends for
 deterministic fallback testing.
@@ -40,14 +36,14 @@ another run.
 Compile cost is accounted separately: every backend's one-time preparation
 runs under a ``backend.compile`` observe span (plus a
 ``backend.compile_seconds`` counter), so traces and benchmarks never
-attribute JIT warm-up to the kernels themselves.
+attribute the compiler run to the kernels themselves.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -61,15 +57,14 @@ __all__ = [
     "BackendUnavailableError",
     "available_backends",
     "canonical_factors",
+    "check_backend_name",
     "get_backend",
     "prepare_call",
-    "register_backend",
-    "registered_backends",
     "resolve_backend",
 ]
 
-#: ``auto`` preference order, best first.
-AUTO_ORDER: tuple[str, ...] = ("numba", "cext", "numpy")
+#: Every backend name, in ``auto`` preference order, best first.
+AUTO_ORDER: tuple[str, ...] = ("cext", "numpy")
 
 #: Environment variable naming the default backend (overridden by an
 #: explicit API argument; ``auto`` allowed).
@@ -94,7 +89,7 @@ class Backend:
     implementation.
     """
 
-    #: Registry name (``"numpy"``, ``"numba"``, ``"cext"``).
+    #: Backend name (``"numpy"``, ``"cext"``).
     name: str = "abstract"
     #: True when the packed-kernel path should replace the NumPy tree walk.
     compiled: bool = False
@@ -242,28 +237,19 @@ def canonical_factors(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 # ======================================================================
-# registry
+# selection
 # ======================================================================
-_FACTORIES: dict[str, Callable[[], Backend]] = {}
 _INSTANCES: dict[str, Backend] = {}
-_PROBED_UNAVAILABLE: dict[str, str] = {}
+_UNAVAILABLE: dict[str, str] = {}
 
 
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
-    """Register ``factory`` under ``name``.
-
-    The factory is called lazily (imports of optional dependencies happen
-    inside it) and must raise :class:`BackendUnavailableError` when the
-    backend cannot be used on this system.
-    """
-    _FACTORIES[name] = factory
-
-
-def registered_backends() -> list[str]:
-    """Every registered backend name (available or not), ``auto`` order
-    first, extras after."""
-    ordered = [n for n in AUTO_ORDER if n in _FACTORIES]
-    return ordered + sorted(set(_FACTORIES) - set(ordered))
+def check_backend_name(name: "str | None") -> None:
+    """Raise :class:`ValueError` unless ``name`` is ``None``, ``"auto"`` or
+    one of :data:`AUTO_ORDER`.  Availability is checked at run time."""
+    if name is not None and name != "auto" and name not in AUTO_ORDER:
+        raise ValueError(
+            f"unknown backend {name!r}; choose from {', '.join(AUTO_ORDER)} or 'auto'"
+        )
 
 
 def _disabled() -> set[str]:
@@ -272,8 +258,12 @@ def _disabled() -> set[str]:
 
 
 def get_backend(name: str) -> Backend:
-    """The backend instance for ``name``; raises
-    :class:`BackendUnavailableError` when it cannot be provided."""
+    """The ready backend instance for ``name``; raises
+    :class:`BackendUnavailableError` when it cannot be provided.
+
+    Each backend is built once per process; so is the reason it failed to
+    build (cext without a C compiler).
+    """
     if name in _disabled():
         raise BackendUnavailableError(
             f"backend {name!r} is disabled via {ENV_DISABLE}"
@@ -281,19 +271,23 @@ def get_backend(name: str) -> Backend:
     inst = _INSTANCES.get(name)
     if inst is not None:
         return inst
-    factory = _FACTORIES.get(name)
-    if factory is None:
+    if name not in AUTO_ORDER:
         raise BackendUnavailableError(
-            f"unknown backend {name!r}; registered: "
-            f"{', '.join(registered_backends())}"
+            f"unknown backend {name!r}; choose from {', '.join(AUTO_ORDER)}"
         )
-    cached_reason = _PROBED_UNAVAILABLE.get(name)
-    if cached_reason is not None:
-        raise BackendUnavailableError(cached_reason)
+    reason = _UNAVAILABLE.get(name)
+    if reason is not None:
+        raise BackendUnavailableError(reason)
+    if name == "numpy":
+        from repro.backend.numpy_ref import NumpyBackend as cls
+    else:
+        from repro.backend.cext import CextBackend as cls
+    inst = cls()
     try:
-        inst = factory()
+        # raises BackendUnavailableError without a C compiler
+        inst.ensure_ready()
     except BackendUnavailableError as exc:
-        _PROBED_UNAVAILABLE[name] = str(exc)
+        _UNAVAILABLE[name] = str(exc)
         raise
     _INSTANCES[name] = inst
     return inst
@@ -302,11 +296,12 @@ def get_backend(name: str) -> Backend:
 def available_backends() -> list[str]:
     """Names of backends usable right now, in ``auto`` preference order.
 
-    Probes each factory once per process (failures are cached), honoring
-    ``REPRO_BACKEND_DISABLE``.  Always contains at least ``"numpy"``.
+    Builds each backend once per process (failures are cached), honoring
+    ``REPRO_BACKEND_DISABLE``.  Always contains ``"numpy"`` unless it is
+    disabled.
     """
     usable = []
-    for name in registered_backends():
+    for name in AUTO_ORDER:
         try:
             get_backend(name)
         except BackendUnavailableError:
@@ -338,7 +333,7 @@ def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
                 last_exc = exc
         raise BackendUnavailableError(
             f"no backend available (tried {', '.join(AUTO_ORDER)}): {last_exc}"
-        )  # pragma: no cover - numpy is always registered
+        )  # pragma: no cover - numpy is always in the table
     return get_backend(choice)
 
 
@@ -349,10 +344,8 @@ def _warmup_check(backend: Backend) -> None:
     """Exercise every kernel of a freshly prepared backend on a tiny
     order-3 tree and compare against directly computed expectations.
 
-    Doubles as the Numba warm-up: the flat-array signatures mean each
-    kernel compiles exactly once here and is then hot for tensors of any
-    order.  A mismatch means the backend miscompiled — better an exception
-    at ``ensure_ready`` than silently wrong factor matrices.
+    A mismatch means the backend miscompiled — better an exception at
+    ``ensure_ready`` than silently wrong factor matrices.
     """
     from repro.csf.tree import CsfTensor
     from repro.mttkrp.scatter import Workspace

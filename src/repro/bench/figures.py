@@ -218,7 +218,7 @@ def _fig4_measured(scale: float) -> ExperimentResult:
         for kind, layer_name in (("sync", "qthreads"), ("atomic", "qthreads"), ("sync", "fifo")):
             env = ChapelEnv(num_tasks=p, tasking_layer=layer_name)
             counters = CostCounters()
-            layer = make_tasking_layer(env, counters)
+            layer = make_tasking_layer(env)
             # A deliberately small pool concentrates lock traffic so real
             # contention (and sync sleeps) show up at bench scale.
             pool = make_mutex_pool(kind, size=8, env=env, counters=counters)

@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro._util import human_bytes
+from repro.backend import AUTO_ORDER
 from repro.completion.driver import ALGORITHMS, CompletionOptions, complete
 from repro.core.cpals import cp_als
 from repro.core.model_io import save_kruskal_dir, save_kruskal_npz
@@ -564,12 +565,11 @@ def _add_sanitize_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", default="auto",
-                   choices=["auto", "numpy", "numba", "cext"],
-                   help="kernel execution backend (default: auto — first "
-                        "available compiled backend, silently falling back "
-                        "to numpy; an explicitly named backend that is "
-                        "unavailable fails with an actionable error — see "
-                        "docs/BACKENDS.md)")
+                   choices=["auto", *AUTO_ORDER],
+                   help="kernel execution backend (default: auto — cext "
+                        "when it builds, silently falling back to numpy; "
+                        "cext named explicitly but unavailable fails with "
+                        "the reason — see docs/BACKENDS.md)")
 
 
 def _add_checkpoint_flags(p: argparse.ArgumentParser) -> None:

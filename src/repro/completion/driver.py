@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import VALUE_DTYPE, as_rng, check_rank
+from repro.backend import check_backend_name
 from repro.completion.als import als_step
 from repro.completion.ccd import ccd_epoch
 from repro.completion.losses import predict_entries, rmse
@@ -68,7 +69,7 @@ class CompletionOptions:
         continue exactly where the killed run stopped).
     backend:
         Kernel execution backend for the ALS/SGD scatter reductions
-        (``"numpy"``/``"numba"``/``"cext"``/``"auto"``/``None``; see
+        (``"numpy"``/``"cext"``/``"auto"``/``None``; see
         ``docs/BACKENDS.md``).  CCD is scatter-free and ignores it.
     """
 
@@ -107,14 +108,7 @@ class CompletionOptions:
             raise ValueError("sgd_chunk_size must be >= 1")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if self.backend is not None and self.backend != "auto":
-            from repro.backend import registered_backends
-
-            if self.backend not in registered_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; choose from "
-                    f"{', '.join(registered_backends())} or 'auto'"
-                )
+        check_backend_name(self.backend)
 
 
 @dataclass

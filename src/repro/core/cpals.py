@@ -181,9 +181,8 @@ def cp_als(
         ``options.allocation``.
     layer:
         Optional pre-built tasking layer whose persistent worker pool
-        should be reused instead of spinning up a fresh one.  The
-        layer's cost-counter sink is repointed at this run's counters;
-        callers sharing a layer must serialize their solves.
+        should be reused instead of spinning up a fresh one; callers
+        sharing a layer must serialize their solves.
 
     Returns
     -------
@@ -205,16 +204,12 @@ def cp_als(
     timers = RoutineTimers()
     counters = CostCounters()
     if layer is None:
-        layer = make_tasking_layer(opts.env, counters)
-    else:
-        if layer.env.tasking_layer != opts.env.tasking_layer:
-            raise ValueError(
-                f"shared layer is {layer.env.tasking_layer!r} but options "
-                f"request {opts.env.tasking_layer!r}"
-            )
-        # repoint the shared layer's accounting at this run's counters so
-        # sync-event reports stay per-run even when the pool is long-lived
-        layer.counters = counters
+        layer = make_tasking_layer(opts.env)
+    elif layer.env.tasking_layer != opts.env.tasking_layer:
+        raise ValueError(
+            f"shared layer is {layer.env.tasking_layer!r} but options "
+            f"request {opts.env.tasking_layer!r}"
+        )
     pool = make_mutex_pool(opts.mutex_kind, size=opts.pool_size, env=opts.env, counters=counters)
 
     run_span = _obs.span(

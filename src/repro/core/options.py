@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.backend import check_backend_name
 from repro.csf.permute import CSF_ALLOCATIONS
 from repro.mttkrp.variants import ACCESS_VARIANTS
 from repro.runtime.env import ChapelEnv
@@ -50,8 +51,8 @@ class CpalsOptions:
         Override the lock decision for non-root modes (``None`` = use
         :func:`repro.mttkrp.locks_policy.needs_locks`).
     backend:
-        Kernel execution backend: ``"numpy"``, ``"numba"``, ``"cext"``,
-        ``"auto"`` (first available compiled backend, silent fallback), or
+        Kernel execution backend: ``"numpy"``, ``"cext"``, ``"auto"``
+        (``cext`` when it builds, else a silent ``numpy`` fallback), or
         ``None`` to defer to ``$REPRO_BACKEND`` / the ``numpy`` default.
         See ``docs/BACKENDS.md``.
     seed:
@@ -104,11 +105,4 @@ class CpalsOptions:
             raise ValueError("mutex_kind must be 'atomic' or 'sync'")
         if self.pool_size < 1:
             raise ValueError("pool_size must be >= 1")
-        if self.backend is not None and self.backend != "auto":
-            from repro.backend import registered_backends
-
-            if self.backend not in registered_backends():
-                raise ValueError(
-                    f"unknown backend {self.backend!r}; choose from "
-                    f"{', '.join(registered_backends())} or 'auto'"
-                )
+        check_backend_name(self.backend)

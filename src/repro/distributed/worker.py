@@ -11,7 +11,7 @@ On startup it
 2. slices its own nonzeros out of the packed COO segment (a view, not a
    copy) and builds its locale-local CSF set from them;
 3. resolves its kernel backend independently through the ordinary
-   registry precedence (``numba``/``cext`` compile per process — compiled
+   selection precedence (``cext`` compiles per process — compiled
    kernels are what make per-process MTTKRPs fast enough for the fold to
    matter);
 

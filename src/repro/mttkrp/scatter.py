@@ -45,6 +45,8 @@ sites whose rows change every call (TTMc chunks, one-off scatters).
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from repro import probe as _probe
@@ -437,10 +439,11 @@ class SegmentSum:
             out[:] = m @ w
         return out
 
-    def nbytes(self) -> int:
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Every array the operator holds; ``starts64`` may be the caller's
+        ``starts`` itself."""
         m = self.matrix
-        return (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-                + self.starts64.nbytes)
+        return (m.data, m.indices, m.indptr, self.starts64)
 
 
 class TaskTraversal:
@@ -481,6 +484,13 @@ class TaskTraversal:
             )
         self.fids = [csf.fids[level][ranges[level][0] : ranges[level][1]] for level in range(nmodes)]
         self.values = csf.values[ranges[nmodes - 1][0] : ranges[nmodes - 1][1]]
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """The index arrays the traversal built (not its views of the tree)."""
+        yield from self.up_starts
+        for seg in self.up_segsum:
+            yield from seg.arrays()
+        yield from (a for a in self.down_expand if a is not None)
 
 
 class ScatterPlan:
@@ -540,21 +550,26 @@ class ScatterPlan:
             self.leaf_expand_sorted = None
             self.leaf_values_sorted = None
 
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every index array of the plan, its traversals' included."""
+        for trav in self.traversals:
+            yield from trav.arrays()
+        for sc in self.scatters:
+            yield from (sc.order, sc.seg_starts, sc.out_rows)
+            if sc.bucket_ids is not None:
+                yield from (sc.bucket_ids, sc.bucket_bounds)
+        if self.leaf_expand_sorted is not None:
+            yield from self.leaf_expand_sorted
+            yield from self.leaf_values_sorted
+
     def memory_bytes(self) -> int:
         """Plan storage footprint (index arrays; roughly tree-sized)."""
-        total = 0
-        for trav in self.traversals:
-            total += sum(a.nbytes for a in trav.up_starts)
-            total += sum(s.nbytes() for s in trav.up_segsum)
-            total += sum(a.nbytes for a in trav.down_expand if a is not None)
-        for sc in self.scatters:
-            total += sc.order.nbytes + sc.seg_starts.nbytes + sc.out_rows.nbytes
-            if sc.bucket_ids is not None:
-                total += sc.bucket_ids.nbytes + sc.bucket_bounds.nbytes
-        if self.leaf_expand_sorted is not None:
-            total += sum(a.nbytes for a in self.leaf_expand_sorted)
-            total += sum(a.nbytes for a in self.leaf_values_sorted)
-        return total
+        return _unique_nbytes(self.arrays())
+
+
+def _unique_nbytes(arrays: Iterable[np.ndarray]) -> int:
+    """Bytes of ``arrays``, each distinct array counted once."""
+    return sum({id(a): a.nbytes for a in arrays}.values())
 
 
 class MttkrpContext:
@@ -674,8 +689,12 @@ class MttkrpContext:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
-        """Cache accounting: plans held, hits, misses, bytes cached."""
-        plan_bytes = sum(p.memory_bytes() for p in self._plans.values())
+        """Cache accounting: plans held, hits, misses, bytes cached.
+
+        ``plan_bytes`` counts each array once, though every plan of one
+        ``(tree, ntasks)`` holds the same shared traversals.
+        """
+        plan_bytes = _unique_nbytes(a for p in self._plans.values() for a in p.arrays())
         ws_bytes = sum(w.nbytes() for group in self._workspaces.values() for w in group)
         buf_bytes = sum(b.nbytes for group in self._buffers.values() for b in group)
         packed_bytes = sum(p.nbytes() for p in self._packed.values())

@@ -411,9 +411,9 @@ def mttkrp_csf(
         Optional preallocated ``(I_mode, R)`` output, zeroed by this call.
     backend:
         Execution backend for the numerical hot spots (``vectorized``
-        variant, order >= 2): a name (``"numpy"``, ``"numba"``, ``"cext"``,
-        ``"auto"``), a :class:`~repro.backend.registry.Backend` instance,
-        or ``None`` (defer to ``$REPRO_BACKEND``, default ``numpy``).  See
+        variant, order >= 2): a name (``"numpy"``, ``"cext"``, ``"auto"``),
+        a :class:`~repro.backend.registry.Backend` instance, or ``None``
+        (defer to ``$REPRO_BACKEND``, default ``numpy``).  See
         ``docs/BACKENDS.md``.  Compiled backends replace the NumPy tree
         walk and scatter reductions with GIL-releasing kernels; scatter
         structure, lock traffic and results (``allclose`` at 1e-10) are

@@ -1,10 +1,9 @@
 """Thread-safe cost counters for runtime instrumentation.
 
-The mutex pools and tasking layers record how much synchronization work an
-execution actually performed (acquisitions, contended acquisitions, sleeps,
-yields, tasks spawned).  Tests assert on these to verify the lock-pressure
-story (YELP contends, NELL-2 does not) and the performance model consumes
-them for its contention term.
+The mutex pools record how much synchronization work an execution actually
+performed (acquisitions, contended acquisitions, sleeps, yields).  Tests
+assert on these to verify the lock-pressure story (YELP contends, NELL-2
+does not) and the performance model consumes them for its contention term.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ class CostCounters:
     lock_contended: int = 0
     sync_sleeps: int = 0
     task_yields: int = 0
-    tasks_spawned: int = 0
     _mutex: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def add(
@@ -33,14 +31,12 @@ class CostCounters:
         lock_contended: int = 0,
         sync_sleeps: int = 0,
         task_yields: int = 0,
-        tasks_spawned: int = 0,
     ) -> None:
         with self._mutex:
             self.lock_acquires += lock_acquires
             self.lock_contended += lock_contended
             self.sync_sleeps += sync_sleeps
             self.task_yields += task_yields
-            self.tasks_spawned += tasks_spawned
 
     def reset(self) -> None:
         with self._mutex:
@@ -48,7 +44,6 @@ class CostCounters:
             self.lock_contended = 0
             self.sync_sleeps = 0
             self.task_yields = 0
-            self.tasks_spawned = 0
 
     @property
     def contention_ratio(self) -> float:
@@ -65,5 +60,4 @@ class CostCounters:
                 "lock_contended": self.lock_contended,
                 "sync_sleeps": self.sync_sleeps,
                 "task_yields": self.task_yields,
-                "tasks_spawned": self.tasks_spawned,
             }

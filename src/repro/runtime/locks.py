@@ -33,7 +33,7 @@ dispatching thread):
   under Qthreads, spinning on trylock under fifo).  The counts reach
   :attr:`MutexPool.counters` once per task-call; :meth:`MutexPool.acquire`
   is never called, so nothing times it.
-* **Python** — everywhere else (numpy and numba backends, and every
+* **Python** — everywhere else (the numpy backend, and every
   sanitizer run, which must see each acquire and each write inside its
   critical section): the ``threading`` locks below.
 

@@ -32,8 +32,8 @@ Fault injection: :meth:`WorkerPool.run` fires the ``pool.dispatch`` and
 Parallelism note: under plain NumPy kernels the pool's workers contend on
 the GIL between vector calls, so the pool models Chapel's structure more
 than its speed.  With a compiled kernel backend selected
-(:mod:`repro.backend` — numba ``nogil`` JIT or the ctypes C extension,
-whose foreign calls release the GIL for their whole duration), the range
+(:mod:`repro.backend` — the ctypes C extension, whose foreign calls
+release the GIL for their whole duration), the range
 kernels dispatched onto these workers run concurrently.  Whether more
 tasks are faster depends on the host: ``benchmarks/BENCH_backend.json``
 (a 2-core shared Xeon VM, named in its ``host`` stamp) records best

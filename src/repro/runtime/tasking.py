@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import probe as _probe
-from repro.runtime.accounting import CostCounters
 from repro.runtime.env import ChapelEnv
 from repro.runtime.pool import WorkerPool
 
@@ -68,11 +67,10 @@ class TaskingLayer:
     from the env; here it decides only worker pinning.
     """
 
-    def __init__(self, env: ChapelEnv, counters: CostCounters | None = None):
+    def __init__(self, env: ChapelEnv):
         #: Layer name ("qthreads" / "fifo").
         self.name = env.tasking_layer
         self.env = env
-        self.counters = counters if counters is not None else CostCounters()
         self._pool: WorkerPool | None = None
         #: Resilience accounting for this layer: retried dispatches,
         #: simulated backoff seconds, and dispatches degraded to serial.
@@ -167,7 +165,6 @@ class TaskingLayer:
         if ntasks == 1:
             body(0)
             return
-        self.counters.add(tasks_spawned=ntasks)
         p = _probe.current
         if p is None:
             self._dispatch(ntasks, body, None)
@@ -189,8 +186,6 @@ class TaskingLayer:
         self.coforall(ntasks, task)
 
 
-def make_tasking_layer(
-    env: ChapelEnv, counters: CostCounters | None = None
-) -> TaskingLayer:
+def make_tasking_layer(env: ChapelEnv) -> TaskingLayer:
     """Instantiate the layer selected by ``env.tasking_layer``."""
-    return TaskingLayer(env, counters)
+    return TaskingLayer(env)

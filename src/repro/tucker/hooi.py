@@ -149,7 +149,7 @@ def tucker_hooi(
         uninterrupted one.
     backend:
         Kernel execution backend for the TTMc scatter reductions
-        (``"numpy"``/``"numba"``/``"cext"``/``"auto"``/``None``; see
+        (``"numpy"``/``"cext"``/``"auto"``/``None``; see
         ``docs/BACKENDS.md``).  Results are identical across backends.
 
     Returns

@@ -1,12 +1,12 @@
-"""Unit tests for :mod:`repro.backend` — registry semantics, selection
-precedence, the optional-dependency fallback contract, backend-boundary
+"""Unit tests for :mod:`repro.backend` — the two-entry backend table,
+selection precedence, the no-compiler fallback contract, backend-boundary
 dtype/layout coercion, and the kernel algorithms themselves.
 
 The kernel algorithm is certified *without* any compiled backend present:
 a pure-Python :class:`Backend` subclass runs the uncompiled
 :mod:`repro.backend.kernels_ref` functions through the full dispatch path
 (packing, warm-up self-check, MTTKRP) and must match the dense reference.
-Compiled backends (numba/cext) then only have to agree with code already
+The compiled backend (cext) then only has to agree with code already
 proven correct — that comparison runs in
 ``tests/test_properties_equivalence.py`` over every runtime config.
 """
@@ -14,6 +14,7 @@ proven correct — that comparison runs in
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -30,7 +31,6 @@ from repro.backend import (
     available_backends,
     canonical_factors,
     get_backend,
-    registered_backends,
     resolve_backend,
 )
 from repro.backend import kernels_ref as kref
@@ -54,10 +54,10 @@ def _random_tensor(seed=0, dims=(8, 6, 5), nnz=40):
 
 
 # ======================================================================
-# registry + selection precedence
+# backend table + selection precedence
 # ======================================================================
 def test_numpy_always_registered_and_available():
-    assert "numpy" in registered_backends()
+    assert "numpy" in AUTO_ORDER
     assert "numpy" in available_backends()
     bk = get_backend("numpy")
     assert bk.name == "numpy" and not bk.compiled
@@ -65,11 +65,14 @@ def test_numpy_always_registered_and_available():
 
 
 def test_all_names_registered_even_when_unavailable():
-    # registration is unconditional; *availability* is what varies by
-    # environment (numba import, C compiler presence)
-    names = registered_backends()
+    # the table is fixed; *availability* is what varies by environment
+    # (C compiler presence)
+    assert AUTO_ORDER == ("cext", "numpy")
     for name in AUTO_ORDER:
-        assert name in names
+        try:
+            assert get_backend(name).name == name
+        except BackendUnavailableError as exc:
+            assert "unknown backend" not in str(exc)
 
 
 def test_unknown_backend_raises():
@@ -101,7 +104,7 @@ def test_resolved_instances_pass_through():
 
 
 def test_disable_env_masks_backends(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND_DISABLE", "numba,cext")
+    monkeypatch.setenv("REPRO_BACKEND_DISABLE", "cext")
     assert available_backends() == ["numpy"]
     assert resolve_backend("auto").name == "numpy"
     with pytest.raises(BackendUnavailableError, match="disabled"):
@@ -111,29 +114,46 @@ def test_disable_env_masks_backends(monkeypatch):
 def test_auto_prefers_compiled_backends_in_order(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND_DISABLE", raising=False)
     avail = available_backends()
-    assert resolve_backend("auto").name == avail[0]
+    auto = resolve_backend("auto")
+    assert auto.name == avail[0]
     assert avail == [n for n in AUTO_ORDER if n in avail]
+    if "cext" in avail:
+        # auto never picks a compiled backend without the compiled lock loop
+        assert auto.name == "cext" and auto.locked_scatter
 
 
 def test_options_validate_backend_names():
     from repro.completion.driver import CompletionOptions
     from repro.core.options import CpalsOptions
 
-    with pytest.raises(ValueError, match="unknown backend"):
-        CpalsOptions(backend="fortran77")
-    with pytest.raises(ValueError, match="unknown backend"):
-        CompletionOptions(backend="fortran77")
-    # registered-but-possibly-unavailable names are accepted at option
-    # construction; availability is checked at run time
-    CpalsOptions(backend="numba")
-    CompletionOptions(backend="auto")
+    for bad in ("fortran77", "jit", ""):
+        with pytest.raises(ValueError, match="unknown backend"):
+            CpalsOptions(backend=bad)
+        with pytest.raises(ValueError, match="unknown backend"):
+            CompletionOptions(backend=bad)
+    # exactly None, auto and the table's names are accepted at option
+    # construction, available or not; availability is checked at run time
+    for name in (None, "auto", "numpy", "cext"):
+        CpalsOptions(backend=name)
+        CompletionOptions(backend=name)
+
+
+def test_cli_backend_choices_are_auto_and_the_table(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["cpd", "t.tns", "--backend", "fortran77"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert re.findall(r"\w+", err.split("choose from")[1]) == ["auto", "cext", "numpy"]
 
 
 def test_compiled_backends_record_compile_cost():
     for name in available_backends():
         bk = get_backend(name)
         if bk.compiled:
-            # factories run ensure_ready eagerly, so a usable compiled
+            # get_backend runs ensure_ready eagerly, so a usable compiled
             # backend has already paid (and recorded) its one-time cost
             assert bk.compile_seconds > 0.0
         else:
@@ -146,9 +166,9 @@ def test_compiled_backends_record_compile_cost():
 class PurePythonBackend(Backend):
     """The uncompiled kernels_ref functions behind the Backend interface.
 
-    Slow, but it exercises the exact source numba compiles — proving the
+    Slow, but it exercises the exact source cext translates — proving the
     *algorithm* (and the packed layout, adapters, and dispatch plumbing)
-    with zero optional dependencies.
+    without a compiler.
     """
 
     name = "pyref"
@@ -279,26 +299,14 @@ def test_exotic_factor_inputs_coerced_identically(backend):
 
 
 # ======================================================================
-# optional-dependency fallback (subprocess: numba genuinely absent)
+# no-compiler fallback (subprocess: cext genuinely unavailable)
 # ======================================================================
-_BLOCK_NUMBA = """\
-import importlib.abc
-import sys
-
-class _BlockNumba(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError("numba blocked by fallback test")
-
-sys.meta_path.insert(0, _BlockNumba())
-"""
-
-
-def _run_blocked(tmp_path, body):
-    """Run ``body`` in a subprocess where importing numba fails and cext is
-    disabled, i.e. the environment of a plain ``pip install repro``."""
+def _run_without_compiler(tmp_path, body):
+    """Run ``body`` in a subprocess where cext is unavailable, i.e. the
+    environment of a plain ``pip install repro`` on a host without a C
+    compiler."""
     script = tmp_path / "driver.py"
-    script.write_text(_BLOCK_NUMBA + textwrap.dedent(body))
+    script.write_text(textwrap.dedent(body))
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_BACKEND_DISABLE"] = "cext"
@@ -308,10 +316,9 @@ def _run_blocked(tmp_path, body):
     )
 
 
-def test_import_without_numba_registers_only_available(tmp_path):
-    proc = _run_blocked(tmp_path, """
-        from repro.backend import available_backends, registered_backends
-        assert "numba" in registered_backends()
+def test_import_without_compiler_makes_only_numpy_available(tmp_path):
+    proc = _run_without_compiler(tmp_path, """
+        from repro.backend import available_backends
         assert available_backends() == ["numpy"], available_backends()
         print("FALLBACK-OK")
     """)
@@ -319,8 +326,8 @@ def test_import_without_numba_registers_only_available(tmp_path):
     assert "FALLBACK-OK" in proc.stdout
 
 
-def test_auto_silently_falls_back_without_numba(tmp_path):
-    proc = _run_blocked(tmp_path, """
+def test_auto_silently_falls_back_without_compiler(tmp_path):
+    proc = _run_without_compiler(tmp_path, """
         import numpy as np
         from repro.backend import resolve_backend
         from repro.core.cpals import cp_als
@@ -337,20 +344,20 @@ def test_auto_silently_falls_back_without_numba(tmp_path):
     """)
     assert proc.returncode == 0, proc.stderr
     assert "AUTO-OK" in proc.stdout
-    assert "numba" not in proc.stderr  # silence: no warning spam on fallback
+    assert proc.stderr == ""  # silence: no warning on fallback
 
 
-def test_cli_explicit_numba_fails_actionably_without_numba(tmp_path):
+def test_cli_explicit_cext_fails_with_reason_without_compiler(tmp_path):
     tns = tmp_path / "t.tns"
     tensor = _random_tensor(seed=9)
     from repro.tensor.io import save_tns
 
     save_tns(tensor, tns)
-    proc = _run_blocked(tmp_path, f"""
+    proc = _run_without_compiler(tmp_path, f"""
         from repro.cli import main
 
         rc = main(["cpd", {str(tns)!r}, "-r", "2", "-i", "1",
-                   "--backend", "numba"])
+                   "--backend", "cext"])
         assert rc == 1, rc
         rc = main(["cpd", {str(tns)!r}, "-r", "2", "-i", "1",
                    "--backend", "auto"])
@@ -359,6 +366,5 @@ def test_cli_explicit_numba_fails_actionably_without_numba(tmp_path):
     """)
     assert proc.returncode == 0, proc.stderr
     assert "CLI-OK" in proc.stdout
-    # the failure must tell the user how to get the backend
-    assert "pip install" in proc.stderr
-    assert "repro[numba]" in proc.stderr
+    # the failure names the backend and why it is unavailable
+    assert "error: backend 'cext' is disabled via REPRO_BACKEND_DISABLE" in proc.stderr

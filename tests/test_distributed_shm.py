@@ -182,22 +182,17 @@ class TestTransportObjects:
         with pytest.raises(ValueError, match="unknown transport"):
             make_transport("mpi", part, grid, 3)
 
-    def test_proc_cleans_up_on_failed_start(self, tensor):
+    def test_proc_cleans_up_on_failed_start(self, tensor, monkeypatch):
         """A worker that dies during start must not strand segments."""
         from repro.distributed.grid import choose_grid
         from repro.distributed.partition import partition_medium_grain
 
         # An explicitly named unavailable backend makes every worker fail
-        # during startup — only possible to provoke when numba is absent.
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed; cannot provoke worker startup failure")
-        except ImportError:
-            pass
+        # during startup; the workers inherit the disabling variable.
+        monkeypatch.setenv("REPRO_BACKEND_DISABLE", "cext")
         grid = choose_grid(tensor.dims, 2)
         part = partition_medium_grain(tensor, grid)
-        tr = make_transport("proc", part, grid, 3, backend="numba")
+        tr = make_transport("proc", part, grid, 3, backend="cext")
         with pytest.raises(RuntimeError, match="worker"):
             with tr:
                 tr.start([np.zeros((d, 3)) for d in tensor.dims])

@@ -57,6 +57,45 @@ def test_cache_entries_accounting():
     assert ctx.plan_hits == ctx.plan_misses
 
 
+def _unique_plan_array_bytes(plans):
+    """Bytes of every distinct index array the plans hold, walked by hand."""
+    seen = {}
+
+    def add(*arrays):
+        for a in arrays:
+            if a is not None:
+                seen[id(a)] = a.nbytes
+
+    for plan in plans:
+        for trav in plan.traversals:
+            add(*trav.up_starts, *trav.down_expand)
+            for seg in trav.up_segsum:
+                add(seg.matrix.data, seg.matrix.indices, seg.matrix.indptr,
+                    seg.starts64)
+        for sc in plan.scatters:
+            add(sc.order, sc.seg_starts, sc.out_rows, sc.bucket_ids,
+                sc.bucket_bounds)
+        add(*(plan.leaf_expand_sorted or ()), *(plan.leaf_values_sorted or ()))
+    return sum(seen.values())
+
+
+def test_plan_bytes_count_shared_traversals_once():
+    tensor = random_tensor((10, 8, 6), 120, seed=0)
+    csf_set = build_csf_set(tensor)
+    tree = csf_set.trees[0]
+    ctx = csf_set.mttkrp_context
+    root, _ = ctx.plan(tree, 0, 2)
+    internal, _ = ctx.plan(tree, 1, 2, pool_size=8)
+    # every plan of one (tree, ntasks) holds the same traversals
+    assert root.traversals is internal.traversals
+    stats = ctx.stats()
+    assert stats["plans"] == 2
+    assert stats["plan_bytes"] == _unique_plan_array_bytes([root, internal])
+    # a standalone plan still reports its own footprint, traversals included
+    assert root.memory_bytes() == _unique_plan_array_bytes([root])
+    assert stats["plan_bytes"] < root.memory_bytes() + internal.memory_bytes()
+
+
 def test_fresh_decompositions_do_not_retain_stale_plans():
     """Each CsfSet owns its context: new sets start with cold caches and
     never see another set's plans."""

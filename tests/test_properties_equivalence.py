@@ -75,8 +75,8 @@ RUNTIME_CONFIGS = [
     ("fifo", 4, "sync", True),
 ]
 
-# Every registered backend that actually works in this environment (numpy
-# always; numba/cext when importable/compilable).  The whole equivalence
+# Every backend that actually works in this environment (numpy always;
+# cext when a C compiler builds it).  The whole equivalence
 # matrix runs once per backend — the numbers must not depend on who
 # executes the kernels.  This is deliberately NOT a skip: with no compiled
 # backend present the suite still fully validates the numpy reference.

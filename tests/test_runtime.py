@@ -212,12 +212,14 @@ class TestTaskingLayers:
         executed_in = []
         layer.coforall(1, lambda tid: executed_in.append(threading.current_thread()))
         assert executed_in == [main_thread]
-        assert layer.counters.tasks_spawned == 0
+        assert layer.worker_pool.dispatches == 0
 
     def test_coforall_counts_spawns(self):
         layer = make_tasking_layer(ChapelEnv(num_tasks=3))
         layer.coforall(3, lambda tid: None)
-        assert layer.counters.tasks_spawned == 3
+        stats = layer.worker_pool.stats()
+        assert stats["dispatches"] == 1
+        assert stats["tasks_executed"] == 3
 
     def test_coforall_propagates_exception(self):
         layer = make_tasking_layer(ChapelEnv(num_tasks=2))
@@ -309,7 +311,7 @@ class TestCostCounters:
         c.reset()
         assert c.snapshot() == {
             "lock_acquires": 0, "lock_contended": 0, "sync_sleeps": 0,
-            "task_yields": 0, "tasks_spawned": 0,
+            "task_yields": 0,
         }
 
     def test_thread_safety(self):
