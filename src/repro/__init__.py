@@ -18,43 +18,47 @@ See README.md for the architecture overview and DESIGN.md for the
 experiment index.
 """
 
-from repro.analysis import core_consistency, factor_match_score
-from repro.completion import CompletionOptions, CompletionResult, complete
-from repro.constrained import ConstrainedResult, constrained_cp_als
-from repro.core import CpalsOptions, CpalsResult, KruskalTensor, RoutineTimers, cp_als
-from repro.csf import CsfSet, CsfTensor, build_csf, build_csf_set
-from repro.distributed import DistributedResult, LocaleGrid, choose_grid, distributed_cp_als
-from repro.mttkrp import ACCESS_VARIANTS, dense_mttkrp_reference, mttkrp, mttkrp_csf
-from repro.observe import TraceRecorder, tracing
-from repro.resilience import (
-    Checkpoint,
-    CheckpointError,
-    FaultPlan,
-    InjectedFault,
-    RetryPolicy,
-    inject_faults,
-    load_checkpoint,
-    retrying,
-    save_checkpoint,
+import importlib
+import sys
+import types
+
+#: Where each public name lives.  Nothing is imported until a name is
+#: first read (PEP 562), so ``import repro.core.cpals`` pays only for the
+#: solve path: no scipy, and none of analysis, tucker, distributed or
+#: completion.
+_EXPORTS = {
+    "repro.analysis": ("core_consistency", "factor_match_score"),
+    "repro.completion": ("CompletionOptions", "CompletionResult", "complete"),
+    "repro.constrained": ("ConstrainedResult", "constrained_cp_als"),
+    "repro.core": ("CpalsOptions", "CpalsResult", "KruskalTensor", "RoutineTimers", "cp_als"),
+    "repro.csf": ("CsfSet", "CsfTensor", "build_csf", "build_csf_set"),
+    "repro.distributed": ("DistributedResult", "LocaleGrid", "choose_grid", "distributed_cp_als"),
+    "repro.mttkrp": ("ACCESS_VARIANTS", "dense_mttkrp_reference", "mttkrp", "mttkrp_csf"),
+    "repro.observe": ("TraceRecorder", "tracing"),
+    "repro.resilience": (
+        "Checkpoint", "CheckpointError", "FaultPlan", "InjectedFault", "RetryPolicy",
+        "inject_faults", "load_checkpoint", "retrying", "save_checkpoint",
+    ),
+    "repro.runtime": ("AtomicLockPool", "ChapelEnv", "SyncLockPool", "make_tasking_layer"),
+    "repro.tucker": ("TuckerResult", "ttmc", "tucker_hooi"),
+    "repro.tensor": (
+        "DATASET_SIGNATURES", "SORT_VARIANTS", "SparseTensor", "binarize",
+        "drop_empty_slices", "load_tns", "planted_low_rank", "random_tensor",
+        "save_tns", "scale_values", "sort_tensor", "split_nonzeros", "subtensor",
+        "synthetic_dataset", "tensor_stats",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: Submodules readable as ``repro.<name>`` before anything imported them.
+_SUBMODULES = frozenset(
+    {m.rpartition(".")[2] for m in _EXPORTS} | {"_util", "backend", "linalg", "probe"}
 )
-from repro.runtime import AtomicLockPool, ChapelEnv, SyncLockPool, make_tasking_layer
-from repro.tucker import TuckerResult, ttmc, tucker_hooi
-from repro.tensor import (
-    DATASET_SIGNATURES,
-    SORT_VARIANTS,
-    SparseTensor,
-    binarize,
-    drop_empty_slices,
-    load_tns,
-    planted_low_rank,
-    random_tensor,
-    save_tns,
-    scale_values,
-    sort_tensor,
-    split_nonzeros,
-    subtensor,
-    synthetic_dataset,
-    tensor_stats,
+
+#: This module's own lazy-lookup names, left out of ``dir(repro)``.
+_LAZY_MACHINERY = frozenset(
+    {"importlib", "sys", "types", "_EXPORTS", "_OWNER", "_SUBMODULES",
+     "_LAZY_MACHINERY", "_Package", "__getattr__", "__dir__"}
 )
 
 __version__ = "1.0.0"
@@ -131,3 +135,33 @@ __all__ = [
     "TuckerResult",
     "ttmc",
 ]
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(_OWNER[name]), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"repro.{name}")
+    else:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    names = set(globals()) | set(__all__) | _SUBMODULES
+    return sorted(names - _LAZY_MACHINERY)
+
+
+class _Package(types.ModuleType):
+    """Keeps a public name that shares its subpackage's name (``mttkrp``)
+    bound to the function: the import system binds the subpackage there
+    when something first imports it."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, types.ModuleType) and _OWNER.get(name) == value.__name__:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -1,9 +1,10 @@
 """Gram matrices of factor matrices (the paper's ``Mat AᵀA`` routine).
 
 SPLATT computes each ``AᵀA`` with BLAS ``dsyrk`` (symmetric rank-k update,
-filling one triangle) and forms ``V`` as the elementwise (Hadamard) product
-of the Grams of every factor except the one being solved for — lines 4, 7
-and 10 of Algorithm 1.
+filling one triangle); so does numpy for ``a.T @ a``, which it recognizes
+as a transposed self-product and mirrors into a full symmetric matrix.
+``V`` is the elementwise (Hadamard) product of the Grams of every factor
+except the one being solved for — lines 4, 7 and 10 of Algorithm 1.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 
 from repro._util import VALUE_DTYPE
 
@@ -21,9 +21,9 @@ __all__ = ["gram", "hadamard_gram"]
 def gram(factor: np.ndarray, backend=None) -> np.ndarray:
     """``AᵀA`` of one ``(I, R)`` factor matrix via BLAS ``syrk``.
 
-    Only the upper triangle is computed by the BLAS call (as in SPLATT);
-    the result is symmetrized before returning so callers can treat it as a
-    plain dense matrix.  A compiled ``backend``
+    ``a.T @ a`` runs one ``syrk`` (one triangle, as in SPLATT) and numpy
+    fills in the other, so callers get an exactly symmetric dense matrix.
+    A compiled ``backend``
     (:class:`~repro.backend.registry.Backend`) computes the same symmetric
     product with its own GIL-releasing kernel instead of BLAS.
     """
@@ -35,10 +35,7 @@ def gram(factor: np.ndarray, backend=None) -> np.ndarray:
         out = np.empty((a.shape[1], a.shape[1]), dtype=VALUE_DTYPE)
         backend.ata(a, out)
         return out
-    # dsyrk computes alpha * A^T A in the requested triangle for trans=1.
-    upper = dsyrk(1.0, a, trans=1, lower=0)
-    full = np.triu(upper) + np.triu(upper, k=1).T
-    return full
+    return a.T @ a
 
 
 def hadamard_gram(

@@ -2,10 +2,13 @@
 
 SPLATT's ``mat_solve_normals`` factorizes the ``R×R`` symmetric
 positive-semidefinite matrix ``V`` with LAPACK ``potrf`` (Cholesky) and
-applies ``potrs`` to solve ``A·V = M`` in place.  We run ``potrs`` only
-against the ``R×R`` identity and apply ``V⁻¹`` to the tall ``M`` with one
-GEMM: the same ``2·I·R²`` flops, far faster than ``potrs`` with ``I``
-right-hand sides.  A singular ``V`` falls back to a pseudo-inverse.
+applies ``potrs`` to solve ``A·V = M`` in place.  We factor ``V = L·Lᵀ``
+with ``numpy.linalg.cholesky`` (the same ``potrf``), form
+``V⁻¹ = L⁻ᵀ·L⁻¹`` from the inverse of the ``R×R`` triangular factor, and
+apply it to the tall ``M`` with one GEMM: the same ``2·I·R²`` flops, far
+faster than ``potrs`` with ``I`` right-hand sides.  A singular ``V`` falls
+back to a pseudo-inverse.  Only numpy is imported, so a CP-ALS process
+never loads scipy for this routine.
 
 This is the routine at the center of the paper's §V-E: in the Chapel port it
 runs under OpenBLAS/OpenMP and suffers from Qthreads interference — modeled
@@ -15,7 +18,6 @@ in :mod:`repro.perfmodel.interference`.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as sla
 
 from repro._util import VALUE_DTYPE
 
@@ -32,17 +34,17 @@ def _validate_square(mat: np.ndarray) -> np.ndarray:
 def pseudo_inverse_gram(v: np.ndarray, *, rcond: float = 1e-12) -> np.ndarray:
     """Moore–Penrose inverse ``V†`` of a symmetric PSD matrix.
 
-    Tries Cholesky (``potrf`` + ``potrs`` against the identity, SPLATT's
-    fast path); on ``LinAlgError`` (singular ``V``) falls back to the
+    Tries Cholesky (``potrf``, SPLATT's fast path) and returns
+    ``L⁻ᵀ·L⁻¹``; on ``LinAlgError`` (singular ``V``) falls back to the
     SVD-based pseudo-inverse, which is SPLATT's documented degenerate-rank
     behaviour.
     """
     v = _validate_square(v)
     try:
-        chol = sla.cho_factor(v, lower=False, check_finite=False)
-        return sla.cho_solve(chol, np.eye(v.shape[0], dtype=VALUE_DTYPE), check_finite=False)
-    except sla.LinAlgError:
+        l_inv = np.linalg.inv(np.linalg.cholesky(v))
+    except np.linalg.LinAlgError:
         return np.linalg.pinv(v, rcond=rcond, hermitian=True)
+    return l_inv.T @ l_inv
 
 
 def solve_normal_equations(mttkrp_result: np.ndarray, v: np.ndarray) -> np.ndarray:

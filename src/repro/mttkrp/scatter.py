@@ -66,12 +66,6 @@ __all__ = [
     "MttkrpContext",
 ]
 
-try:  # y += A @ x without allocating: private but long-stable scipy kernel
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # pragma: no cover - older/newer scipy layouts
-    _csr_matvecs = None
-
-
 def _compiled(backend) -> bool:
     """True when ``backend`` should take the compiled primitive path."""
     return backend is not None and backend.compiled
@@ -393,30 +387,38 @@ class SegmentSum:
 
     ``np.add.reduceat`` pays a per-segment dispatch cost that dominates
     when segments are tiny (CSF fibers average only a few nonzeros), so
-    the amortized kernels precompute a sparse 0/1 matrix whose rows are
-    the segments and apply it with scipy's compiled CSR matmul — ~10×
-    faster on fiber-sized segments, identical segment membership, with
-    per-segment sums accumulated sequentially (``allclose`` to the
-    reduceat path's pairwise sums).
+    the NumPy path applies a sparse 0/1 matrix whose rows are the
+    segments with scipy's compiled CSR matmul — ~10× faster on
+    fiber-sized segments, identical segment membership, with per-segment
+    sums accumulated sequentially (``allclose`` to the reduceat path's
+    pairwise sums).  A compiled backend reads only ``starts64``, so the
+    matrix is built on the first NumPy-path :meth:`apply` and a compiled
+    solve never builds it (nor imports scipy).
     """
 
     __slots__ = ("matrix", "nseg", "nin", "starts64")
 
     def __init__(self, starts: np.ndarray, nin: int):
-        import scipy.sparse as sp
-
         self.nseg = int(starts.shape[0])
         self.nin = int(nin)
         # Kept separately from matrix.indptr (scipy may downcast that to
         # int32): the compiled backends require int64 segment starts.
         self.starts64 = np.ascontiguousarray(starts, dtype=np.int64)
-        indptr = np.empty(self.nseg + 1, dtype=np.int64)
-        indptr[: self.nseg] = starts
-        indptr[self.nseg] = nin
-        self.matrix = sp.csr_matrix(
-            (np.ones(nin, dtype=VALUE_DTYPE), np.arange(nin, dtype=np.int64), indptr),
-            shape=(self.nseg, nin),
-        )
+        self.matrix = None
+
+    def _csr(self):
+        if self.matrix is None:
+            import scipy.sparse as sp
+
+            indptr = np.empty(self.nseg + 1, dtype=np.int64)
+            indptr[: self.nseg] = self.starts64
+            indptr[self.nseg] = self.nin
+            self.matrix = sp.csr_matrix(
+                (np.ones(self.nin, dtype=VALUE_DTYPE),
+                 np.arange(self.nin, dtype=np.int64), indptr),
+                shape=(self.nseg, self.nin),
+            )
+        return self.matrix
 
     def apply(self, w: np.ndarray, ws: Workspace, tag, backend=None) -> np.ndarray:
         """Per-segment sums of ``w``'s rows, in a reused ``tag`` buffer."""
@@ -428,10 +430,13 @@ class SegmentSum:
         ):
             backend.segment_sum(w, self.starts64, out)
             return out
-        m = self.matrix
-        if _csr_matvecs is not None and w.flags["C_CONTIGUOUS"]:
+        m = self._csr()
+        if w.flags.c_contiguous:
+            # y += A @ x without allocating: private but long-stable scipy kernel
+            from scipy.sparse._sparsetools import csr_matvecs
+
             out[:] = 0.0
-            _csr_matvecs(
+            csr_matvecs(
                 self.nseg, self.nin, w.shape[1],
                 m.indptr, m.indices, m.data, w.ravel(), out.ravel(),
             )
@@ -440,9 +445,11 @@ class SegmentSum:
         return out
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array the operator holds; ``starts64`` may be the caller's
-        ``starts`` itself."""
+        """Every array the operator holds (the CSR matrix's once built);
+        ``starts64`` may be the caller's ``starts`` itself."""
         m = self.matrix
+        if m is None:
+            return (self.starts64,)
         return (m.data, m.indices, m.indptr, self.starts64)
 
 

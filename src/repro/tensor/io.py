@@ -7,7 +7,11 @@ SPLATT reads whitespace-separated text files where each line holds the
     2 7 3 0.5
 
 We reproduce that reader/writer (``load_tns`` / ``save_tns``), including
-comment lines (``#``) and blank-line tolerance, plus two binary formats:
+comment lines (``#``) and blank-line tolerance.  SPLATT parses in C; here a
+file whose every line is a data row is parsed in one ``np.loadtxt`` pass,
+and anything else (comments, blank lines, parse errors, non-finite values)
+goes through a per-line loop that reports the offending file line.  Both
+give identical arrays.  There are also two binary formats:
 
 * ``.npz`` (``save_binary`` / ``load_binary``) — compressed cache used by
   the benchmark harness;
@@ -82,6 +86,78 @@ def _consistent_width(path: Path, rows: list[tuple[int, list[str]]]) -> int:
     )
 
 
+def _line_count(path: Path) -> int:
+    """The number of lines text-mode iteration yields (universal newlines:
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end one line)."""
+    with (gzip.open(path, "rb") if path.suffix == ".gz" else path.open("rb")) as fh:
+        raw = fh.read()
+    ends = raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+    return ends + (not raw.endswith((b"\n", b"\r")))
+
+
+def _parse_one_pass(path: Path) -> tuple[np.ndarray, np.ndarray, range] | None:
+    """Coordinates, values and line numbers of a file whose every line is a
+    data row, in one ``np.loadtxt`` pass; ``None`` sends the file to
+    :func:`_parse_lines`.
+
+    The mode count comes from the first line.  Coordinates are parsed as
+    integers, so ``1e3`` fails as it does for ``int()``, and comments are
+    not recognized (``comments=None``), so no trailing ``# ...`` is
+    accepted.  Any parse error, a non-finite value, or a row count that
+    differs from the file's line count (a blank or comment line) returns
+    ``None``: the line loop then accepts the file or raises its message.
+    """
+    try:
+        with _open_text(path, "r") as fh:
+            nmodes = len(fh.readline().split()) - 1
+            if nmodes < 1:
+                return None
+            fh.seek(0)
+            row = np.dtype([("coords", INDEX_DTYPE, (nmodes,)), ("value", VALUE_DTYPE)])
+            table = np.loadtxt(fh, dtype=row, comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if table.shape[0] != _line_count(path):
+        return None
+    values = np.ascontiguousarray(table["value"])
+    if not np.isfinite(values).all():
+        return None
+    return np.ascontiguousarray(table["coords"]), values, range(1, len(values) + 1)
+
+
+def _parse_lines(path: Path) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Coordinates, values and file line numbers of the data rows, read
+    line by line; skips comments and blank lines, and raises a
+    :class:`ValueError` naming the file line of the first bad row."""
+    rows: list[tuple[int, list[str]]] = []
+    with _open_text(path, "r") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith(("#", "%")):
+                continue
+            fields = stripped.split()
+            if len(fields) < 2:
+                raise ValueError(f"{path}:{lineno}: need at least one index and a value")
+            rows.append((lineno, fields))
+    if not rows:
+        raise ValueError(f"{path}: no nonzeros found")
+    width = _consistent_width(path, rows)
+    coords = np.empty((len(rows), width - 1), dtype=INDEX_DTYPE)
+    values = np.empty(len(rows), dtype=VALUE_DTYPE)
+    for i, (lineno, fields) in enumerate(rows):
+        try:
+            coords[i] = [int(f) for f in fields[:-1]]
+            values[i] = float(fields[-1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
+        if not np.isfinite(values[i]):
+            raise ValueError(
+                f"{path}:{lineno}: non-finite value {fields[-1]!r} "
+                "(NaN/inf nonzeros are not representable)"
+            )
+    return coords, values, [lineno for lineno, _ in rows]
+
+
 def load_tns(
     path: str | os.PathLike,
     *,
@@ -102,7 +178,9 @@ def load_tns(
         FROSTT files are 1-indexed; set ``False`` for 0-indexed files.
 
     ``.gz`` paths are decompressed transparently (FROSTT distributes
-    tensors gzipped).
+    tensors gzipped).  A file of data rows only is parsed in one pass; a
+    file with comments, blank lines or a bad row is read line by line.
+    The result is the same either way.
 
     Raises
     ------
@@ -114,33 +192,8 @@ def load_tns(
         editor.
     """
     path = Path(path)
-    rows: list[tuple[int, list[str]]] = []
-    with _open_text(path, "r") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", "%")):
-                continue
-            fields = stripped.split()
-            if len(fields) < 2:
-                raise ValueError(f"{path}:{lineno}: need at least one index and a value")
-            rows.append((lineno, fields))
-    if not rows:
-        raise ValueError(f"{path}: no nonzeros found")
-    width = _consistent_width(path, rows)
-    nmodes = width - 1
-    coords = np.empty((len(rows), nmodes), dtype=INDEX_DTYPE)
-    values = np.empty(len(rows), dtype=VALUE_DTYPE)
-    for i, (lineno, fields) in enumerate(rows):
-        try:
-            coords[i] = [int(f) for f in fields[:-1]]
-            values[i] = float(fields[-1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad numeric field: {exc}") from exc
-        if not np.isfinite(values[i]):
-            raise ValueError(
-                f"{path}:{lineno}: non-finite value {fields[-1]!r} "
-                "(NaN/inf nonzeros are not representable)"
-            )
+    coords, values, linenos = _parse_one_pass(path) or _parse_lines(path)
+    nmodes = coords.shape[1]
     if one_indexed:
         coords -= 1
     if (coords < 0).any():
@@ -157,7 +210,7 @@ def load_tns(
         out_of_range = (coords >= np.asarray(dims, dtype=INDEX_DTYPE)).any(axis=1)
         if out_of_range.any():
             i = int(np.argmax(out_of_range))
-            lineno = rows[i][0]
+            lineno = linenos[i]
             coord = tuple(int(c) + (1 if one_indexed else 0) for c in coords[i])
             raise ValueError(
                 f"{path}:{lineno}: coordinate {coord} exceeds dims {dims} "

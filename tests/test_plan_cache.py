@@ -15,11 +15,12 @@ import gc
 import numpy as np
 import pytest
 
+from repro.backend import resolve_backend
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
 from repro.mttkrp import variants
-from repro.mttkrp.scatter import MttkrpContext
+from repro.mttkrp.scatter import MttkrpContext, Workspace
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import make_mutex_pool
@@ -70,8 +71,9 @@ def _unique_plan_array_bytes(plans):
         for trav in plan.traversals:
             add(*trav.up_starts, *trav.down_expand)
             for seg in trav.up_segsum:
-                add(seg.matrix.data, seg.matrix.indices, seg.matrix.indptr,
-                    seg.starts64)
+                add(seg.starts64)
+                if seg.matrix is not None:  # built by a NumPy-path apply
+                    add(seg.matrix.data, seg.matrix.indices, seg.matrix.indptr)
         for sc in plan.scatters:
             add(sc.order, sc.seg_starts, sc.out_rows, sc.bucket_ids,
                 sc.bucket_bounds)
@@ -94,6 +96,60 @@ def test_plan_bytes_count_shared_traversals_once():
     # a standalone plan still reports its own footprint, traversals included
     assert root.memory_bytes() == _unique_plan_array_bytes([root])
     assert stats["plan_bytes"] < root.memory_bytes() + internal.memory_bytes()
+
+
+def _segment_sums(plans):
+    return [seg for plan in plans for trav in plan.traversals for seg in trav.up_segsum]
+
+
+def test_cext_plans_hold_no_csr_matrix():
+    """A compiled backend reads only ``starts64``: after a full cext sweep
+    no segment sum has built its CSR matrix, and ``plan_bytes`` counts
+    only what the operators hold."""
+    backend = resolve_backend("auto")
+    if not backend.compiled:
+        pytest.skip("no compiled backend on this host")
+    tensor = random_tensor((10, 8, 6), 120, seed=0)
+    csf_set = build_csf_set(tensor)
+    factors = _factors(tensor)
+    for mode in range(tensor.nmodes):
+        mttkrp_csf(csf_set, factors, mode, backend=backend)
+    ctx = csf_set.mttkrp_context
+    plans = list(ctx._plans.values())
+    segs = _segment_sums(plans)
+    assert segs and all(seg.matrix is None for seg in segs)
+    assert all(seg.arrays() == (seg.starts64,) for seg in segs)
+    assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans)
+
+
+def test_numpy_segment_sums_match_the_eager_csr_operator():
+    """The NumPy path builds each operator's CSR matrix on first use, and
+    its sums equal, bit for bit, those of the matrix the operator used to
+    build up front."""
+    import scipy.sparse as sp
+
+    tensor = random_tensor((10, 8, 6), 120, seed=0)
+    csf_set = build_csf_set(tensor)
+    factors = _factors(tensor)
+    _sweep(csf_set, factors)
+    ctx = csf_set.mttkrp_context
+    plans = list(ctx._plans.values())
+    segs = [seg for seg in _segment_sums(plans) if seg.nseg]
+    assert segs and all(seg.matrix is not None for seg in segs)
+    assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans)
+    rng = np.random.default_rng(1)
+    for seg in segs:
+        eager = sp.csr_matrix(
+            (np.ones(seg.nin), np.arange(seg.nin),
+             np.append(seg.starts64, seg.nin)),
+            shape=(seg.nseg, seg.nin),
+        )
+        w = rng.standard_normal((seg.nin, 4))
+        got = seg.apply(w, Workspace(), "s")
+        np.testing.assert_array_equal(got, eager @ w)
+        # a non-contiguous input takes the matmul branch: same sums
+        wf = np.asfortranarray(w)
+        np.testing.assert_array_equal(seg.apply(wf, Workspace(), "f"), eager @ w)
 
 
 def test_fresh_decompositions_do_not_retain_stale_plans():

@@ -1,9 +1,13 @@
 """Unit tests for FROSTT text I/O and the binary cache format."""
 
+import gzip
+
 import numpy as np
 import pytest
 
+from repro.tensor import io as tns_io
 from repro.tensor.coo import SparseTensor
+from repro.tensor.generate import random_tensor, synthetic_dataset
 from repro.tensor.io import load_binary, load_tns, save_binary, save_tns
 
 
@@ -399,3 +403,144 @@ class TestMmapAtomicWrite:
         assert path.read_bytes() == before
         reloaded = load_mmap(path)
         np.testing.assert_array_equal(reloaded.values, small_tensor.values)
+
+
+def _outcome(path, **kwargs):
+    """Everything ``load_tns`` returns, as bytes, or its error text."""
+    try:
+        t = load_tns(path, **kwargs)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (t.coords.dtype.str, t.coords.shape, t.coords.tobytes(),
+            t.values.dtype.str, t.values.tobytes(), t.dims, t.name)
+
+
+def _loop_outcome(path, monkeypatch, **kwargs):
+    """The outcome with the one-pass parser switched off: the line loop alone."""
+    with monkeypatch.context() as m:
+        m.setattr(tns_io, "_parse_one_pass", lambda path: None)
+        return _outcome(path, **kwargs)
+
+
+def _one_pass_taken(path) -> bool:
+    return tns_io._parse_one_pass(path) is not None
+
+
+@pytest.fixture(scope="module")
+def stand_in_files(tmp_path_factory):
+    """The generated NETFLIX and YELP stand-ins, written as ``.tns``."""
+    out = {}
+    for name in ("netflix", "yelp"):
+        path = tmp_path_factory.mktemp(name) / f"{name}.tns"
+        save_tns(synthetic_dataset(name, seed=1), path)
+        out[name] = path
+    return out
+
+
+class TestOnePassParser:
+    """The one-pass ``np.loadtxt`` parse and the line loop give byte-identical
+    tensors on every file the loop accepts; every other file takes the loop
+    and fails exactly as it did."""
+
+    @pytest.mark.parametrize("name", ["netflix", "yelp"])
+    def test_stand_ins_identical(self, name, stand_in_files, monkeypatch):
+        path = stand_in_files[name]
+        assert _one_pass_taken(path)
+        got = _outcome(path)
+        assert got[0] != "error"
+        assert got == _loop_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("shape", [(12, 9, 15), (6, 5, 7, 4)])
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("kwargs", [{}, {"one_indexed": False}, {"dims": (40, 40, 40, 40)}],
+                             ids=["one-indexed", "zero-indexed", "dims"])
+    def test_generated_files_identical(self, shape, gz, kwargs, tmp_path, monkeypatch):
+        tensor = random_tensor(shape, 150, seed=3)
+        path = tmp_path / ("t.tns.gz" if gz else "t.tns")
+        save_tns(tensor, path, one_indexed=kwargs.get("one_indexed", True))
+        if "dims" in kwargs:
+            kwargs = {"dims": kwargs["dims"][: len(shape)]}
+        assert _one_pass_taken(path)
+        got = _outcome(path, **kwargs)
+        assert got[0] != "error"
+        assert got == _loop_outcome(path, monkeypatch, **kwargs)
+
+    @pytest.mark.parametrize("text", [
+        "1\t2\t3\t0.5\n4\t1\t2\t-1.25\n",
+        "+1 +2 3 0.5\n2 1 +1 +7\n",
+        "  1 2 3 0.5  \n2 2 2 1e-3\t\n",
+        "1 2 3 0.5\r\n2 2 2 .25\r\n",
+        "1 2 3 0.5\r2 2 2 .25\r",
+        "1 2 3 0.5\n2 2 2 5",
+        "1 2 3 4.9406564584124654e-324\n2 2 2 1.7976931348623157e308\n",
+    ], ids=["tabs", "plus-signs", "padding", "crlf", "cr", "no-final-newline",
+         "extremes"])
+    def test_accepted_variants_identical(self, text, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text(text)
+        assert _one_pass_taken(path)
+        got = _outcome(path)
+        assert got[0] != "error"
+        assert got == _loop_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("text,accepted", [
+        ("# header\n1 2 3 0.5\n2 2 2 1.0\n", True),
+        ("% header\n1 2 3 0.5\n", True),
+        ("1 2 3 0.5\n\n2 2 2 1.0\n", True),
+        ("1 2 3 0.5\n2 2 2 1.0\n\n", True),
+        ("1 2 3 0.5\n   \n2 2 2 1.0\n", True),
+        ("1 2 3 0.5 # inline\n2 2 2 1.0\n", False),
+        ("1e3 2 3 0.5\n", False),
+        ("1.0 2 3 0.5\n", False),
+        ("1 2 3 nan\n", False),
+        ("1 2 3 0.5\n2 2 2 -inf\n", False),
+        ("1 2 3 0.5\n2 2 1.0\n2 2 2 2.0\n", False),
+        ("1_0 2 3 0.5\n", True),
+        ("", False),
+        ("\n\n", False),
+        ("1\n", False),
+    ])
+    def test_other_files_take_the_loop(self, text, accepted, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text(text)
+        assert not _one_pass_taken(path)
+        got = _outcome(path)
+        assert (got[0] != "error") == accepted, got
+        assert got == _loop_outcome(path, monkeypatch)
+
+    def test_underflow_on_the_one_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text("1 1 1 1.0\n0 1 1 2.0\n")
+        assert _one_pass_taken(path)
+        got = _outcome(path)
+        assert got == _loop_outcome(path, monkeypatch)
+        assert got[0] == "error" and "coordinate underflow" in got[1]
+
+    def test_out_of_range_line_number_after_blank_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text("1 1 1 1.0\n\n2 2 2 2.0\n9 2 1 3.0\n")
+        assert not _one_pass_taken(path)
+        got = _outcome(path, dims=(4, 4, 4))
+        assert got == _loop_outcome(path, monkeypatch, dims=(4, 4, 4))
+        assert got[0] == "error" and "t.tns:4: coordinate (9, 2, 1)" in got[1]
+
+    def test_out_of_range_line_number_on_the_one_pass(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns"
+        path.write_text("1 1 1 1.0\n2 2 2 2.0\n9 2 1 3.0\n")
+        assert _one_pass_taken(path)
+        got = _outcome(path, dims=(4, 4, 4))
+        assert got == _loop_outcome(path, monkeypatch, dims=(4, 4, 4))
+        assert got[0] == "error" and "t.tns:3: coordinate (9, 2, 1)" in got[1]
+
+    def test_undecodable_file_fails_as_before(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.tns.gz"
+        with gzip.open(path, "wb") as fh:
+            fh.write(b"1 2 3 0.5\n2 2 2 \xff\n")
+        assert not _one_pass_taken(path)
+        with pytest.raises(UnicodeDecodeError) as fast:
+            load_tns(path)
+        with monkeypatch.context() as m:
+            m.setattr(tns_io, "_parse_one_pass", lambda path: None)
+            with pytest.raises(UnicodeDecodeError) as loop:
+                load_tns(path)
+        assert str(fast.value) == str(loop.value)
