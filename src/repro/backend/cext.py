@@ -6,9 +6,15 @@ shared object cached under a content-hash name, and called through
 :mod:`ctypes` — which releases the GIL for the duration of every foreign
 call, so per-task kernel calls from the worker pool can run on distinct
 cores, with zero Python-package dependencies beyond a toolchain.
-Beyond that translation it has the mutex-pool scatter: a task's whole
-locked bucket loop in one call, over C locks (``repro_scatter_locked``;
-docs/RUNTIME.md says when it runs).
+
+One MTTKRP task is one kernel call, which adds each contribution straight
+into its output row: the MTTKRP output, or, given a ``slot`` array, the
+task's compact buffer of the rows it touches (``kernels_ref`` states the
+contract).  Beyond that translation it has the mutex-pool scatter that
+adds such a buffer into the output: a task's whole locked bucket loop in
+one call, over C locks (``repro_scatter_locked``; docs/RUNTIME.md says
+when it runs).  ``subprocess`` and ``shutil`` are imported only when the
+shared object must be compiled.
 
 The cache directory is ``$REPRO_CEXT_CACHE`` if set, else a per-user
 directory under the system temp dir.  The shared object's name embeds a
@@ -26,9 +32,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
-import shutil
-import subprocess
-import tempfile
 
 import numpy as np
 
@@ -62,6 +65,9 @@ static void level_ranges(const int64_t* fptr_cat, const int64_t* fptr_off,
         ptr[l] = lo_l[l];
 }
 
+/* Range kernels: one pass per task, adding each contribution into its
+   output row, out[fid] or (given slot) row slot[i] of the task's compact
+   buffer of nout rows, zeroed first.  kernels_ref.py states the contract. */
 void repro_root_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                        const int64_t* fids_cat, const int64_t* fids_off,
                        const double* values, const double* packed,
@@ -83,9 +89,9 @@ void repro_root_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
         int64_t l = last - 1;
         while (pos == fptr_cat[fptr_off[l] + ptr[l] + 1]) {
             if (l == 0) {
-                double* o = out + (ptr[0] - lo) * rank;
+                double* o = out + fids_cat[fids_off[0] + ptr[0]] * rank;
                 for (int64_t r = 0; r < rank; r++) {
-                    o[r] = acc[r];
+                    o[r] += acc[r];
                     acc[r] = 0.0;
                 }
                 ptr[0] += 1;
@@ -107,16 +113,25 @@ void repro_root_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
     free(acc);
 }
 
+static void clear_rows(double* out, const int64_t* slot, int64_t nout,
+                       int64_t rank)
+{
+    if (slot != NULL)
+        for (int64_t i = 0; i < nout * rank; i++)
+            out[i] = 0.0;
+}
+
 void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                            const int64_t* fids_cat, const int64_t* fids_off,
                            const double* values, const double* packed,
                            const int64_t* row_off, int64_t nmodes,
-                           int64_t rank, int64_t level,
-                           int64_t lo, int64_t hi, double* out)
+                           int64_t rank, int64_t level, int64_t lo, int64_t hi,
+                           const int64_t* slot, double* out, int64_t nout)
 {
     int64_t last = nmodes - 1;
     int64_t lo_l[MAX_MODES], hi_l[MAX_MODES], ptr[MAX_MODES];
     level_ranges(fptr_cat, fptr_off, nmodes, lo, hi, lo_l, hi_l, ptr);
+    clear_rows(out, slot, nout, rank);
     double* acc = (double*)calloc((size_t)(last * rank), sizeof(double));
     double* tmp = (double*)malloc((size_t)rank * sizeof(double));
     for (int64_t z = lo_l[last]; z < hi_l[last]; z++) {
@@ -142,7 +157,6 @@ void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                 pos = ptr[l];
                 l -= 1;
             } else if (l == level) {
-                int64_t i = ptr[level] - lo_l[level];
                 double* alev = acc + level * rank;
                 for (int64_t r = 0; r < rank; r++) {
                     tmp[r] = alev[r];
@@ -154,9 +168,11 @@ void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                     for (int64_t r = 0; r < rank; r++)
                         tmp[r] *= fa[r];
                 }
-                double* o = out + i * rank;
+                int64_t row = slot != NULL ? slot[ptr[level] - lo_l[level]]
+                                           : fids_cat[fids_off[level] + ptr[level]];
+                double* o = out + row * rank;
                 for (int64_t r = 0; r < rank; r++)
-                    o[r] = tmp[r];
+                    o[r] += tmp[r];
                 ptr[level] += 1;
                 pos = ptr[level];
                 l -= 1;
@@ -179,13 +195,17 @@ void repro_leaf_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                        const int64_t* fids_cat, const int64_t* fids_off,
                        const double* values, const double* packed,
                        const int64_t* row_off, int64_t nmodes, int64_t rank,
-                       int64_t lo, int64_t hi, double* out)
+                       int64_t lo, int64_t hi,
+                       const int64_t* slot, double* out, int64_t nout)
 {
     int64_t last = nmodes - 1;
     int64_t lo_l[MAX_MODES], hi_l[MAX_MODES], ptr[MAX_MODES];
     level_ranges(fptr_cat, fptr_off, nmodes, lo, hi, lo_l, hi_l, ptr);
-    double* prow = (double*)malloc((size_t)rank * sizeof(double));
-    int64_t out_base = lo_l[last];
+    clear_rows(out, slot, nout, rank);
+    double* prow = (double*)malloc((size_t)(2 * rank) * sizeof(double));
+    /* the product lands in its own row before the add, so it is rounded
+       on its own and never fused into the add */
+    double* term = prow + rank;
     int64_t fib = last - 1;
     for (int64_t p = lo_l[fib]; p < hi_l[fib]; p++) {
         for (int64_t r = 0; r < rank; r++)
@@ -203,9 +223,13 @@ void repro_leaf_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
         for (int64_t z = fptr_cat[fptr_off[fib] + p];
              z < fptr_cat[fptr_off[fib] + p + 1]; z++) {
             double v = values[z];
-            double* o = out + (z - out_base) * rank;
             for (int64_t r = 0; r < rank; r++)
-                o[r] = v * prow[r];
+                term[r] = v * prow[r];
+            int64_t row = slot != NULL ? slot[z - lo_l[last]]
+                                       : fids_cat[fids_off[last] + z];
+            double* o = out + row * rank;
+            for (int64_t r = 0; r < rank; r++)
+                o[r] += term[r];
         }
         int64_t pos = p + 1;
         int64_t l = fib - 1;
@@ -364,8 +388,8 @@ _PTR = ctypes.c_void_p
 
 _SIGNATURES = {
     "repro_root_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR],
-    "repro_internal_kernel": [_PTR] * 7 + [_I64] * 5 + [_PTR],
-    "repro_leaf_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR],
+    "repro_internal_kernel": [_PTR] * 7 + [_I64] * 5 + [_PTR, _PTR, _I64],
+    "repro_leaf_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR, _PTR, _I64],
     "repro_segment_sum": [_PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_gather_segment_sum": [_PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_ata": [_PTR, _I64, _I64, _PTR],
@@ -383,6 +407,8 @@ _LOCK_KINDS = {"atomic": 0, "sync": 1}
 
 
 def _compiler() -> str | None:
+    import shutil
+
     cc = os.environ.get("CC")
     if cc and shutil.which(cc):
         return cc
@@ -397,6 +423,8 @@ def _cache_dir() -> str:
     if override:
         path = override
     else:
+        import tempfile  # numpy has imported it already
+
         uid = os.getuid() if hasattr(os, "getuid") else 0
         path = os.path.join(tempfile.gettempdir(), f"repro-cext-{uid}")
     os.makedirs(path, exist_ok=True)
@@ -404,12 +432,6 @@ def _cache_dir() -> str:
 
 
 def _build_library() -> ctypes.CDLL:
-    cc = _compiler()
-    if cc is None:
-        raise BackendUnavailableError(
-            "backend 'cext' is unavailable: no C compiler found (set $CC, "
-            "or install cc/gcc/clang) — use --backend auto to fall back"
-        )
     # the cache key covers the build recipe too, so changing compile flags
     # invalidates stale shared objects
     digest = hashlib.sha256(
@@ -418,6 +440,14 @@ def _build_library() -> ctypes.CDLL:
     cache = _cache_dir()
     so_path = os.path.join(cache, f"repro_backend_{digest}.so")
     if not os.path.exists(so_path):
+        import subprocess  # only a build needs it (or a compiler)
+
+        cc = _compiler()
+        if cc is None:
+            raise BackendUnavailableError(
+                "backend 'cext' is unavailable: no C compiler found (set $CC, "
+                "or install cc/gcc/clang) — use --backend auto to fall back"
+            )
         src_path = os.path.join(cache, f"repro_backend_{digest}.c")
         with open(src_path, "w") as fh:
             fh.write(_C_SOURCE)
@@ -500,16 +530,35 @@ class CextBackend(Backend):
         )
 
     def root_kernel(self, pk, packed, lo, hi, out) -> None:
-        self._lib.repro_root_kernel(
-            *self._tree_args(pk, packed), lo, hi, _p(out, VALUE_DTYPE))
+        _, target, _ = self._target(pk, packed, 0, out, None)
+        self._lib.repro_root_kernel(*self._tree_args(pk, packed), lo, hi, target)
 
-    def internal_kernel(self, pk, packed, level, lo, hi, out) -> None:
+    def internal_kernel(self, pk, packed, level, lo, hi, out, slot=None) -> None:
         self._lib.repro_internal_kernel(
-            *self._tree_args(pk, packed), level, lo, hi, _p(out, VALUE_DTYPE))
+            *self._tree_args(pk, packed), level, lo, hi,
+            *self._target(pk, packed, level, out, slot))
 
-    def leaf_kernel(self, pk, packed, lo, hi, out) -> None:
+    def leaf_kernel(self, pk, packed, lo, hi, out, slot=None) -> None:
         self._lib.repro_leaf_kernel(
-            *self._tree_args(pk, packed), lo, hi, _p(out, VALUE_DTYPE))
+            *self._tree_args(pk, packed), lo, hi,
+            *self._target(pk, packed, pk.nmodes - 1, out, slot))
+
+    @staticmethod
+    def _target(pk, packed, level, out, slot):
+        """``(slot, out, nout)`` pointers for a kernel adding into ``out``.
+
+        C indexes without bounds checks, so the shapes are checked here:
+        without ``slot``, ``out`` must cover every fid of ``level``; with
+        it, the plan that built ``slot`` keeps its entries below ``nout``.
+        """
+        if (out.ndim != 2 or out.shape[1] != packed.shape[1]
+                or (slot is None and out.shape[0] < pk.level_dims[level])):
+            raise ValueError(
+                f"cext kernel output {out.shape} does not cover "
+                f"{pk.level_dims[level]} rows of rank {packed.shape[1]}"
+            )
+        ptr = None if slot is None else _p(slot, INDEX_DTYPE)
+        return ptr, _p(out, VALUE_DTYPE), out.shape[0]
 
     def segment_sum(self, x, starts, out) -> None:
         self._lib.repro_segment_sum(

@@ -30,9 +30,24 @@ subtree-before-sibling accumulation order up to summation rounding), so
 results agree to ``allclose`` at 1e-10 — asserted across the whole
 equivalence suite.
 
-Every kernel writes a caller-allocated ``out`` and returns ``None``; no
-kernel allocates per-``nnz`` temporaries, so per-task workspace arenas keep
-the steady state allocation-free.
+Output contract (direct write): the range kernels emit nothing per node.
+Each one *adds* every contribution into its output row while it walks the
+task's slices, and returns ``None``:
+
+* the root kernel adds root node ``i`` into ``out[fids[0][i]]``;
+* the internal and leaf kernels add into ``out[fid]`` when ``slot`` is
+  ``None`` — one task owns the whole MTTKRP output;
+* with ``slot``, ``out`` is the task's compact buffer, one row per output
+  row the task touches: the kernel zeroes it, then node ``i`` of the
+  task's range at the output level adds into ``out[slot[i]]``.  The
+  caller's :class:`~repro.mttkrp.scatter.RowScatter` built ``slot`` and
+  adds the buffer into the shared output (bucket locks or a task-ordered
+  merge).
+
+Each row sums its contributions in tree order from zero, the order
+:func:`gather_segment_sum_kernel` takes over a stable row sort, so a row
+matches gathering per-node contributions and segment-summing them bit for
+bit.  No kernel allocates per-``nnz`` temporaries.
 """
 
 from __future__ import annotations
@@ -51,11 +66,13 @@ __all__ = [
 
 def root_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
                 packed, row_off, nmodes, lo, hi, out):
-    """Root-mode subtree products for root slices ``[lo, hi)``.
+    """Root-mode MTTKRP for root slices ``[lo, hi)``, added into ``out``.
 
-    ``out[i]`` receives the full upward product of root node ``lo + i``
-    (all levels below the root multiplied in; the root factor excluded),
-    matching ``_upward_product(..., stop_level=0)``.
+    Root node ``i`` adds its full upward product (all levels below the
+    root multiplied in; the root factor excluded, as
+    ``_upward_product(..., stop_level=0)``) into ``out[fids[0][i]]``.
+    Root fids are distinct, so tasks on disjoint slice ranges never share
+    a row.
     """
     rank = packed.shape[1]
     last = nmodes - 1
@@ -80,9 +97,9 @@ def root_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
         l = last - 1
         while pos == fptr_cat[fptr_off[l] + ptr[l] + 1]:
             if l == 0:
-                i = ptr[0] - lo
+                row = fids_cat[fids_off[0] + ptr[0]]
                 for r in range(rank):
-                    out[i, r] = acc[0, r]
+                    out[row, r] += acc[0, r]
                     acc[0, r] = 0.0
                 ptr[0] += 1
                 break
@@ -95,14 +112,24 @@ def root_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
             l -= 1
 
 
-def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
-                    packed, row_off, nmodes, level, lo, hi, out):
-    """Internal-mode contributions at tree ``level`` (0 < level < nmodes-1).
+def _clear_rows(out, slot):
+    """Zero a compact buffer before a slot-form kernel adds into it."""
+    if slot is not None:
+        for i in range(out.shape[0]):
+            for r in range(out.shape[1]):
+                out[i, r] = 0.0
 
-    ``out`` has one row per ``level`` node under root slices ``[lo, hi)``:
-    the upward product of the node's subtree times the downward product of
-    its ancestors' factor rows, the ``level`` factor itself excluded —
-    matching ``internal_range_vectorized``'s ``d * u``.
+
+def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
+                    packed, row_off, nmodes, level, lo, hi, slot, out):
+    """Internal-mode MTTKRP at tree ``level`` (0 < level < nmodes-1).
+
+    Each ``level`` node under root slices ``[lo, hi)`` adds the upward
+    product of its subtree times the downward product of its ancestors'
+    factor rows (the ``level`` factor itself excluded, as
+    ``internal_range_vectorized``'s ``d * u``) into its output row:
+    ``out[fid]`` when ``slot`` is ``None``, else row ``slot[i]`` of the
+    compact buffer ``out`` (zeroed first) for the range's ``i``-th node.
     """
     rank = packed.shape[1]
     last = nmodes - 1
@@ -113,6 +140,7 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     for l in range(last):
         lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]]
         hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]]
+    _clear_rows(out, slot)
     acc = np.zeros((last, rank), np.float64)
     tmp = np.empty(rank, np.float64)
     ptr = np.empty(nmodes, np.int64)
@@ -135,8 +163,7 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
                 pos = ptr[l]
                 l -= 1
             elif l == level:
-                # emit: subtree sum times the ancestor rows (levels < level)
-                i = ptr[level] - lo_l[level]
+                # add: subtree sum times the ancestor rows (levels < level)
                 for r in range(rank):
                     tmp[r] = acc[level, r]
                     acc[level, r] = 0.0
@@ -144,8 +171,12 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
                     fra = row_off[a] + fids_cat[fids_off[a] + ptr[a]]
                     for r in range(rank):
                         tmp[r] *= packed[fra, r]
+                if slot is not None:
+                    row = slot[ptr[level] - lo_l[level]]
+                else:
+                    row = fids_cat[fids_off[level] + ptr[level]]
                 for r in range(rank):
-                    out[i, r] = tmp[r]
+                    out[row, r] += tmp[r]
                 ptr[level] += 1
                 pos = ptr[level]
                 l -= 1
@@ -160,12 +191,13 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
 
 
 def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
-                packed, row_off, nmodes, lo, hi, out):
-    """Leaf-mode contributions for root slices ``[lo, hi)``.
+                packed, row_off, nmodes, lo, hi, slot, out):
+    """Leaf-mode MTTKRP for root slices ``[lo, hi)``.
 
-    ``out`` has one row per leaf (nonzero): the nonzero value times the
-    product of every ancestor level's factor row, the leaf factor excluded
-    — matching ``leaf_range_vectorized``'s ``vals[:, None] * d``.
+    Each leaf (nonzero) adds its value times the product of every ancestor
+    level's factor row (the leaf factor excluded, as
+    ``leaf_range_vectorized``'s ``vals[:, None] * d``) into its output
+    row, chosen as in :func:`internal_kernel`.
     """
     rank = packed.shape[1]
     last = nmodes - 1
@@ -176,11 +208,12 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     for l in range(last):
         lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]]
         hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]]
+    _clear_rows(out, slot)
     ptr = np.empty(nmodes, np.int64)
     for l in range(nmodes):
         ptr[l] = lo_l[l]
     prow = np.empty(rank, np.float64)
-    out_base = lo_l[last]
+    term = np.empty(rank, np.float64)
     fib = last - 1  # the leaves' parent level ("fiber" level)
     for p in range(lo_l[fib], hi_l[fib]):
         for r in range(rank):
@@ -194,10 +227,15 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
             prow[r] *= packed[frp, r]
         for z in range(fptr_cat[fptr_off[fib] + p],
                        fptr_cat[fptr_off[fib] + p + 1]):
-            i = z - out_base
             v = values[z]
             for r in range(rank):
-                out[i, r] = v * prow[r]
+                term[r] = v * prow[r]
+            if slot is not None:
+                row = slot[z - lo_l[last]]
+            else:
+                row = fids_cat[fids_off[last] + z]
+            for r in range(rank):
+                out[row, r] += term[r]
         # advance ancestor pointers past completed nodes
         pos = p + 1
         l = fib - 1

@@ -46,12 +46,14 @@ class PackedTree:
     row_off:
         ``row_off[l]`` is the first row of level ``l``'s factor inside the
         packed factor matrix (levels ordered by ``dim_perm``).
+    level_dims:
+        The tree's dims in level order.
     packed_rows:
         Total rows of the packed factor matrix (``Σ dims``).
     """
 
     __slots__ = ("nmodes", "fptr_cat", "fptr_off", "fids_cat", "fids_off",
-                 "values", "row_off", "packed_rows", "_level_dims")
+                 "values", "row_off", "packed_rows", "level_dims")
 
     def __init__(self, tree: CsfTensor):
         nmodes = tree.nmodes
@@ -70,12 +72,12 @@ class PackedTree:
             foff[l] = foff[l - 1] + tree.fids[l - 1].shape[0]
         self.fids_off = foff
         self.values = tree.values
-        self._level_dims = tuple(tree.dims[m] for m in tree.dim_perm)
+        self.level_dims = tuple(tree.dims[m] for m in tree.dim_perm)
         row_off = np.zeros(nmodes, dtype=INDEX_DTYPE)
         for l in range(1, nmodes):
-            row_off[l] = row_off[l - 1] + self._level_dims[l - 1]
+            row_off[l] = row_off[l - 1] + self.level_dims[l - 1]
         self.row_off = row_off
-        self.packed_rows = int(sum(self._level_dims))
+        self.packed_rows = int(sum(self.level_dims))
 
     def nbytes(self) -> int:
         """Index-array storage held by this packed view (values excluded —
@@ -103,5 +105,5 @@ def pack_factors(
     packed = ws.buf(("backend", "packed_factors"), shape, VALUE_DTYPE)
     for l in range(pk.nmodes):
         start = int(pk.row_off[l])
-        packed[start:start + pk._level_dims[l]] = factors[tree.dim_perm[l]]
+        packed[start:start + pk.level_dims[l]] = factors[tree.dim_perm[l]]
     return packed

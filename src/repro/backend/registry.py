@@ -5,7 +5,10 @@ A **backend** supplies compiled implementations of the numerical hot spots
 and symmetric AᵀA, optionally the locked mutex-pool scatter — behind a
 uniform interface, mirroring how Genten
 (Phipps & Kolda) keeps one kernel source per execution space behind one
-dispatch layer.  The two backends:
+dispatch layer.  A range kernel is one pass per task that adds straight
+into its output rows: the MTTKRP output, or a task's compact buffer
+addressed through a ``slot`` array (:mod:`repro.backend.kernels_ref`
+states the contract).  The two backends:
 
 ``numpy``
     The reference: the existing vectorized NumPy/SciPy code paths run
@@ -127,14 +130,23 @@ class Backend:
         raise NotImplementedError
 
     # -- packed MTTKRP range kernels (compiled backends only) ----------
+    # One pass per task that adds straight into the output rows; the
+    # contract is spelled out in :mod:`repro.backend.kernels_ref`.
     def root_kernel(self, pk: PackedTree, packed, lo: int, hi: int, out) -> None:
+        """Add root slices ``[lo, hi)``'s rows into the MTTKRP output ``out``."""
         raise NotImplementedError
 
     def internal_kernel(self, pk: PackedTree, packed, level: int,
-                        lo: int, hi: int, out) -> None:
+                        lo: int, hi: int, out, slot=None) -> None:
+        """Add the ``level`` nodes under root slices ``[lo, hi)`` into their
+        rows of ``out``: the node's fid, or ``slot[i]`` of a compact buffer
+        (zeroed first) when ``slot`` is given."""
         raise NotImplementedError
 
-    def leaf_kernel(self, pk: PackedTree, packed, lo: int, hi: int, out) -> None:
+    def leaf_kernel(self, pk: PackedTree, packed, lo: int, hi: int, out,
+                    slot=None) -> None:
+        """Add the leaves under root slices ``[lo, hi)`` into their rows of
+        ``out``, chosen as in :meth:`internal_kernel`."""
         raise NotImplementedError
 
     # -- scatter / linalg primitives (compiled backends only) ----------
@@ -169,9 +181,10 @@ class Backend:
 class BackendCall:
     """One MTTKRP invocation's backend state: packed tree + packed factors.
 
-    Built by :func:`prepare_call` on the dispatching thread; the per-task
-    ``*_contribs`` methods then run the GIL-releasing kernels from pool
-    workers, writing into per-task workspace buffers.
+    Built by :func:`prepare_call` on the dispatching thread; each pool
+    worker then hands ``pk`` and ``packed`` to the backend's range kernel
+    for its slice range, which adds into the output (or the task's compact
+    buffer) with the GIL released.
     """
 
     __slots__ = ("backend", "pk", "packed")
@@ -180,28 +193,6 @@ class BackendCall:
         self.backend = backend
         self.pk = pk
         self.packed = packed
-
-    def _out(self, nrows: int, ws, tag):
-        return ws.buf(tag, (nrows, self.packed.shape[1]), VALUE_DTYPE)
-
-    def root_w(self, lo: int, hi: int, ws) -> np.ndarray:
-        """Per-root-node subtree products for slices ``[lo, hi)``."""
-        out = self._out(hi - lo, ws, ("backend", "root"))
-        self.backend.root_kernel(self.pk, self.packed, lo, hi, out)
-        return out
-
-    def internal_contribs(self, level: int, lo: int, hi: int,
-                          nnodes: int, ws) -> np.ndarray:
-        """Per-``level``-node contributions under root slices ``[lo, hi)``."""
-        out = self._out(nnodes, ws, ("backend", "internal", level))
-        self.backend.internal_kernel(self.pk, self.packed, level, lo, hi, out)
-        return out
-
-    def leaf_contribs(self, lo: int, hi: int, nleaves: int, ws) -> np.ndarray:
-        """Per-nonzero contributions under root slices ``[lo, hi)``."""
-        out = self._out(nleaves, ws, ("backend", "leaf"))
-        self.backend.leaf_kernel(self.pk, self.packed, lo, hi, out)
-        return out
 
 
 def prepare_call(backend: Backend, ctx, tree, factors: Sequence[np.ndarray]) -> BackendCall:
@@ -342,7 +333,9 @@ def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
 # ======================================================================
 def _warmup_check(backend: Backend) -> None:
     """Exercise every kernel of a freshly prepared backend on a tiny
-    order-3 tree and compare against directly computed expectations.
+    order-3 tree and compare against directly computed expectations: the
+    range kernels' direct write and slot form, the segment sums, AᵀA and,
+    on a ``locked_scatter`` backend, the C lock loop.
 
     A mismatch means the backend miscompiled — better an exception at
     ``ensure_ready`` than silently wrong factor matrices.
@@ -365,18 +358,29 @@ def _warmup_check(backend: Backend) -> None:
     packed = pack_factors(pk, tree, factors, Workspace())
     f0, f1, f2 = factors
 
-    out = np.empty((1, 3))
+    # direct write: each kernel adds into out[fid], on top of what is there
+    out = np.ones((1, 3))
     backend.root_kernel(pk, packed, 0, 1, out)
-    expect_root = f1[0] * (1.5 * f2[0] - 2.0 * f2[1])
-    _expect(backend, "root_kernel", out[0], expect_root)
+    subtree = 1.5 * f2[0] - 2.0 * f2[1]
+    _expect(backend, "root_kernel", out[0], 1.0 + f1[0] * subtree)
 
+    out.fill(1.0)
     backend.internal_kernel(pk, packed, 1, 0, 1, out)
-    _expect(backend, "internal_kernel", out[0], f0[0] * (1.5 * f2[0] - 2.0 * f2[1]))
+    _expect(backend, "internal_kernel", out[0], 1.0 + f0[0] * subtree)
 
-    out2 = np.empty((2, 3))
-    backend.leaf_kernel(pk, packed, 0, 1, out2)
+    leaves = np.ones((2, 3))
+    backend.leaf_kernel(pk, packed, 0, 1, leaves)
     prow = f0[0] * f1[0]
-    _expect(backend, "leaf_kernel", out2, np.stack([1.5 * prow, -2.0 * prow]))
+    _expect(backend, "leaf_kernel", leaves, 1.0 + np.stack([1.5 * prow, -2.0 * prow]))
+
+    # slot form: the compact buffer is zeroed, then node i adds into slot[i]
+    both = np.zeros(2, dtype=np.int64)
+    out.fill(7.0)
+    backend.leaf_kernel(pk, packed, 0, 1, out, both)
+    _expect(backend, "leaf_kernel[slot]", out[0], -0.5 * prow)
+    out.fill(7.0)
+    backend.internal_kernel(pk, packed, 1, 0, 1, out, both[:1])
+    _expect(backend, "internal_kernel[slot]", out[0], f0[0] * subtree)
 
     x = rng.random((5, 3))
     starts = np.array([0, 2, 2], dtype=np.int64)
@@ -398,15 +402,18 @@ def _warmup_check(backend: Backend) -> None:
         from repro.mttkrp.scatter import RowScatter
         from repro.runtime.locks import make_mutex_pool
 
-        # both leaves hash to the one lock of a size-1 pool
-        leaves = RowScatter(tree.fids[2], pool_size=1)
+        # both leaves hash to the one lock of a size-1 pool; the locked
+        # loop adds the slot-form buffer, one row per leaf
+        scatter = RowScatter(tree.fids[2], pool_size=1)
+        rows = np.empty((2, 3))
+        backend.leaf_kernel(pk, packed, 0, 1, rows, scatter.slots())
         acc = np.empty((2, 3))
         for kind in ("atomic", "sync"):
             pool = make_mutex_pool(kind, size=1)
             acc.fill(1.0)
-            leaves.scatter_mutex(acc, out2, pool, backend=backend,
-                                 locks=pool.c_locks(backend))
-            _expect(backend, f"scatter_locked[{kind}]", acc, 1.0 + out2)
+            scatter.scatter_mutex(acc, rows, pool, reduced=True, backend=backend,
+                                  locks=pool.c_locks(backend))
+            _expect(backend, f"scatter_locked[{kind}]", acc, leaves)
             _expect(backend, f"scatter_locked[{kind}] acquires",
                     pool.counters.lock_acquires, 1)
 

@@ -14,6 +14,11 @@ this module:
 * internal/leaf modes — output rows are shared; the driver either
   *privatizes* (per-task buffer + reduction) or takes rows through the
   *mutex pool*, per :func:`repro.mttkrp.locks_policy.needs_locks`.
+
+A compiled backend (``bctx``) replaces each task's tree walk with one
+GIL-releasing kernel pass that adds into its output rows directly
+(:mod:`repro.backend.kernels_ref` states the contract);
+:func:`run_scatter_compiled` drives it for the internal and leaf modes.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "run_root_parallel",
     "run_scatter_privatized",
     "run_scatter_mutex",
+    "run_scatter_compiled",
 ]
 
 
@@ -55,6 +61,19 @@ def _check_call(trav: TaskTraversal | None, ws: Workspace | None, bctx) -> None:
     planned (``trav`` and ``ws``, plus an optional compiled ``bctx``)."""
     if (trav is None) != (ws is None) or (bctx is not None and trav is None):
         raise ValueError("pass trav and ws together (bctx needs both), or neither")
+
+
+def _check_target(bctx, out) -> None:
+    """A compiled internal/leaf call adds into ``out``; a NumPy one returns
+    its contributions."""
+    if (bctx is None) != (out is None):
+        raise ValueError("pass out exactly when passing bctx")
+
+
+def _record_write(out: np.ndarray, rows: np.ndarray, site: str) -> None:
+    p = _probe.current
+    if p is not None:
+        p.array_write(out, rows, site)
 
 
 def _upward_product(
@@ -155,9 +174,9 @@ def root_range_vectorized(
     Output rows ``fids[0][lo:hi]`` are distinct, so concurrent calls on
     disjoint slice ranges are race-free.  ``trav``/``ws`` enable the
     amortized path (cached traversal indices, reused buffers).  ``bctx``
-    (a :class:`~repro.backend.registry.BackendCall`) routes the subtree
-    products through a compiled, GIL-releasing kernel instead of the
-    NumPy tree walk; scatter and sanitizer behaviour are unchanged.
+    (a :class:`~repro.backend.registry.BackendCall`) replaces the NumPy
+    tree walk with a compiled, GIL-releasing kernel that adds each root
+    slice's product straight into its row of ``out``.
     """
     _check_call(trav, ws, bctx)
     if hi <= lo:
@@ -173,19 +192,18 @@ def root_range_vectorized(
             w = _upward_product(csf, factors, _level_ranges(csf, lo, hi), 0)
     else:
         rows = trav.fids[0]
-        if csf.nmodes == 1:
+        if bctx is not None:
+            bctx.backend.root_kernel(bctx.pk, bctx.packed, lo, hi, out)
+        elif csf.nmodes == 1:
             w = ws.buf(("root_bcast",), (rows.shape[0], out.shape[1]), out.dtype)
             w[:] = trav.values[:, None]
-        elif bctx is not None:
-            w = bctx.root_w(lo, hi, ws)
         else:
             w = _upward_product(csf, factors, trav.ranges, 0, trav=trav, ws=ws)
-    out[rows] += w
-    p = _probe.current
-    if p is not None:
-        # Root tasks own disjoint slice ranges, hence disjoint rows — the
-        # sanitizer verifies that claim rather than assuming it.
-        p.array_write(out, rows, "root_range_vectorized")
+    if bctx is None:
+        out[rows] += w
+    # Root tasks own disjoint slice ranges, hence disjoint rows — the
+    # sanitizer verifies that claim rather than assuming it.
+    _record_write(out, rows, "root_range_vectorized")
 
 
 def _empty_contribs(factors: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -202,22 +220,28 @@ def leaf_range_vectorized(
     trav: TaskTraversal | None = None,
     ws: Workspace | None = None,
     bctx=None,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray | None = None,
+    slot: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Leaf-mode MTTKRP contributions from slices ``[lo, hi)``.
 
     Returns ``(rows, contribs)`` — the caller owns the scatter-add, because
     leaf rows repeat across tasks and synchronization policy lives a level
     up (privatize vs mutex).  With ``trav``/``ws``, ``contribs`` is a
     reused workspace buffer valid until the task's next kernel call.
-    ``bctx`` computes the same contributions with a compiled single-pass
-    kernel.
+
+    ``bctx`` runs the compiled single-pass kernel instead, which returns
+    ``None``: it adds every contribution into ``out`` — the MTTKRP output
+    itself, or, with ``slot`` (:meth:`RowScatter.slots
+    <repro.mttkrp.scatter.RowScatter.slots>`), the task's compact buffer.
     """
     nmodes = csf.nmodes
     if nmodes < 2:
         raise ValueError("leaf algorithm requires order >= 2")
     _check_call(trav, ws, bctx)
+    _check_target(bctx, out)
     if hi <= lo:
-        return _empty_contribs(factors)
+        return None if bctx is not None else _empty_contribs(factors)
     if trav is None:
         ranges = _level_ranges(csf, lo, hi)
         leaf_lo, leaf_hi = ranges[nmodes - 1]
@@ -225,7 +249,10 @@ def leaf_range_vectorized(
         return csf.fids[nmodes - 1][leaf_lo:leaf_hi], csf.values[leaf_lo:leaf_hi, None] * d
     rows = trav.fids[nmodes - 1]
     if bctx is not None:
-        return rows, bctx.leaf_contribs(lo, hi, rows.shape[0], ws)
+        bctx.backend.leaf_kernel(bctx.pk, bctx.packed, lo, hi, out, slot)
+        if slot is None:
+            _record_write(out, rows, "leaf_range_vectorized")
+        return None
     d = _downward_product(csf, factors, trav.ranges, nmodes - 1, trav=trav, ws=ws)
     d *= trav.values[:, None]
     return rows, d
@@ -273,20 +300,24 @@ def internal_range_vectorized(
     trav: TaskTraversal | None = None,
     ws: Workspace | None = None,
     bctx=None,
-) -> tuple[np.ndarray, np.ndarray]:
+    out: np.ndarray | None = None,
+    slot: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Internal-mode MTTKRP contributions for tree ``level`` (0<level<N-1).
 
     Combines the downward product (modes above ``level``) with the upward
     product (modes below) at each ``level`` node.  Returns
-    ``(rows, contribs)`` like :func:`leaf_range_vectorized`.  ``bctx``
-    computes the same contributions with a compiled single-pass kernel.
+    ``(rows, contribs)`` like :func:`leaf_range_vectorized`; with ``bctx``
+    the compiled kernel adds into ``out`` (or, with ``slot``, the task's
+    compact buffer) instead and ``None`` is returned.
     """
     nmodes = csf.nmodes
     if not 0 < level < nmodes - 1:
         raise ValueError(f"internal level must be in (0, {nmodes - 1}), got {level}")
     _check_call(trav, ws, bctx)
+    _check_target(bctx, out)
     if hi <= lo:
-        return _empty_contribs(factors)
+        return None if bctx is not None else _empty_contribs(factors)
     if trav is None:
         ranges = _level_ranges(csf, lo, hi)
         nlo, nhi = ranges[level]
@@ -295,7 +326,10 @@ def internal_range_vectorized(
         return csf.fids[level][nlo:nhi], d * u
     rows = trav.fids[level]
     if bctx is not None:
-        return rows, bctx.internal_contribs(level, lo, hi, rows.shape[0], ws)
+        bctx.backend.internal_kernel(bctx.pk, bctx.packed, level, lo, hi, out, slot)
+        if slot is None:
+            _record_write(out, rows, "internal_range_vectorized")
+        return None
     d = _downward_product(csf, factors, trav.ranges, level, trav=trav, ws=ws)
     u = _upward_product(csf, factors, trav.ranges, level, trav=trav, ws=ws)
     np.multiply(d, u, out=d)
@@ -341,7 +375,6 @@ def run_scatter_privatized(
     workspaces: Sequence[Workspace],
     buffers: Sequence[np.ndarray] | None,
     presorted: bool = False,
-    backend=None,
 ) -> None:
     """Privatized parallel scatter: per-task buffers + reduction.
 
@@ -363,15 +396,14 @@ def run_scatter_privatized(
     if ntasks == 1:
         _, contribs = compute_range(int(bounds[0]), int(bounds[1]), 0)
         plan.scatters[0].scatter_accumulate(
-            out, contribs, workspaces[0], presorted=presorted, backend=backend
+            out, contribs, workspaces[0], presorted=presorted
         )
         return
 
     def task(tid: int) -> None:
         _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
         plan.scatters[tid].scatter_assign(
-            buffers[tid], contribs, workspaces[tid], presorted=presorted,
-            backend=backend,
+            buffers[tid], contribs, workspaces[tid], presorted=presorted
         )
 
     layer.coforall(ntasks, task)
@@ -387,7 +419,6 @@ def run_scatter_mutex(
     plan: ScatterPlan,
     workspaces: Sequence[Workspace],
     presorted: bool = False,
-    backend=None,
 ) -> None:
     """Mutex-pool parallel scatter: shared output, hashed row locks.
 
@@ -397,29 +428,66 @@ def run_scatter_mutex(
     task-bucket pair, same hashed lock ids.  The plan (built with this
     pool's size) caches the bucket grouping and per-row pre-reduction, so
     the steady state sorts nothing.
-
-    The lock flavour is chosen here, once for every task: a backend with
-    ``locked_scatter`` runs each task's bucket loop in C over the pool's C
-    locks, unless a sanitizer is installed — it must see every acquire and
-    write, so it gets the Python loop over the pool's Python locks.
     """
     bounds = plan.bounds
-    p = _probe.current
-    locks = None
-    if (
-        backend is not None
-        and backend.locked_scatter
-        and (p is None or p.sanitizer is None)
-        and out.dtype == VALUE_DTYPE
-        and out.flags.c_contiguous
-    ):
-        locks = pool.c_locks(backend)
 
     def task(tid: int) -> None:
         _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
         plan.scatters[tid].scatter_mutex(
-            out, contribs, pool, workspaces[tid], presorted=presorted,
-            backend=backend, locks=locks,
+            out, contribs, pool, workspaces[tid], presorted=presorted
         )
 
     layer.coforall(layer.env.num_tasks, task)
+
+
+def run_scatter_compiled(
+    out: np.ndarray,
+    layer: TaskingLayer,
+    pool: MutexPool | None,
+    compute_range,
+    *,
+    plan: ScatterPlan,
+    workspaces: Sequence[Workspace],
+    backend,
+) -> None:
+    """Internal/leaf MTTKRP on a compiled backend: one kernel pass per task.
+
+    ``compute_range(lo, hi, tid, target, slot)`` runs the compiled range
+    kernel, which adds into ``target``.  A single task adds straight into
+    ``out``.  With more tasks, each fills a compact buffer of the rows it
+    touches (its plan scatter's :meth:`~repro.mttkrp.scatter.RowScatter.slots`
+    place each node), then adds it into ``out`` under the bucket locks of
+    ``pool`` (one acquire per task-bucket pair); a privatized mode merges
+    the buffers into ``out`` in task order once every task is done, so
+    its rows do not depend on the schedule.
+
+    The lock flavour is chosen here, once for every task: a
+    ``locked_scatter`` backend runs each task's bucket loop in C over the
+    pool's C locks, unless a sanitizer is installed — it must see every
+    acquire and write, so it gets the Python loop over the Python locks.
+    """
+    ntasks = layer.env.num_tasks
+    bounds = plan.bounds
+    if ntasks == 1:
+        compute_range(int(bounds[0]), int(bounds[1]), 0, out, None)
+        return
+    p = _probe.current
+    locks = None
+    if pool is not None and backend.locked_scatter and (p is None or p.sanitizer is None):
+        locks = pool.c_locks(backend)
+    rank = out.shape[1]
+    filled: list[np.ndarray | None] = [None] * ntasks
+
+    def task(tid: int) -> None:
+        sc = plan.scatters[tid]
+        buf = workspaces[tid].buf(sc.tag + ("reduced",), (sc.out_rows.shape[0], rank))
+        compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid, buf, sc.slots())
+        if pool is None:
+            filled[tid] = buf
+        else:
+            sc.scatter_mutex(out, buf, pool, reduced=True, backend=backend, locks=locks)
+
+    layer.coforall(ntasks, task)
+    if pool is None:
+        for sc, buf in zip(plan.scatters, filled):
+            sc.scatter_accumulate(out, buf, reduced=True)

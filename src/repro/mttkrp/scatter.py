@@ -160,10 +160,12 @@ class RowScatter:
     When ``pool_size`` is given, rows are additionally grouped by mutex
     bucket (``row % pool_size``, SPLATT's hashing) with cached per-bucket
     bounds, so the locked scatter needs no per-call ``argsort``.
+    :meth:`slots` maps each input row to its segment, for compiled kernels
+    that add into a compact buffer aligned with :attr:`out_rows`.
     """
 
     __slots__ = ("nrows_in", "order", "seg_starts", "out_rows",
-                 "bucket_ids", "bucket_bounds", "tag", "_buckets64")
+                 "bucket_ids", "bucket_bounds", "tag", "_buckets64", "_slot")
 
     def __init__(self, rows: np.ndarray, pool_size: int | None = None, tag=None):
         self.nrows_in = int(rows.shape[0])
@@ -171,6 +173,7 @@ class RowScatter:
         # order/seg_starts are int64 (np.intp on every supported platform),
         # so compiled backends take them as they are.
         self._buckets64 = None
+        self._slot = None
         if self.nrows_in == 0:
             self.order = np.empty(0, dtype=np.int64)
             self.seg_starts = np.empty(0, dtype=np.int64)
@@ -208,6 +211,31 @@ class RowScatter:
                   for a in (self.out_rows, self.bucket_bounds, self.bucket_ids)),
                 int(self.out_rows.max()),
             )
+
+    def slots(self) -> np.ndarray:
+        """``int64`` index of each input row's segment in :attr:`out_rows`.
+
+        A slot-form compiled kernel adds input row ``i``'s contribution
+        into row ``slots()[i]`` of a compact buffer, which then holds what
+        :meth:`reduce` returns.  Built on first use: the NumPy path and
+        single-task compiled calls never need it.
+        """
+        if self._slot is None:
+            segment = np.zeros(self.nrows_in, dtype=np.int64)
+            segment[self.seg_starts[1:]] = 1
+            np.cumsum(segment, out=segment)
+            slot = np.empty(self.nrows_in, dtype=np.int64)
+            slot[self.order] = segment
+            self._slot = slot
+        return self._slot
+
+    def arrays(self) -> Iterator[np.ndarray]:
+        """Every index array the scatter holds."""
+        yield from (self.order, self.seg_starts, self.out_rows)
+        if self.bucket_ids is not None:
+            yield from (self.bucket_ids, self.bucket_bounds)
+        if self._slot is not None:
+            yield self._slot
 
     # ------------------------------------------------------------------
     def reduce(
@@ -275,13 +303,18 @@ class RowScatter:
         *,
         presorted: bool = False,
         backend=None,
+        reduced: bool = False,
     ) -> None:
-        """``out[rows] += contribs`` with duplicate rows pre-reduced."""
+        """``out[rows] += contribs`` with duplicate rows pre-reduced.
+
+        ``reduced=True`` says ``contribs`` already holds one row per
+        :attr:`out_rows` entry (a slot-form kernel's compact buffer).
+        """
         if self.nrows_in == 0:
             return
-        out[self.out_rows] += self.reduce(
-            contribs, ws, presorted=presorted, backend=backend
-        )
+        if not reduced:
+            contribs = self.reduce(contribs, ws, presorted=presorted, backend=backend)
+        out[self.out_rows] += contribs
         p = _probe.current
         if p is not None:
             p.array_write(out, self.out_rows, "RowScatter.scatter_accumulate")
@@ -321,12 +354,14 @@ class RowScatter:
         presorted: bool = False,
         backend=None,
         locks=None,
+        reduced: bool = False,
     ) -> None:
         """Locked scatter: one pool acquire per cached bucket group.
 
         Lock traffic is identical to the seed path (one acquire per
         task-bucket pair, same hashed lock ids), but bucket grouping and
         per-row reduction come from the plan instead of a per-call sort.
+        ``reduced`` is as in :meth:`scatter_accumulate`.
 
         ``locks`` (``pool``'s C lock array, passed when the caller chose
         the compiled path) runs the whole bucket loop in one
@@ -335,9 +370,10 @@ class RowScatter:
         """
         if self.nrows_in == 0:
             return
-        reduced = self.reduce(contribs, ws, presorted=presorted, backend=backend)
+        if not reduced:
+            contribs = self.reduce(contribs, ws, presorted=presorted, backend=backend)
         if locks is not None:
-            self._scatter_locked(out, reduced, pool, locks, backend)
+            self._scatter_locked(out, contribs, pool, locks, backend)
             return
         p = _probe.current
         for k in range(self.bucket_ids.size):
@@ -346,7 +382,7 @@ class RowScatter:
             lid = int(self.bucket_ids[k])
             pool.acquire(lid)
             try:
-                out[self.out_rows[s:e]] += reduced[s:e]
+                out[self.out_rows[s:e]] += contribs[s:e]
                 if p is not None:
                     # Recorded *inside* the critical section so the access
                     # carries the bucket lock in its lockset.
@@ -391,9 +427,9 @@ class SegmentSum:
     segments with scipy's compiled CSR matmul — ~10× faster on
     fiber-sized segments, identical segment membership, with per-segment
     sums accumulated sequentially (``allclose`` to the reduceat path's
-    pairwise sums).  A compiled backend reads only ``starts64``, so the
-    matrix is built on the first NumPy-path :meth:`apply` and a compiled
-    solve never builds it (nor imports scipy).
+    pairwise sums).  Only the NumPy tree walk applies it, so the matrix is
+    built on the first :meth:`apply` and a compiled solve never builds it
+    (nor imports scipy).
     """
 
     __slots__ = ("matrix", "nseg", "nin", "starts64")
@@ -401,8 +437,7 @@ class SegmentSum:
     def __init__(self, starts: np.ndarray, nin: int):
         self.nseg = int(starts.shape[0])
         self.nin = int(nin)
-        # Kept separately from matrix.indptr (scipy may downcast that to
-        # int32): the compiled backends require int64 segment starts.
+        # the segment starts the CSR matrix is built from on first use
         self.starts64 = np.ascontiguousarray(starts, dtype=np.int64)
         self.matrix = None
 
@@ -420,16 +455,9 @@ class SegmentSum:
             )
         return self.matrix
 
-    def apply(self, w: np.ndarray, ws: Workspace, tag, backend=None) -> np.ndarray:
+    def apply(self, w: np.ndarray, ws: Workspace, tag) -> np.ndarray:
         """Per-segment sums of ``w``'s rows, in a reused ``tag`` buffer."""
         out = ws.buf(tag, (self.nseg,) + w.shape[1:], w.dtype)
-        if (
-            _compiled(backend)
-            and w.dtype == VALUE_DTYPE
-            and w.flags.c_contiguous
-        ):
-            backend.segment_sum(w, self.starts64, out)
-            return out
         m = self._csr()
         if w.flags.c_contiguous:
             # y += A @ x without allocating: private but long-stable scipy kernel
@@ -562,9 +590,7 @@ class ScatterPlan:
         for trav in self.traversals:
             yield from trav.arrays()
         for sc in self.scatters:
-            yield from (sc.order, sc.seg_starts, sc.out_rows)
-            if sc.bucket_ids is not None:
-                yield from (sc.bucket_ids, sc.bucket_bounds)
+            yield from sc.arrays()
         if self.leaf_expand_sorted is not None:
             yield from self.leaf_expand_sorted
             yield from self.leaf_values_sorted

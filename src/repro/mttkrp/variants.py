@@ -468,20 +468,23 @@ def mttkrp_csf(
     plan_hit: bool | None = None
 
     # Compiled backends take over the vectorized tree walk for order >= 2
-    # (order-1 trees have no kernel work to speak of).  The dispatch layer
-    # computes *contributions* only — scatter structure, privatization,
-    # mutex traffic and the sanitizer hooks are shared with the numpy path,
-    # which is what makes cross-backend equivalence structural.
+    # (order-1 trees have no kernel work to speak of).  Their kernels add
+    # into the output rows in the same pass (a task's compact buffer when
+    # rows are shared); the plan's scatter structure, mutex traffic and
+    # sanitizer hooks are shared with the numpy path.
     use_compiled = bk.compiled and variant == "vectorized" and tree.nmodes >= 2
     bctx = None
+    target = out
     if use_compiled:
         bctx = prepare_call(bk, csf_set.mttkrp_context, tree, factors)
         _obs.count("backend.dispatch." + bk.name)
-    scatter_bk = bk if use_compiled else None
+        if out.dtype != VALUE_DTYPE or not out.flags.c_contiguous:
+            # the kernels add into C-contiguous float64 rows
+            target = np.zeros((dim, rank), dtype=VALUE_DTYPE)
 
     p = _probe.current
     if p is not None:
-        p.array_register(out, f"mttkrp.out.mode{mode}")
+        p.array_register(target, f"mttkrp.out.mode{mode}")
 
     def _execute() -> None:
         nonlocal plan_hit
@@ -498,37 +501,47 @@ def mttkrp_csf(
         workspaces = ctx.workspaces(tree, ntasks, bk.name)
         if algorithm == "root":
             csf_kernels.run_root_parallel(
-                tree, factors, out, layer, plan=plan, workspaces=workspaces,
+                tree, factors, target, layer, plan=plan, workspaces=workspaces,
                 bctx=bctx,
             )
             return
-        # Leaf contributions come out already in scatter-sorted order, so
-        # the per-call O(nnz) sort gather disappears.  (Compiled backends
-        # emit in tree order instead and fuse the gather into their
-        # segment-sum reduction.)
-        presorted = (algorithm == "leaf" and bctx is None
-                     and plan.leaf_expand_sorted is not None)
+        if bctx is not None:
+            if algorithm == "leaf":
+                def compute(lo, hi, tid, dest, slot):
+                    csf_kernels.leaf_range_vectorized(
+                        tree, factors, lo, hi, trav=plan.traversals[tid],
+                        ws=workspaces[tid], bctx=bctx, out=dest, slot=slot,
+                    )
+            else:
+                def compute(lo, hi, tid, dest, slot):
+                    csf_kernels.internal_range_vectorized(
+                        tree, factors, level, lo, hi, trav=plan.traversals[tid],
+                        ws=workspaces[tid], bctx=bctx, out=dest, slot=slot,
+                    )
+            csf_kernels.run_scatter_compiled(
+                target, layer, the_pool, compute, plan=plan,
+                workspaces=workspaces, backend=bk,
+            )
+            return
+        # Leaf contributions come out already in scatter-sorted order (the
+        # leaf plan folds the sort into its expansion), so the per-call
+        # O(nnz) sort gather disappears.
+        presorted = algorithm == "leaf"
         if presorted:
             def compute(lo, hi, tid):
                 return None, csf_kernels.leaf_range_sorted(
                     tree, factors, plan, tid, workspaces[tid]
                 )
-        elif algorithm == "leaf":
-            def compute(lo, hi, tid):
-                return csf_kernels.leaf_range_vectorized(
-                    tree, factors, lo, hi, trav=plan.traversals[tid],
-                    ws=workspaces[tid], bctx=bctx,
-                )
         else:
             def compute(lo, hi, tid):
                 return csf_kernels.internal_range_vectorized(
                     tree, factors, level, lo, hi, trav=plan.traversals[tid],
-                    ws=workspaces[tid], bctx=bctx,
+                    ws=workspaces[tid],
                 )
         if the_pool is not None:
             csf_kernels.run_scatter_mutex(
                 out, layer, the_pool, compute, plan=plan,
-                workspaces=workspaces, presorted=presorted, backend=scatter_bk,
+                workspaces=workspaces, presorted=presorted,
             )
         else:
             buffers = None
@@ -536,7 +549,7 @@ def mttkrp_csf(
                 buffers = ctx.buffers(tree, level, ntasks, out.shape)
             csf_kernels.run_scatter_privatized(
                 out, layer, compute, plan=plan, workspaces=workspaces,
-                buffers=buffers, presorted=presorted, backend=scatter_bk,
+                buffers=buffers, presorted=presorted,
             )
 
     rec = None if p is None else p.recorder
@@ -567,6 +580,8 @@ def mttkrp_csf(
                 post.update(lock_acquires=0, lock_contended=0, sync_sleeps=0)
             sp.set_attrs(**post)
 
+    if target is not out:
+        out[:] = target
     info = MttkrpInfo(
         mode=mode,
         algorithm=algorithm,

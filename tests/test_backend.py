@@ -38,6 +38,7 @@ from repro.backend.registry import _warmup_check
 from repro.csf.build import build_csf_set
 from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
+from repro.runtime.env import ChapelEnv
 from repro.tensor.coo import SparseTensor
 
 RTOL = 1e-10
@@ -181,14 +182,15 @@ class PurePythonBackend(Backend):
         kref.root_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat, pk.fids_off,
                          pk.values, packed, pk.row_off, pk.nmodes, lo, hi, out)
 
-    def internal_kernel(self, pk, packed, level, lo, hi, out):
+    def internal_kernel(self, pk, packed, level, lo, hi, out, slot=None):
         kref.internal_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat,
                              pk.fids_off, pk.values, packed, pk.row_off,
-                             pk.nmodes, level, lo, hi, out)
+                             pk.nmodes, level, lo, hi, slot, out)
 
-    def leaf_kernel(self, pk, packed, lo, hi, out):
+    def leaf_kernel(self, pk, packed, lo, hi, out, slot=None):
         kref.leaf_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat, pk.fids_off,
-                         pk.values, packed, pk.row_off, pk.nmodes, lo, hi, out)
+                         pk.values, packed, pk.row_off, pk.nmodes, lo, hi,
+                         slot, out)
 
     def segment_sum(self, x, starts, out):
         kref.segment_sum_kernel(x, starts, out)
@@ -207,9 +209,7 @@ def test_pure_python_kernels_pass_warmup_self_check():
     _warmup_check(bk)  # idempotent on a ready backend
 
 
-@pytest.mark.parametrize("dims,nnz", [((7, 5), 25), ((8, 6, 5), 40),
-                                      ((5, 4, 3, 4), 30)])
-def test_pure_python_mttkrp_matches_dense_reference(dims, nnz):
+def _pure_python_mttkrp_matches(dims, nnz, **kwargs):
     tensor = _random_tensor(seed=3, dims=dims, nnz=nnz)
     rng = np.random.default_rng(4)
     factors = [rng.random((d, 3)) for d in tensor.dims]
@@ -217,9 +217,26 @@ def test_pure_python_mttkrp_matches_dense_reference(dims, nnz):
     bk = PurePythonBackend()
     for mode in range(tensor.nmodes):
         ref = dense_mttkrp_reference(tensor, factors, mode)
-        out, _ = mttkrp_csf(csf_set, factors, mode, backend=bk)
+        out, _ = mttkrp_csf(csf_set, factors, mode, backend=bk, **kwargs)
         np.testing.assert_allclose(out, ref, rtol=RTOL, atol=ATOL,
                                    err_msg=f"mode {mode}")
+
+
+@pytest.mark.parametrize("dims,nnz", [((7, 5), 25), ((8, 6, 5), 40),
+                                      ((5, 4, 3, 4), 30)])
+def test_pure_python_mttkrp_matches_dense_reference(dims, nnz):
+    # one task: every kernel adds straight into the output
+    _pure_python_mttkrp_matches(dims, nnz)
+
+
+@pytest.mark.parametrize("dims,nnz", [((8, 6, 5), 40), ((5, 4, 3, 4), 30)])
+@pytest.mark.parametrize("force_locks", [False, True])
+def test_pure_python_slot_form_matches_dense_reference(dims, nnz, force_locks):
+    # three tasks fill slot-form compact buffers, merged in task order
+    # (privatized) or added under the Python locks (PurePythonBackend has
+    # no locked_scatter)
+    _pure_python_mttkrp_matches(dims, nnz, env=ChapelEnv(num_tasks=3),
+                                force_locks=force_locks)
 
 
 # ======================================================================

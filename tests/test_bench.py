@@ -94,8 +94,8 @@ class TestBenchRecords:
 
     def test_every_guard_has_a_record(self):
         names = {p.stem for p in BENCH_DIR.glob("BENCH_*.json")}
-        assert names == {"BENCH_backend", "BENCH_coldstart", "BENCH_mttkrp",
-                         "BENCH_serve", "BENCH_shm"}
+        assert names == {"BENCH_backend", "BENCH_ceiling", "BENCH_coldstart",
+                         "BENCH_mttkrp", "BENCH_serve", "BENCH_shm"}
 
     @pytest.mark.parametrize("path", sorted(BENCH_DIR.glob("BENCH_*.json")),
                              ids=lambda p: p.name)

@@ -1,0 +1,241 @@
+"""The cext MTTKRP kernels' direct write, on tree shapes no benchmark runs.
+
+A compiled range kernel adds into its output rows while it walks a task's
+slices: into the MTTKRP output at one task, or into a slot-form compact
+buffer that the task then adds under the bucket locks, or that is merged
+in task order when the mode is privatized.  These tests cover the leaf
+kernel (``allocation="one"``), a 4-mode tree (two internal levels), more
+tasks than root slices (empty ranges), both lock pools, privatized modes
+at 2 and 3 tasks, the lock traffic, and a sanitizer run, which takes the
+Python lock loop and must see every write.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.backend import available_backends, prepare_call, resolve_backend
+from repro.backend.cext import CextBackend
+from repro.csf.build import build_csf_set
+from repro.mttkrp.reference import dense_mttkrp_reference
+from repro.mttkrp.variants import mttkrp_csf
+from repro.probe import Probe
+from repro.runtime.env import ChapelEnv
+from repro.runtime.locks import make_mutex_pool
+from repro.sanitize.detector import sanitizing
+from repro.tensor.generate import random_tensor
+
+pytestmark = pytest.mark.skipif(
+    "cext" not in available_backends(), reason="no C compiler for the cext backend"
+)
+
+RTOL, ATOL = 1e-10, 1e-12
+
+#: name -> (dims, nnz, seed); small dims, so rows overlap across tasks
+TENSORS = {
+    "order3": ((12, 9, 7), 500, 4),
+    "order4": ((6, 5, 7, 4), 400, 5),
+    # allocation "one" roots the tree at the 2-slice mode, so 4 tasks get
+    # two empty ranges
+    "two_roots": ((2, 30, 25), 300, 6),
+}
+CASES = [("order3", "one"), ("order3", "two"), ("order4", "one"),
+         ("order4", "two"), ("two_roots", "one")]
+POLICIES = ("privatized", "atomic", "sync")
+
+
+@pytest.fixture(scope="module")
+def cases():
+    built = {}
+    for name, allocation in CASES:
+        dims, nnz, seed = TENSORS[name]
+        tensor = random_tensor(dims, nnz, seed=seed)
+        rng = np.random.default_rng(seed)
+        factors = [rng.random((d, 5)) for d in dims]
+        refs = [dense_mttkrp_reference(tensor, factors, m) for m in range(len(dims))]
+        built[name, allocation] = (tensor, factors, refs)
+    return built
+
+
+def _scatters(csf_set, mode, ntasks, pool_size):
+    tree, _ = csf_set.tree_for_mode(mode)
+    plan, _ = csf_set.mttkrp_context.plan(
+        tree, tree.level_of_mode(mode), ntasks, pool_size)
+    return plan
+
+
+def _task_bucket_pairs(plan):
+    return sum(sc.bucket_ids.size for sc in plan.scatters if sc.nrows_in)
+
+
+def test_the_shapes_take_every_kernel(cases):
+    algorithms = set()
+    for (name, allocation), (tensor, _, _) in cases.items():
+        csf_set = build_csf_set(tensor, allocation=allocation)
+        algorithms |= {csf_set.tree_for_mode(m)[1] for m in range(tensor.nmodes)}
+        if name == "order4" and allocation == "one":
+            tree, _ = csf_set.tree_for_mode(0)
+            assert [csf_set.tree_for_mode(m)[1] for m in tree.dim_perm] == [
+                "root", "internal", "internal", "leaf"]
+        if name == "two_roots":
+            bounds = _scatters(csf_set, 1, 4, None).bounds
+            assert (np.diff(bounds) == 0).sum() == 2, bounds
+    assert algorithms == {"root", "internal", "leaf"}
+
+
+@pytest.mark.parametrize("case", CASES, ids="-".join)
+@pytest.mark.parametrize("ntasks", [1, 2, 3, 4])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_matches_the_dense_reference_and_numpy(cases, case, ntasks, policy):
+    tensor, factors, refs = cases[case]
+    env = ChapelEnv(num_tasks=ntasks)
+    for backend in ("cext", "numpy"):
+        csf_set = build_csf_set(tensor, allocation=case[1])
+        for mode in range(tensor.nmodes):
+            pool = None if policy == "privatized" else make_mutex_pool(policy, env=env)
+            out, info = mttkrp_csf(csf_set, factors, mode, env=env, pool=pool,
+                                   force_locks=pool is not None, backend=backend)
+            np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL,
+                                       err_msg=f"{backend} mode {mode}")
+            assert info.used_locks == (pool is not None and ntasks > 1
+                                       and info.algorithm != "root")
+
+
+@pytest.mark.parametrize("case", CASES, ids="-".join)
+@pytest.mark.parametrize("kind", ["atomic", "sync"])
+@pytest.mark.parametrize("ntasks", [2, 3, 4])
+def test_one_lock_acquire_per_task_bucket_pair(cases, case, kind, ntasks):
+    tensor, factors, _ = cases[case]
+    env = ChapelEnv(num_tasks=ntasks)
+    csf_set = build_csf_set(tensor, allocation=case[1])
+    for mode in range(tensor.nmodes):
+        if csf_set.tree_for_mode(mode)[1] == "root":
+            continue
+        pool = make_mutex_pool(kind, env=env)
+        for call in range(1, 4):
+            mttkrp_csf(csf_set, factors, mode, env=env, pool=pool,
+                       force_locks=True, backend="cext")
+            plan = _scatters(csf_set, mode, ntasks, pool.size)
+            assert pool.counters.lock_acquires == call * _task_bucket_pairs(plan)
+
+
+@pytest.mark.parametrize("case", CASES, ids="-".join)
+@pytest.mark.parametrize("ntasks", [2, 3])
+def test_privatized_modes_merge_compact_buffers_in_task_order(cases, case, ntasks):
+    tensor, factors, refs = cases[case]
+    env = ChapelEnv(num_tasks=ntasks)
+    csf_set = build_csf_set(tensor, allocation=case[1])
+    for mode in range(tensor.nmodes):
+        first, _ = mttkrp_csf(csf_set, factors, mode, env=env, force_locks=False,
+                              backend="cext")
+        first = first.copy()
+        again, _ = mttkrp_csf(csf_set, factors, mode, env=env, force_locks=False,
+                              backend="cext")
+        # a fixed merge order makes the bits independent of the schedule
+        np.testing.assert_array_equal(again, first)
+        np.testing.assert_allclose(first, refs[mode], rtol=RTOL, atol=ATOL)
+    # no out-shaped privatization buffer on the compiled path
+    assert csf_set.mttkrp_context.stats()["buffer_bytes"] == 0
+
+
+def test_one_task_adds_into_the_output_with_no_workspace(cases):
+    tensor, factors, refs = cases["order4", "one"]
+    csf_set = build_csf_set(tensor, allocation="one")
+    start = np.full((tensor.dims[0], 5), np.nan)
+    for mode in range(tensor.nmodes):
+        out, _ = mttkrp_csf(csf_set, factors, mode, backend="cext",
+                            out=start if mode == 0 else None)
+        np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL)
+    # mttkrp_csf zeroes a caller's out before the kernels add into it
+    np.testing.assert_allclose(start, refs[0], rtol=RTOL, atol=ATOL)
+    tree, _ = csf_set.tree_for_mode(0)
+    (ws,) = csf_set.mttkrp_context.workspaces(tree, 1, "cext")
+    assert ws.nbytes() == 0
+
+
+def test_non_contiguous_out_still_receives_the_result(cases):
+    tensor, factors, refs = cases["order3", "two"]
+    csf_set = build_csf_set(tensor)
+    for mode in range(tensor.nmodes):
+        out = np.asfortranarray(np.ones((tensor.dims[mode], 5)))
+        got, _ = mttkrp_csf(csf_set, factors, mode, env=ChapelEnv(num_tasks=2),
+                            backend="cext", out=out)
+        assert got is out
+        np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL)
+
+
+def test_kernel_refuses_an_output_smaller_than_the_mode(cases):
+    tensor, factors, _ = cases["order3", "one"]
+    csf_set = build_csf_set(tensor, allocation="one")
+    tree, _ = csf_set.tree_for_mode(0)
+    bk = resolve_backend("cext")
+    call = prepare_call(bk, csf_set.mttkrp_context, tree, factors)
+    short = np.zeros((tree.dims[tree.dim_perm[2]] - 1, 5))
+    with pytest.raises(ValueError, match="does not cover"):
+        bk.leaf_kernel(call.pk, call.packed, 0, 1, short)
+    with pytest.raises(ValueError, match="does not cover"):
+        bk.root_kernel(call.pk, call.packed, 0, 1, np.zeros((12, 4)))
+
+
+class _Recorder:
+    """Counts calls of a method (from any thread), keeping its arguments."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = []
+        mutex = threading.Lock()
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            with mutex:
+                self.calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+
+@pytest.mark.parametrize("kind", ["atomic", "sync"])
+@pytest.mark.parametrize("ntasks", [1, 3])
+def test_sanitizer_takes_the_python_lock_loop_and_sees_every_write(
+        cases, monkeypatch, kind, ntasks):
+    tensor, factors, refs = cases["order4", "one"]
+    env = ChapelEnv(num_tasks=ntasks)
+    csf_set = build_csf_set(tensor, allocation="one")
+    pools = {m: make_mutex_pool(kind, env=env) for m in range(tensor.nmodes)}
+    writes = _Recorder(monkeypatch, Probe, "array_write")
+    acquires = _Recorder(monkeypatch, type(pools[0]), "acquire")
+    c_loop = _Recorder(monkeypatch, CextBackend, "scatter_locked")
+    with sanitizing() as san:
+        outs = [mttkrp_csf(csf_set, factors, m, env=env, pool=pools[m],
+                           force_locks=True, backend="cext")[0].copy()
+                for m in range(tensor.nmodes)]
+    report = san.report()
+    assert report.ok, report.render()
+    assert c_loop.calls == []
+    for mode, out in enumerate(outs):
+        np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL)
+
+    tree, _ = csf_set.tree_for_mode(0)
+    by_site: dict[str, list] = {}
+    for _, array, rows, site in writes.calls:
+        by_site.setdefault(site, []).append(np.asarray(rows))
+    if ntasks == 1:
+        # direct writes, recorded by the range function that made them
+        assert set(by_site) == {"root_range_vectorized",
+                                "internal_range_vectorized", "leaf_range_vectorized"}
+        assert len(by_site["internal_range_vectorized"]) == 2
+        assert acquires.calls == []
+        return
+    plans = [_scatters(csf_set, tree.dim_perm[level], ntasks, pools[0].size)
+             for level in (1, 2, 3)]
+    locked = sum(_task_bucket_pairs(plan) for plan in plans)
+    # one recorded write per acquire, inside the critical section
+    assert len(acquires.calls) == locked
+    assert len(by_site["RowScatter.scatter_mutex"]) == locked
+    assert sum(p.counters.lock_acquires for p in pools.values()) == locked
+    # every row of every task's compact buffer is recorded once
+    recorded = np.concatenate(by_site["RowScatter.scatter_mutex"])
+    assert recorded.size == sum(sc.out_rows.size for plan in plans
+                                for sc in plan.scatters)
