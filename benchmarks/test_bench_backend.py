@@ -13,7 +13,9 @@ Asserts, for the compiled backend (cext) when it is available:
 
 * allclose (rtol 1e-10) agreement with the numpy reference on every
   mode × lock-policy output, and
-* a >= 3x single-thread steady-state sweep speedup over numpy,
+* a >= 10x single-thread steady-state sweep speedup over numpy (the
+  register-blocked kernels read 13.2-15.9x in 6 of 6 runs on the 2-core
+  VM, BLAS pinned; the whole-row kernels before them 5.3-6.8x),
 
 and writes the measurements (every ``backend@tasks`` sweep) to
 ``benchmarks/BENCH_backend.json``.  Skipped only when no compiled backend
@@ -35,7 +37,7 @@ from repro.runtime.tasking import make_tasking_layer
 
 TRIALS = 7
 SCALING_TASKS = (1, 2, 4)
-MIN_SPEEDUP = 3.0
+MIN_SPEEDUP = 10.0
 
 
 def _sweep(csf_set, factors, layer, backend):

@@ -1,26 +1,34 @@
 """The ``cext`` backend: the packed kernels as C, compiled at first use.
 
-A line-for-line C translation of :mod:`repro.backend.kernels_ref`,
-compiled with the system C compiler (``$CC``, ``cc`` or ``gcc``) into a
-shared object cached under a content-hash name, and called through
-:mod:`ctypes` — which releases the GIL for the duration of every foreign
-call, so per-task kernel calls from the worker pool can run on distinct
-cores, with zero Python-package dependencies beyond a toolchain.
+The algorithms of :mod:`repro.backend.kernels_ref` in C, compiled with
+the system C compiler (``$CC``, ``cc`` or ``gcc``) into a shared object
+cached under a content-hash name, and called through :mod:`ctypes` —
+which releases the GIL for the duration of every foreign call, so
+per-task kernel calls from the worker pool can run on distinct cores,
+with zero Python-package dependencies beyond a toolchain.
 
 One MTTKRP task is one kernel call, which adds each contribution straight
 into its output row: the MTTKRP output, or, given a ``slot`` array, the
 task's compact buffer of the rows it touches (``kernels_ref`` states the
-contract).  Beyond that translation it has the mutex-pool scatter that
-adds such a buffer into the output: a task's whole locked bucket loop in
-one call, over C locks (``repro_scatter_locked``; docs/RUNTIME.md says
-when it runs).  ``subprocess`` and ``shutil`` are imported only when the
-shared object must be compiled.
+contract).  The call walks the task's slices once per block of factor
+columns (32, 16, 8 or 4 wide, then the rank's ``R mod 4`` tail), and the
+running sums of the two deepest tree levels stay in vector registers for
+the whole walk instead of making a trip through memory on every
+multiply-add.  Each element gets the arithmetic of ``kernels_ref``'s
+loops over whole rows, in the same order and with the same rounding: a
+multiply-add is fused where the compiler fuses the whole-row loop's, and
+the products those loops keep in a row of their own are rounded on their
+own.  Beyond the kernels, the mutex-pool scatter adds such a buffer into
+the output: a task's whole locked bucket loop in one call, over C locks
+(``repro_scatter_locked``; docs/RUNTIME.md says when it runs).
+``subprocess`` and ``shutil`` are imported only when the shared object
+must be compiled.
 
 The cache directory is ``$REPRO_CEXT_CACHE`` if set, else a per-user
 directory under the system temp dir.  The shared object's name embeds a
 hash of the C source, so editing the kernels invalidates stale binaries
-automatically; compilation is a one-time ``backend.compile`` cost
-(tens of milliseconds for this small translation unit).
+automatically; compilation is a one-time ``backend.compile`` cost of a
+few seconds (one body per column-block width).
 
 If no compiler is found, or compilation/loading fails, the backend
 reports unavailable (``auto`` falls back; naming it explicitly raises
@@ -48,77 +56,297 @@ _C_SOURCE = r"""
 #include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MAX_MODES 64
+#define INLINE static inline __attribute__((always_inline))
 
-static void level_ranges(const int64_t* fptr_cat, const int64_t* fptr_off,
-                         int64_t nmodes, int64_t lo, int64_t hi,
-                         int64_t* lo_l, int64_t* hi_l, int64_t* ptr)
+/* Column blocks.  A range kernel walks the task's slices once per block
+   of factor columns and keeps the block's running sums in vector
+   registers: nv (8, 4, 2 or 1) vectors of 4 columns, or, for the rank's
+   R mod 4 tail, one vector whose first `lanes` columns are real.  Each
+   element goes through the same operations in the same order as in a
+   walk over whole rows, so it rounds exactly as it would there. */
+typedef double v4 __attribute__((vector_size(32)));
+typedef struct { v4 v[8]; } blk;
+
+/* KEEP_ROUNDED(x): x is rounded on its own before its next use, so the
+   product it holds is never fused into the add that consumes it. */
+#if defined(__x86_64__) && defined(__AVX__)
+#define KEEP_ROUNDED(x) __asm__("" : "+x"(x))
+#elif defined(__aarch64__)
+#define KEEP_ROUNDED(x) __asm__("" : "+w"(x))
+#else
+#define KEEP_ROUNDED(x) __asm__("" : "+m"(x))
+#endif
+
+INLINE blk blk_fill(double s)
 {
-    lo_l[0] = lo;
-    hi_l[0] = hi;
-    for (int64_t l = 0; l < nmodes - 1; l++) {
-        lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]];
-        hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]];
-    }
-    for (int64_t l = 0; l < nmodes; l++)
-        ptr[l] = lo_l[l];
+    blk b;
+    for (int k = 0; k < 8; k++)
+        b.v[k] = (v4){s, s, s, s};
+    return b;
 }
 
-/* Range kernels: one pass per task, adding each contribution into its
-   output row, out[fid] or (given slot) row slot[i] of the task's compact
-   buffer of nout rows, zeroed first.  kernels_ref.py states the contract. */
+/* partial blocks touch only their `lanes` columns: a tail row may end
+   its buffer */
+INLINE blk blk_load(const double* p, int nv, int lanes)
+{
+    blk b = blk_fill(0.0);
+    if (lanes == 4)
+        for (int k = 0; k < nv; k++)
+            memcpy(&b.v[k], p + 4 * k, sizeof(v4));
+    else
+        b.v[0] = (v4){p[0], lanes > 1 ? p[1] : 0.0, lanes > 2 ? p[2] : 0.0, 0.0};
+    return b;
+}
+
+INLINE void blk_store(double* p, blk b, int nv, int lanes)
+{
+    if (lanes == 4)
+        for (int k = 0; k < nv; k++)
+            memcpy(p + 4 * k, &b.v[k], sizeof(v4));
+    else
+        for (int j = 0; j < lanes; j++)
+            p[j] = b.v[0][j];
+}
+
+/* a + x*y: contracted into a fused multiply-add wherever the scalar
+   `a[r] += x[r] * y[r]` is */
+INLINE blk blk_madd(blk a, blk x, blk y, int nv)
+{
+    for (int k = 0; k < nv; k++)
+        a.v[k] += x.v[k] * y.v[k];
+    return a;
+}
+
+INLINE blk blk_mul(blk a, blk x, int nv)
+{
+    for (int k = 0; k < nv; k++)
+        a.v[k] *= x.v[k];
+    return a;
+}
+
+INLINE blk blk_add(blk a, blk x, int nv)
+{
+    for (int k = 0; k < nv; k++)
+        a.v[k] += x.v[k];
+    return a;
+}
+
+INLINE blk blk_rounded(blk a, int nv)
+{
+    for (int k = 0; k < nv; k++)
+        KEEP_ROUNDED(a.v[k]);
+    return a;
+}
+
+/* A task's view of the packed tree: each level's child pointers, fids
+   and factor rows, and the task's node range [lo[l], hi[l]) per level. */
+typedef struct {
+    const int64_t* fptr[MAX_MODES];
+    const int64_t* fids[MAX_MODES];
+    const double* rows[MAX_MODES];
+    const double* values;
+    int64_t nmodes, rank;
+    int64_t lo[MAX_MODES], hi[MAX_MODES];
+} walk_t;
+
+static void walk_init(walk_t* w, const int64_t* fptr_cat,
+                      const int64_t* fptr_off, const int64_t* fids_cat,
+                      const int64_t* fids_off, const double* values,
+                      const double* packed, const int64_t* row_off,
+                      int64_t nmodes, int64_t rank, int64_t lo, int64_t hi)
+{
+    w->values = values;
+    w->nmodes = nmodes;
+    w->rank = rank;
+    for (int64_t l = 0; l < nmodes; l++) {
+        w->fids[l] = fids_cat + fids_off[l];
+        w->rows[l] = packed + row_off[l] * rank;
+    }
+    w->lo[0] = lo;
+    w->hi[0] = hi;
+    for (int64_t l = 0; l < nmodes - 1; l++) {
+        w->fptr[l] = fptr_cat + fptr_off[l];
+        w->lo[l + 1] = w->fptr[l][w->lo[l]];
+        w->hi[l + 1] = w->fptr[l][w->hi[l]];
+    }
+}
+
+INLINE blk factor_block(const walk_t* w, int64_t l, int64_t i, int64_t col,
+                        int nv, int lanes)
+{
+    return blk_load(w->rows[l] + w->fids[l][i] * w->rank + col, nv, lanes);
+}
+
+/* Add the sum of node i at `level`, times the factor rows of its
+   ancestors ptr[0..level), into its output row: out[fid], or row
+   slot[i - lo] of a compact buffer. */
+INLINE void emit(const walk_t* w, blk sum, int64_t level, int64_t i,
+                 const int64_t* ptr, const int64_t* slot, double* out,
+                 int64_t col, int nv, int lanes)
+{
+    for (int64_t a = 0; a < level; a++)
+        sum = blk_mul(sum, factor_block(w, a, ptr[a], col, nv, lanes), nv);
+    sum = blk_rounded(sum, nv);
+    int64_t row = slot != NULL ? slot[i - w->lo[level]] : w->fids[level][i];
+    double* o = out + row * w->rank + col;
+    blk_store(o, blk_add(blk_load(o, nv, lanes), sum, nv), nv, lanes);
+}
+
+/* One column block of the upward walk shared by the root (level 0) and
+   internal kernels.  A fiber sums its nonzeros' factor rows scaled by
+   their values; a closed node adds its sum times its own factor row into
+   its parent's sum, until a node at `level` closes and is emitted.  The
+   fiber and parent sums are registers; the sums of the levels above
+   them (trees of order 4 and more) live in up[].  ptr[l] is the open
+   node at level l < fib, par_end the end of the open parent's fibers. */
+INLINE void upward_block(const walk_t* w, int64_t level, const int64_t* slot,
+                         double* out, blk* up, int64_t col, int nv, int lanes)
+{
+    const int64_t last = w->nmodes - 1, fib = last - 1;
+    const int64_t lo = w->lo[fib], hi = w->hi[fib];
+    const int64_t* fend = w->fptr[fib] + 1;
+    const blk zero = blk_fill(0.0);
+    int64_t ptr[MAX_MODES];
+    for (int64_t l = 0; l < fib; l++)
+        ptr[l] = w->lo[l];
+    for (int64_t l = level; l < fib - 1; l++)
+        up[l] = zero;
+    int64_t par_end = fib > 0 && lo < hi ? w->fptr[fib - 1][ptr[fib - 1] + 1] : -1;
+    blk par = zero;
+    for (int64_t p = lo; p < hi; p++) {
+        blk sum = zero;
+        for (int64_t z = fend[p - 1]; z < fend[p]; z++)
+            sum = blk_madd(sum, blk_fill(w->values[z]),
+                           factor_block(w, last, z, col, nv, lanes), nv);
+        if (fib == level)
+            emit(w, sum, level, p, ptr, slot, out, col, nv, lanes);
+        else
+            par = blk_madd(par, sum, factor_block(w, fib, p, col, nv, lanes), nv);
+        if (p + 1 != par_end)
+            continue;
+        int64_t l = fib - 1;
+        if (l > level)
+            up[l - 1] = blk_madd(up[l - 1], par,
+                                 factor_block(w, l, ptr[l], col, nv, lanes), nv);
+        else if (l == level)
+            emit(w, par, level, ptr[l], ptr, slot, out, col, nv, lanes);
+        par = zero;
+        int64_t pos = ++ptr[l];
+        for (l -= 1; l >= 0 && pos == w->fptr[l][ptr[l] + 1]; l--) {
+            if (l > level) {
+                up[l - 1] = blk_madd(up[l - 1], up[l],
+                                     factor_block(w, l, ptr[l], col, nv, lanes), nv);
+                up[l] = zero;
+            } else if (l == level) {
+                emit(w, up[l], level, ptr[l], ptr, slot, out, col, nv, lanes);
+                up[l] = zero;
+            }
+            pos = ++ptr[l];
+        }
+        if (p + 1 < hi)
+            par_end = w->fptr[fib - 1][ptr[fib - 1] + 1];
+    }
+}
+
+/* Run BLOCK(col, nv, lanes) over the rank's column blocks: 32 columns at
+   a time, then a block of 16, one of 8 and one of 4 where they fit, then
+   the R mod 4 tail. */
+#define FOR_EACH_BLOCK(rank, BLOCK)                          \
+    do {                                                     \
+        int64_t col = 0;                                     \
+        for (; col + 32 <= (rank); col += 32)                \
+            BLOCK(col, 8, 4);                                \
+        if ((rank) - col >= 16) {                            \
+            BLOCK(col, 4, 4);                                \
+            col += 16;                                       \
+        }                                                    \
+        if ((rank) - col >= 8) {                             \
+            BLOCK(col, 2, 4);                                \
+            col += 8;                                        \
+        }                                                    \
+        if ((rank) - col >= 4) {                             \
+            BLOCK(col, 1, 4);                                \
+            col += 4;                                        \
+        }                                                    \
+        if ((rank) - col == 3)                               \
+            BLOCK(col, 1, 3);                                \
+        else if ((rank) - col == 2)                          \
+            BLOCK(col, 1, 2);                                \
+        else if ((rank) - col == 1)                          \
+            BLOCK(col, 1, 1);                                \
+    } while (0)
+
+static void upward(const walk_t* w, int64_t level, const int64_t* slot,
+                   double* out)
+{
+    blk up[MAX_MODES - 2];
+#define UPWARD_BLOCK(col, nv, lanes) \
+    upward_block(w, level, slot, out, up, col, nv, lanes)
+    FOR_EACH_BLOCK(w->rank, UPWARD_BLOCK);
+#undef UPWARD_BLOCK
+}
+
+/* One column block of the leaf kernel: each nonzero adds its value times
+   its fiber's row product, a register, into its own row.  The product of
+   the rows above the fiber level changes only when the fiber's parent
+   does. */
+INLINE void leaf_block(const walk_t* w, const int64_t* slot, double* out,
+                       int64_t col, int nv, int lanes)
+{
+    const int64_t last = w->nmodes - 1, fib = last - 1;
+    const int64_t lo = w->lo[fib], hi = w->hi[fib];
+    const int64_t* fend = w->fptr[fib] + 1;
+    int64_t ptr[MAX_MODES];
+    for (int64_t l = 0; l < fib; l++)
+        ptr[l] = w->lo[l];
+    int64_t par_end = -1;
+    blk above = blk_fill(1.0);
+    for (int64_t p = lo; p < hi; p++) {
+        if (p == lo || p == par_end) {
+            /* a new parent: advance every ancestor whose children ended */
+            for (int64_t l = fib - 1, pos = p; p > lo && l >= 0
+                     && pos == w->fptr[l][ptr[l] + 1]; l--)
+                pos = ++ptr[l];
+            above = blk_fill(1.0);
+            for (int64_t a = 0; a < fib; a++)
+                above = blk_mul(above, factor_block(w, a, ptr[a], col, nv, lanes), nv);
+            if (fib > 0)
+                par_end = w->fptr[fib - 1][ptr[fib - 1] + 1];
+        }
+        blk prod = blk_mul(above, factor_block(w, fib, p, col, nv, lanes), nv);
+        for (int64_t z = fend[p - 1]; z < fend[p]; z++) {
+            blk term = blk_rounded(blk_mul(blk_fill(w->values[z]), prod, nv), nv);
+            int64_t row = slot != NULL ? slot[z - w->lo[last]] : w->fids[last][z];
+            double* o = out + row * w->rank + col;
+            blk_store(o, blk_add(blk_load(o, nv, lanes), term, nv), nv, lanes);
+        }
+    }
+}
+
+/* Range kernels: one walk of the task's slices per column block, adding
+   each contribution into its output row, out[fid] or (given slot) row
+   slot[i] of the task's compact buffer of nout rows, zeroed first.
+   kernels_ref.py states the contract. */
 void repro_root_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                        const int64_t* fids_cat, const int64_t* fids_off,
                        const double* values, const double* packed,
                        const int64_t* row_off, int64_t nmodes, int64_t rank,
                        int64_t lo, int64_t hi, double* out)
 {
-    int64_t last = nmodes - 1;
-    int64_t lo_l[MAX_MODES], hi_l[MAX_MODES], ptr[MAX_MODES];
-    level_ranges(fptr_cat, fptr_off, nmodes, lo, hi, lo_l, hi_l, ptr);
-    double* acc = (double*)calloc((size_t)(last * rank), sizeof(double));
-    for (int64_t z = lo_l[last]; z < hi_l[last]; z++) {
-        const double* frow =
-            packed + (row_off[last] + fids_cat[fids_off[last] + z]) * rank;
-        double v = values[z];
-        double* alast = acc + (last - 1) * rank;
-        for (int64_t r = 0; r < rank; r++)
-            alast[r] += v * frow[r];
-        int64_t pos = z + 1;
-        int64_t l = last - 1;
-        while (pos == fptr_cat[fptr_off[l] + ptr[l] + 1]) {
-            if (l == 0) {
-                double* o = out + fids_cat[fids_off[0] + ptr[0]] * rank;
-                for (int64_t r = 0; r < rank; r++) {
-                    o[r] += acc[r];
-                    acc[r] = 0.0;
-                }
-                ptr[0] += 1;
-                break;
-            }
-            const double* f2 =
-                packed + (row_off[l] + fids_cat[fids_off[l] + ptr[l]]) * rank;
-            double* al = acc + l * rank;
-            double* ap = acc + (l - 1) * rank;
-            for (int64_t r = 0; r < rank; r++) {
-                ap[r] += al[r] * f2[r];
-                al[r] = 0.0;
-            }
-            ptr[l] += 1;
-            pos = ptr[l];
-            l -= 1;
-        }
-    }
-    free(acc);
+    walk_t w;
+    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
+              row_off, nmodes, rank, lo, hi);
+    upward(&w, 0, NULL, out);
 }
 
 static void clear_rows(double* out, const int64_t* slot, int64_t nout,
                        int64_t rank)
 {
     if (slot != NULL)
-        for (int64_t i = 0; i < nout * rank; i++)
-            out[i] = 0.0;
+        memset(out, 0, (size_t)(nout * rank) * sizeof(double));
 }
 
 void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
@@ -128,67 +356,11 @@ void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                            int64_t rank, int64_t level, int64_t lo, int64_t hi,
                            const int64_t* slot, double* out, int64_t nout)
 {
-    int64_t last = nmodes - 1;
-    int64_t lo_l[MAX_MODES], hi_l[MAX_MODES], ptr[MAX_MODES];
-    level_ranges(fptr_cat, fptr_off, nmodes, lo, hi, lo_l, hi_l, ptr);
+    walk_t w;
+    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
+              row_off, nmodes, rank, lo, hi);
     clear_rows(out, slot, nout, rank);
-    double* acc = (double*)calloc((size_t)(last * rank), sizeof(double));
-    double* tmp = (double*)malloc((size_t)rank * sizeof(double));
-    for (int64_t z = lo_l[last]; z < hi_l[last]; z++) {
-        const double* frow =
-            packed + (row_off[last] + fids_cat[fids_off[last] + z]) * rank;
-        double v = values[z];
-        double* alast = acc + (last - 1) * rank;
-        for (int64_t r = 0; r < rank; r++)
-            alast[r] += v * frow[r];
-        int64_t pos = z + 1;
-        int64_t l = last - 1;
-        while (pos == fptr_cat[fptr_off[l] + ptr[l] + 1]) {
-            if (l > level) {
-                const double* f2 =
-                    packed + (row_off[l] + fids_cat[fids_off[l] + ptr[l]]) * rank;
-                double* al = acc + l * rank;
-                double* ap = acc + (l - 1) * rank;
-                for (int64_t r = 0; r < rank; r++) {
-                    ap[r] += al[r] * f2[r];
-                    al[r] = 0.0;
-                }
-                ptr[l] += 1;
-                pos = ptr[l];
-                l -= 1;
-            } else if (l == level) {
-                double* alev = acc + level * rank;
-                for (int64_t r = 0; r < rank; r++) {
-                    tmp[r] = alev[r];
-                    alev[r] = 0.0;
-                }
-                for (int64_t a = 0; a < level; a++) {
-                    const double* fa =
-                        packed + (row_off[a] + fids_cat[fids_off[a] + ptr[a]]) * rank;
-                    for (int64_t r = 0; r < rank; r++)
-                        tmp[r] *= fa[r];
-                }
-                int64_t row = slot != NULL ? slot[ptr[level] - lo_l[level]]
-                                           : fids_cat[fids_off[level] + ptr[level]];
-                double* o = out + row * rank;
-                for (int64_t r = 0; r < rank; r++)
-                    o[r] += tmp[r];
-                ptr[level] += 1;
-                pos = ptr[level];
-                l -= 1;
-            } else {
-                if (l == 0) {
-                    ptr[0] += 1;
-                    break;
-                }
-                ptr[l] += 1;
-                pos = ptr[l];
-                l -= 1;
-            }
-        }
-    }
-    free(tmp);
-    free(acc);
+    upward(&w, level, slot, out);
 }
 
 void repro_leaf_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
@@ -198,64 +370,13 @@ void repro_leaf_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
                        int64_t lo, int64_t hi,
                        const int64_t* slot, double* out, int64_t nout)
 {
-    int64_t last = nmodes - 1;
-    int64_t lo_l[MAX_MODES], hi_l[MAX_MODES], ptr[MAX_MODES];
-    level_ranges(fptr_cat, fptr_off, nmodes, lo, hi, lo_l, hi_l, ptr);
+    walk_t w;
+    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
+              row_off, nmodes, rank, lo, hi);
     clear_rows(out, slot, nout, rank);
-    double* prow = (double*)malloc((size_t)(2 * rank) * sizeof(double));
-    /* the product lands in its own row before the add, so it is rounded
-       on its own and never fused into the add */
-    double* term = prow + rank;
-    int64_t fib = last - 1;
-    for (int64_t p = lo_l[fib]; p < hi_l[fib]; p++) {
-        for (int64_t r = 0; r < rank; r++)
-            prow[r] = 1.0;
-        for (int64_t a = 0; a < fib; a++) {
-            const double* fa =
-                packed + (row_off[a] + fids_cat[fids_off[a] + ptr[a]]) * rank;
-            for (int64_t r = 0; r < rank; r++)
-                prow[r] *= fa[r];
-        }
-        const double* fp =
-            packed + (row_off[fib] + fids_cat[fids_off[fib] + p]) * rank;
-        for (int64_t r = 0; r < rank; r++)
-            prow[r] *= fp[r];
-        for (int64_t z = fptr_cat[fptr_off[fib] + p];
-             z < fptr_cat[fptr_off[fib] + p + 1]; z++) {
-            double v = values[z];
-            for (int64_t r = 0; r < rank; r++)
-                term[r] = v * prow[r];
-            int64_t row = slot != NULL ? slot[z - lo_l[last]]
-                                       : fids_cat[fids_off[last] + z];
-            double* o = out + row * rank;
-            for (int64_t r = 0; r < rank; r++)
-                o[r] += term[r];
-        }
-        int64_t pos = p + 1;
-        int64_t l = fib - 1;
-        while (l >= 0 && pos == fptr_cat[fptr_off[l] + ptr[l] + 1]) {
-            ptr[l] += 1;
-            pos = ptr[l];
-            l -= 1;
-        }
-    }
-    free(prow);
-}
-
-void repro_segment_sum(const double* x, int64_t n, const int64_t* starts,
-                       int64_t nseg, int64_t rank, double* out)
-{
-    for (int64_t s = 0; s < nseg; s++) {
-        int64_t e = (s + 1 < nseg) ? starts[s + 1] : n;
-        double* o = out + s * rank;
-        for (int64_t r = 0; r < rank; r++)
-            o[r] = 0.0;
-        for (int64_t i = starts[s]; i < e; i++) {
-            const double* xi = x + i * rank;
-            for (int64_t r = 0; r < rank; r++)
-                o[r] += xi[r];
-        }
-    }
+#define LEAF_BLOCK(col, nv, lanes) leaf_block(&w, slot, out, col, nv, lanes)
+    FOR_EACH_BLOCK(rank, LEAF_BLOCK);
+#undef LEAF_BLOCK
 }
 
 void repro_gather_segment_sum(const double* x, const int64_t* order,
@@ -362,25 +483,6 @@ void repro_scatter_locked(double* out, int64_t width, const int64_t* out_rows,
         unlock_slot(slot, kind);
     }
 }
-
-void repro_ata(const double* a, int64_t n, int64_t rank, double* out)
-{
-    for (int64_t i = 0; i < rank; i++)
-        for (int64_t j = 0; j < rank; j++)
-            out[i * rank + j] = 0.0;
-    for (int64_t k = 0; k < n; k++) {
-        const double* ak = a + k * rank;
-        for (int64_t i = 0; i < rank; i++) {
-            double aki = ak[i];
-            double* oi = out + i * rank;
-            for (int64_t j = i; j < rank; j++)
-                oi[j] += aki * ak[j];
-        }
-    }
-    for (int64_t i = 0; i < rank; i++)
-        for (int64_t j = 0; j < i; j++)
-            out[i * rank + j] = out[j * rank + i];
-}
 """
 
 _I64 = ctypes.c_longlong
@@ -390,9 +492,7 @@ _SIGNATURES = {
     "repro_root_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR],
     "repro_internal_kernel": [_PTR] * 7 + [_I64] * 5 + [_PTR, _PTR, _I64],
     "repro_leaf_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR, _PTR, _I64],
-    "repro_segment_sum": [_PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_gather_segment_sum": [_PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR],
-    "repro_ata": [_PTR, _I64, _I64, _PTR],
     "repro_locks_init": [_PTR, _I64, _I64],
     "repro_locks_destroy": [_PTR, _I64, _I64],
     "repro_scatter_locked": [_PTR, _I64, _PTR, _PTR, _PTR, _PTR, _I64,
@@ -560,20 +660,11 @@ class CextBackend(Backend):
         ptr = None if slot is None else _p(slot, INDEX_DTYPE)
         return ptr, _p(out, VALUE_DTYPE), out.shape[0]
 
-    def segment_sum(self, x, starts, out) -> None:
-        self._lib.repro_segment_sum(
-            _p(x, VALUE_DTYPE), x.shape[0], _p(starts, INDEX_DTYPE),
-            starts.shape[0], x.shape[1], _p(out, VALUE_DTYPE))
-
     def gather_segment_sum(self, x, order, starts, out) -> None:
         self._lib.repro_gather_segment_sum(
             _p(x, VALUE_DTYPE), _p(order, INDEX_DTYPE), order.shape[0],
             _p(starts, INDEX_DTYPE), starts.shape[0], x.shape[1],
             _p(out, VALUE_DTYPE))
-
-    def ata(self, a, out) -> None:
-        self._lib.repro_ata(
-            _p(a, VALUE_DTYPE), a.shape[0], a.shape[1], _p(out, VALUE_DTYPE))
 
     def make_locks(self, size, kind) -> np.ndarray:
         # over-allocate one stride so the pool can start on a line boundary

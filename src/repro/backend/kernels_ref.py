@@ -1,12 +1,16 @@
 """The packed-kernel algorithms, written once as plain loops over flat arrays.
 
 These functions are the *single source of truth* for the compiled MTTKRP
-range kernels, the segment-sum scatter primitives and symmetric AᵀA.  The
-``cext`` backend is a line-for-line C translation of them
-(:mod:`repro.backend.cext`).  The unit tests run these functions
-interpreted (slow, but exact) through the full dispatch path, certifying
-the algorithm the C translates on any machine, with or without a
-compiler.
+range kernels and the gather segment sum.  The ``cext`` backend
+(:mod:`repro.backend.cext`) is their C form.  Its range kernels walk a
+task's slices once per block of factor columns, with the block's running
+sums in vector registers, and apply to each element the operations these
+loops apply over whole rows, in the same order: a multiply-add
+(``acc += v * row``) is fused wherever the compiler fuses that loop, a
+product these loops keep in its own row (``tmp``, ``term``) is rounded on
+its own.  The unit tests run these functions interpreted (slow, but
+exact) through the full dispatch path, certifying the algorithm the C
+implements on any machine, with or without a compiler.
 
 Data layout (see :mod:`repro.backend.packing`): the CSF tree arrives as
 flat concatenated ``int64`` arrays (``fptr_cat``/``fptr_off``,
@@ -58,9 +62,7 @@ __all__ = [
     "root_kernel",
     "internal_kernel",
     "leaf_kernel",
-    "segment_sum_kernel",
     "gather_segment_sum_kernel",
-    "ata_kernel",
 ]
 
 
@@ -245,25 +247,6 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
             l -= 1
 
 
-def segment_sum_kernel(x, starts, out):
-    """``out[s] = sum of x[starts[s]:starts[s+1]]`` rows (last segment to end).
-
-    Within-segment accumulation is sequential in input order — the same
-    order as :class:`repro.mttkrp.scatter.SegmentSum`'s CSR matvec, so the
-    two agree to rounding.
-    """
-    nseg = starts.shape[0]
-    n = x.shape[0]
-    rank = x.shape[1]
-    for s in range(nseg):
-        e = starts[s + 1] if s + 1 < nseg else n
-        for r in range(rank):
-            out[s, r] = 0.0
-        for i in range(starts[s], e):
-            for r in range(rank):
-                out[s, r] += x[i, r]
-
-
 def gather_segment_sum_kernel(x, order, starts, out):
     """Fused ``x[order]`` gather + segment sum (RowScatter's reduce).
 
@@ -283,24 +266,3 @@ def gather_segment_sum_kernel(x, order, starts, out):
             j = order[i]
             for r in range(rank):
                 out[s, r] += x[j, r]
-
-
-def ata_kernel(a, out):
-    """Symmetric ``AᵀA`` of a C-contiguous ``(n, R)`` matrix into ``(R, R)``.
-
-    Streams ``a`` row-wise, updating the upper triangle, then mirrors —
-    the same triangle BLAS ``dsyrk`` fills in :func:`repro.linalg.ata.gram`.
-    """
-    n = a.shape[0]
-    rank = a.shape[1]
-    for i in range(rank):
-        for j in range(rank):
-            out[i, j] = 0.0
-    for k in range(n):
-        for i in range(rank):
-            aki = a[k, i]
-            for j in range(i, rank):
-                out[i, j] += aki * a[k, j]
-    for i in range(rank):
-        for j in range(i):
-            out[i, j] = out[j, i]

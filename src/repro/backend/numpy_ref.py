@@ -4,9 +4,9 @@
 existing vectorized NumPy/SciPy code paths (:mod:`repro.mttkrp.csf_kernels`,
 :class:`repro.mttkrp.scatter.RowScatter`, BLAS ``dsyrk``), which *are* the
 reference implementation — there is no second copy of them here.  The
-scatter/linalg primitives are still provided (NumPy-implemented, same
-segment semantics as :mod:`repro.backend.kernels_ref`) so tests can compare
-any backend's primitive against this one directly.
+gather segment sum is still provided (NumPy-implemented, same segment
+semantics as :mod:`repro.backend.kernels_ref`) so tests can compare any
+backend's primitive against this one directly.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ class NumpyBackend(Backend):
     name = "numpy"
     compiled = False
 
-    def segment_sum(self, x, starts, out) -> None:
+    def gather_segment_sum(self, x, order, starts, out) -> None:
         if starts.shape[0] == 0:
             return
+        x = x[order]
         n = x.shape[0]
         ends = np.empty_like(starts)
         ends[:-1] = starts[1:]
@@ -43,10 +44,3 @@ class NumpyBackend(Backend):
         empty = ends == starts
         if empty.any():
             out[empty] = 0.0
-
-    def gather_segment_sum(self, x, order, starts, out) -> None:
-        self.segment_sum(x[order], starts, out)
-
-    def ata(self, a, out) -> None:
-        np.matmul(a.T, a, out=out)
-

@@ -1,12 +1,11 @@
 """Backend table, selection and per-call dispatch.
 
 A **backend** supplies compiled implementations of the numerical hot spots
-— the three CSF MTTKRP range kernels, the segment-sum scatter primitives
-and symmetric AᵀA, optionally the locked mutex-pool scatter — behind a
-uniform interface, mirroring how Genten
-(Phipps & Kolda) keeps one kernel source per execution space behind one
-dispatch layer.  A range kernel is one pass per task that adds straight
-into its output rows: the MTTKRP output, or a task's compact buffer
+— the three CSF MTTKRP range kernels and the gather segment sum,
+optionally the locked mutex-pool scatter — behind a uniform interface,
+mirroring how Genten (Phipps & Kolda) keeps one kernel source per
+execution space behind one dispatch layer.  A range kernel is one call
+per task that adds straight into its output rows: the MTTKRP output, or a task's compact buffer
 addressed through a ``slot`` array (:mod:`repro.backend.kernels_ref`
 states the contract).  The two backends:
 
@@ -149,14 +148,10 @@ class Backend:
         ``out``, chosen as in :meth:`internal_kernel`."""
         raise NotImplementedError
 
-    # -- scatter / linalg primitives (compiled backends only) ----------
-    def segment_sum(self, x, starts, out) -> None:
-        raise NotImplementedError
-
+    # -- scatter primitive (compiled backends only) ----------------------
     def gather_segment_sum(self, x, order, starts, out) -> None:
-        raise NotImplementedError
-
-    def ata(self, a, out) -> None:
+        """``out[s]`` = the sum of rows ``x[order[i]]`` for ``i`` in segment
+        ``s`` (``starts[s]`` to the next start, the last to the end)."""
         raise NotImplementedError
 
     # -- mutex-pool scatter (``locked_scatter`` backends only) ---------
@@ -334,14 +329,14 @@ def resolve_backend(choice: "str | Backend | None" = None) -> Backend:
 def _warmup_check(backend: Backend) -> None:
     """Exercise every kernel of a freshly prepared backend on a tiny
     order-3 tree and compare against directly computed expectations: the
-    range kernels' direct write and slot form, the segment sums, AᵀA and,
-    on a ``locked_scatter`` backend, the C lock loop.
+    range kernels' direct write and slot form at a rank that reaches every
+    column-block width, the gather segment sum and, on a
+    ``locked_scatter`` backend, the C lock loop.
 
     A mismatch means the backend miscompiled — better an exception at
     ``ensure_ready`` than silently wrong factor matrices.
     """
     from repro.csf.tree import CsfTensor
-    from repro.mttkrp.scatter import Workspace
 
     # 1 root slice -> 1 fiber -> 2 leaves; dims (in tree order) 1, 1, 2.
     tree = CsfTensor(
@@ -354,60 +349,30 @@ def _warmup_check(backend: Backend) -> None:
     )
     pk = PackedTree(tree)
     rng = np.random.default_rng(7)
-    factors = canonical_factors([rng.random((d, 3)) for d in tree.dims])
-    packed = pack_factors(pk, tree, factors, Workspace())
-    f0, f1, f2 = factors
-
-    # direct write: each kernel adds into out[fid], on top of what is there
-    out = np.ones((1, 3))
-    backend.root_kernel(pk, packed, 0, 1, out)
-    subtree = 1.5 * f2[0] - 2.0 * f2[1]
-    _expect(backend, "root_kernel", out[0], 1.0 + f1[0] * subtree)
-
-    out.fill(1.0)
-    backend.internal_kernel(pk, packed, 1, 0, 1, out)
-    _expect(backend, "internal_kernel", out[0], 1.0 + f0[0] * subtree)
-
-    leaves = np.ones((2, 3))
-    backend.leaf_kernel(pk, packed, 0, 1, leaves)
-    prow = f0[0] * f1[0]
-    _expect(backend, "leaf_kernel", leaves, 1.0 + np.stack([1.5 * prow, -2.0 * prow]))
-
-    # slot form: the compact buffer is zeroed, then node i adds into slot[i]
-    both = np.zeros(2, dtype=np.int64)
-    out.fill(7.0)
-    backend.leaf_kernel(pk, packed, 0, 1, out, both)
-    _expect(backend, "leaf_kernel[slot]", out[0], -0.5 * prow)
-    out.fill(7.0)
-    backend.internal_kernel(pk, packed, 1, 0, 1, out, both[:1])
-    _expect(backend, "internal_kernel[slot]", out[0], f0[0] * subtree)
+    # rank 3 is the R mod 4 tail alone; rank 61 takes one block of every
+    # width the C kernels have: 32+16+8+4+1 columns
+    for rank in (3, 61):
+        factors = canonical_factors([rng.random((d, rank)) for d in tree.dims])
+        packed, leaves = _check_range_kernels(backend, tree, pk, factors)
 
     x = rng.random((5, 3))
     starts = np.array([0, 2, 2], dtype=np.int64)
     seg = np.empty((3, 3))
-    backend.segment_sum(x, starts, seg)
-    _expect(backend, "segment_sum",
-            seg, np.stack([x[0] + x[1], np.zeros(3), x[2] + x[3] + x[4]]))
-
     order = np.array([4, 3, 2, 1, 0], dtype=np.int64)
     backend.gather_segment_sum(x, order, starts, seg)
     _expect(backend, "gather_segment_sum",
             seg, np.stack([x[4] + x[3], np.zeros(3), x[2] + x[1] + x[0]]))
-
-    g = np.empty((3, 3))
-    backend.ata(x, g)
-    _expect(backend, "ata", g, x.T @ x)
 
     if backend.locked_scatter:
         from repro.mttkrp.scatter import RowScatter
         from repro.runtime.locks import make_mutex_pool
 
         # both leaves hash to the one lock of a size-1 pool; the locked
-        # loop adds the slot-form buffer, one row per leaf
+        # loop adds the slot-form buffer, one row per leaf (rank 61 factors)
         scatter = RowScatter(tree.fids[2], pool_size=1)
-        rows = np.empty((2, 3))
+        rows = np.empty_like(leaves)
         backend.leaf_kernel(pk, packed, 0, 1, rows, scatter.slots())
-        acc = np.empty((2, 3))
+        acc = np.empty_like(leaves)
         for kind in ("atomic", "sync"):
             pool = make_mutex_pool(kind, size=1)
             acc.fill(1.0)
@@ -416,6 +381,44 @@ def _warmup_check(backend: Backend) -> None:
             _expect(backend, f"scatter_locked[{kind}]", acc, leaves)
             _expect(backend, f"scatter_locked[{kind}] acquires",
                     pool.counters.lock_acquires, 1)
+
+
+def _check_range_kernels(backend: Backend, tree, pk, factors):
+    """Check the range kernels' direct write and slot form on the warm-up
+    tree with ``factors``; return the packed factors and the leaf rows
+    the leaf kernel added onto ones."""
+    from repro.mttkrp.scatter import Workspace
+
+    packed = pack_factors(pk, tree, factors, Workspace())
+    f0, f1, f2 = factors
+    rank = packed.shape[1]
+    at = f"[rank {rank}]"
+
+    # direct write: each kernel adds into out[fid], on top of what is there
+    out = np.ones((1, rank))
+    backend.root_kernel(pk, packed, 0, 1, out)
+    subtree = 1.5 * f2[0] - 2.0 * f2[1]
+    _expect(backend, "root_kernel" + at, out[0], 1.0 + f1[0] * subtree)
+
+    out.fill(1.0)
+    backend.internal_kernel(pk, packed, 1, 0, 1, out)
+    _expect(backend, "internal_kernel" + at, out[0], 1.0 + f0[0] * subtree)
+
+    leaves = np.ones((2, rank))
+    backend.leaf_kernel(pk, packed, 0, 1, leaves)
+    prow = f0[0] * f1[0]
+    _expect(backend, "leaf_kernel" + at, leaves,
+            1.0 + np.stack([1.5 * prow, -2.0 * prow]))
+
+    # slot form: the compact buffer is zeroed, then node i adds into slot[i]
+    both = np.zeros(2, dtype=np.int64)
+    out.fill(7.0)
+    backend.leaf_kernel(pk, packed, 0, 1, out, both)
+    _expect(backend, "leaf_kernel[slot]" + at, out[0], -0.5 * prow)
+    out.fill(7.0)
+    backend.internal_kernel(pk, packed, 1, 0, 1, out, both[:1])
+    _expect(backend, "internal_kernel[slot]" + at, out[0], f0[0] * subtree)
+    return packed, leaves
 
 
 def _expect(backend: Backend, kernel: str, got, want) -> None:

@@ -277,7 +277,7 @@ def cp_als(
         xnorm2 = tensor.norm() ** 2
 
         with timers.time("mat_ata"):
-            grams = [gram(f, backend=bk) for f in factors]
+            grams = [gram(f) for f in factors]
 
         out_buffers = {m: np.zeros((tensor.dims[m], rank), dtype=VALUE_DTYPE) for m in range(nmodes)}
         infos: list[MttkrpInfo] = []
@@ -309,7 +309,7 @@ def cp_als(
                         normalize_columns(new_factor, which="2" if it == 0 else "max", out_lambda=lam)
                     factors[mode] = new_factor
                     with timers.time("mat_ata"):
-                        grams[mode] = gram(new_factor, backend=bk)
+                        grams[mode] = gram(new_factor)
                     last_mttkrp = m_out
 
                 if last_mttkrp is None:  # zero-mode tensors never reach here

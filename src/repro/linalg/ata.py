@@ -18,23 +18,17 @@ from repro._util import VALUE_DTYPE
 __all__ = ["gram", "hadamard_gram"]
 
 
-def gram(factor: np.ndarray, backend=None) -> np.ndarray:
+def gram(factor: np.ndarray) -> np.ndarray:
     """``AᵀA`` of one ``(I, R)`` factor matrix via BLAS ``syrk``.
 
     ``a.T @ a`` runs one ``syrk`` (one triangle, as in SPLATT) and numpy
     fills in the other, so callers get an exactly symmetric dense matrix.
-    A compiled ``backend``
-    (:class:`~repro.backend.registry.Backend`) computes the same symmetric
-    product with its own GIL-releasing kernel instead of BLAS.
+    Every backend computes it this way: BLAS beats a compiled loop over the
+    rows several times over at the ranks CP-ALS uses.
     """
     a = np.asarray(factor, dtype=VALUE_DTYPE)
     if a.ndim != 2:
         raise ValueError(f"factor must be 2-D, got shape {a.shape}")
-    if backend is not None and backend.compiled:
-        a = np.ascontiguousarray(a)
-        out = np.empty((a.shape[1], a.shape[1]), dtype=VALUE_DTYPE)
-        backend.ata(a, out)
-        return out
     return a.T @ a
 
 

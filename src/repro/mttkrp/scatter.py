@@ -250,12 +250,14 @@ class RowScatter:
 
         ``presorted=True`` promises ``contribs`` is already in
         :attr:`order` order (the producer folded the permutation into its
-        own gathers), skipping the sort gather entirely.  A compiled
-        ``backend`` fuses gather and reduction into one GIL-releasing
-        pass over the same segments, agreeing to summation rounding.
+        own gathers), skipping the sort gather entirely.  Otherwise a
+        compiled ``backend`` fuses gather and reduction into one
+        GIL-releasing pass over the same segments, agreeing to summation
+        rounding.
         """
         if (
-            _compiled(backend)
+            not presorted
+            and _compiled(backend)
             and contribs.dtype == VALUE_DTYPE
             and contribs.flags.c_contiguous
         ):
@@ -264,7 +266,7 @@ class RowScatter:
                 reduced = np.empty(shape, dtype=VALUE_DTYPE)
             else:
                 reduced = ws.buf(self.tag + ("reduced",), shape, VALUE_DTYPE)
-            # The compiled kernels take 2-D (n, width) arrays; trailing
+            # The compiled kernel takes 2-D (n, width) arrays; trailing
             # dims (e.g. ALS's (nnz, R, R) outer-product stacks) flatten
             # to zero-copy views thanks to the C-contiguity guard above.
             width = 1
@@ -272,12 +274,7 @@ class RowScatter:
                 width *= d
             flat = contribs.reshape(contribs.shape[0], width)
             flat_out = reduced.reshape(reduced.shape[0], width)
-            if presorted:
-                backend.segment_sum(flat, self.seg_starts, flat_out)
-            else:
-                backend.gather_segment_sum(
-                    flat, self.order, self.seg_starts, flat_out
-                )
+            backend.gather_segment_sum(flat, self.order, self.seg_starts, flat_out)
             return reduced
         if presorted:
             sorted_c = contribs

@@ -8,7 +8,9 @@ a pure-Python :class:`Backend` subclass runs the uncompiled
 (packing, warm-up self-check, MTTKRP) and must match the dense reference.
 The compiled backend (cext) then only has to agree with code already
 proven correct — that comparison runs in
-``tests/test_properties_equivalence.py`` over every runtime config.
+``tests/test_properties_equivalence.py`` over every runtime config, and
+kernel by kernel at every column-block width in
+``tests/test_kernel_blocks.py``.
 """
 
 from __future__ import annotations
@@ -192,14 +194,8 @@ class PurePythonBackend(Backend):
                          pk.values, packed, pk.row_off, pk.nmodes, lo, hi,
                          slot, out)
 
-    def segment_sum(self, x, starts, out):
-        kref.segment_sum_kernel(x, starts, out)
-
     def gather_segment_sum(self, x, order, starts, out):
         kref.gather_segment_sum_kernel(x, order, starts, out)
-
-    def ata(self, a, out):
-        kref.ata_kernel(a, out)
 
 
 def test_pure_python_kernels_pass_warmup_self_check():
@@ -240,7 +236,7 @@ def test_pure_python_slot_form_matches_dense_reference(dims, nnz, force_locks):
 
 
 # ======================================================================
-# scatter/linalg primitives agree across every available backend
+# the scatter primitive agrees across every available backend
 # ======================================================================
 def _segment_case(rng, n, width, nseg):
     x = np.ascontiguousarray(rng.standard_normal((n, width)))
@@ -260,24 +256,9 @@ def test_segment_primitives_match_numpy(backend):
         x, starts, order = _segment_case(rng, n, width, nseg)
         expect = np.empty((nseg, width))
         got = np.empty((nseg, width))
-        ref.segment_sum(x, starts, expect)
-        bk.segment_sum(x, starts, got)
-        np.testing.assert_allclose(got, expect, rtol=RTOL, atol=ATOL)
         ref.gather_segment_sum(x, order, starts, expect)
         bk.gather_segment_sum(x, order, starts, got)
         np.testing.assert_allclose(got, expect, rtol=RTOL, atol=ATOL)
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_ata_matches_dense_product(backend):
-    bk = get_backend(backend)
-    rng = np.random.default_rng(8)
-    for shape in [(30, 5), (4, 4), (50, 1)]:
-        a = np.ascontiguousarray(rng.standard_normal(shape))
-        out = np.empty((shape[1], shape[1]))
-        bk.ata(a, out)
-        np.testing.assert_allclose(out, a.T @ a, rtol=RTOL, atol=ATOL)
-        np.testing.assert_allclose(out, out.T, rtol=0, atol=0)  # exact symmetry
 
 
 # ======================================================================
