@@ -1,9 +1,9 @@
 """The ``numpy`` reference backend.
 
 ``compiled`` stays ``False``: dispatch sites seeing this backend run the
-existing vectorized NumPy/SciPy code paths (:mod:`repro.mttkrp.csf_kernels`,
-:class:`repro.mttkrp.scatter.RowScatter`, BLAS ``dsyrk``), which *are* the
-reference implementation — there is no second copy of them here.  The
+vectorized NumPy/SciPy tree walk (:mod:`repro.mttkrp.csf_kernels`,
+:class:`repro.mttkrp.scatter.RowScatter`), which *is* the reference
+implementation — there is no second copy of it here.  The
 gather segment sum is still provided (NumPy-implemented, same segment
 semantics as :mod:`repro.backend.kernels_ref`) so tests can compare any
 backend's primitive against this one directly.
@@ -19,7 +19,7 @@ __all__ = ["NumpyBackend"]
 
 
 class NumpyBackend(Backend):
-    """Always-available reference backend (the existing NumPy paths)."""
+    """Always-available reference backend (the NumPy tree walk)."""
 
     name = "numpy"
     compiled = False

@@ -10,8 +10,9 @@ addressed through a ``slot`` array (:mod:`repro.backend.kernels_ref`
 states the contract).  The two backends:
 
 ``numpy``
-    The reference: the existing vectorized NumPy/SciPy code paths run
-    untouched.  Always available.
+    The reference: the vectorized NumPy/SciPy tree walk of
+    :mod:`repro.mttkrp.csf_kernels`, meeting the same output contract
+    through its plan's scatters.  Always available.
 ``cext``
     The kernels of :mod:`repro.backend.kernels_ref` as C, compiled on
     first use with the system C compiler and loaded through :mod:`ctypes`
@@ -31,9 +32,8 @@ Because compiled kernels release the GIL, task bodies running under the
 existing :class:`~repro.runtime.pool.WorkerPool` stop serializing on the
 interpreter; the pool's dispatch protocol is unchanged.  That buys no
 reliable wall-clock scaling: on the 2-core VM stamped in
-``benchmarks/BENCH_backend.json``, cext sweeps took 23.4 / 15.2 / 16.3 ms
-at 1 / 2 / 4 tasks in the committed record and 27.8 / 47.4 / 39.3 ms in
-another run.
+``benchmarks/BENCH_backend.json``, the committed record's cext sweeps
+took 4.9 / 4.6 / 4.6 ms at 1 / 2 / 4 tasks.
 
 Compile cost is accounted separately: every backend's one-time preparation
 runs under a ``backend.compile`` observe span (plus a

@@ -2,23 +2,29 @@
 
 These are the compiled-speed implementations standing in for SPLATT's C
 (DESIGN.md §2): every per-node loop is replaced by NumPy segment primitives
-(``np.add.reduceat`` going up the tree, ``np.repeat`` going down), so the
-interpreted overhead per nonzero is gone — exactly the role the C baseline
-plays in the paper's comparison.
+(segment sums going up the tree, cached expansion indices going down), so
+the interpreted overhead per nonzero is gone — exactly the role the C
+baseline plays in the paper's comparison.
 
 All kernels operate on a contiguous range ``[lo, hi)`` of root slices so
-they can serve as the per-task body of the parallel drivers at the bottom of
-this module:
+they can serve as the per-task body of the two parallel drivers at the
+bottom of this module:
 
-* root mode — tasks own disjoint output rows; no synchronization.
-* internal/leaf modes — output rows are shared; the driver either
-  *privatizes* (per-task buffer + reduction) or takes rows through the
-  *mutex pool*, per :func:`repro.mttkrp.locks_policy.needs_locks`.
+* :func:`run_root_parallel` — tasks own disjoint output rows; no
+  synchronization.
+* :func:`run_scatter` — internal/leaf modes, whose output rows are shared.
+  One task adds into the output; more tasks each fill a compact buffer of
+  the rows they touch and add it under the *mutex pool* or, privatized,
+  merge the buffers in task order, per
+  :func:`repro.mttkrp.locks_policy.needs_locks`.
 
 A compiled backend (``bctx``) replaces each task's tree walk with one
-GIL-releasing kernel pass that adds into its output rows directly
-(:mod:`repro.backend.kernels_ref` states the contract);
-:func:`run_scatter_compiled` drives it for the internal and leaf modes.
+GIL-releasing kernel pass that adds into its rows directly
+(:mod:`repro.backend.kernels_ref` states the contract); the NumPy walk
+meets the same contract through its plan's
+:class:`~repro.mttkrp.scatter.RowScatter`.  :func:`array_reduce_buffers`,
+the interpreted ladder's reduction of out-shaped private buffers, is
+re-exported here for :mod:`repro.mttkrp.variants`.
 """
 
 from __future__ import annotations
@@ -41,9 +47,8 @@ __all__ = [
     "leaf_range_vectorized",
     "leaf_range_sorted",
     "run_root_parallel",
-    "run_scatter_privatized",
-    "run_scatter_mutex",
-    "run_scatter_compiled",
+    "run_scatter",
+    "array_reduce_buffers",
 ]
 
 
@@ -261,20 +266,22 @@ def leaf_range_vectorized(
 def leaf_range_sorted(
     csf: CsfTensor,
     factors: Sequence[np.ndarray],
-    plan: ScatterPlan,
-    tid: int,
+    trav: TaskTraversal,
     ws: Workspace,
+    expand_sorted: np.ndarray,
+    values_sorted: np.ndarray,
 ) -> np.ndarray:
     """Leaf-mode contributions emitted directly in scatter-sorted order.
 
-    Uses the plan's ``leaf_expand_sorted`` indices (the final downward
-    expansion composed with the scatter sort permutation) and pre-permuted
-    values, so the caller's :class:`~repro.mttkrp.scatter.RowScatter` can
-    reduce with ``presorted=True`` — no per-call ``O(nnz)`` sort gather.
-    Elementwise products are identical to :func:`leaf_range_vectorized`
-    followed by the sort gather, so results match that path exactly.
+    ``expand_sorted`` and ``values_sorted`` are the task's entries of the
+    leaf plan's ``leaf_expand_sorted`` (the final downward expansion
+    composed with the scatter sort permutation) and ``leaf_values_sorted``
+    (the values, pre-permuted), so the caller's
+    :class:`~repro.mttkrp.scatter.RowScatter` can reduce with
+    ``presorted=True`` — no per-call ``O(nnz)`` sort gather.  Elementwise
+    products are identical to :func:`leaf_range_vectorized` followed by
+    the sort gather, so results match that path exactly.
     """
-    trav = plan.traversals[tid]
     nmodes = csf.nmodes
     if trav.hi <= trav.lo:
         rank = factors[0].shape[1]
@@ -285,8 +292,8 @@ def leaf_range_sorted(
     if nmodes > 2:
         level = nmodes - 2
         d *= ws.take(factors[csf.dim_perm[level]], trav.fids[level], ("down_take", level))
-    contribs = ws.take(d, plan.leaf_expand_sorted[tid], ("leaf_sorted",))
-    contribs *= plan.leaf_values_sorted[tid][:, None]
+    contribs = ws.take(d, expand_sorted, ("leaf_sorted",))
+    contribs *= values_sorted[:, None]
     return contribs
 
 
@@ -366,122 +373,87 @@ def run_root_parallel(
     layer.coforall(layer.env.num_tasks, task)
 
 
-def run_scatter_privatized(
-    out: np.ndarray,
-    layer: TaskingLayer,
-    compute_range,
-    *,
-    plan: ScatterPlan,
-    workspaces: Sequence[Workspace],
-    buffers: Sequence[np.ndarray] | None,
-    presorted: bool = False,
-) -> None:
-    """Privatized parallel scatter: per-task buffers + reduction.
-
-    ``compute_range(lo, hi, tid) -> (rows, contribs)`` is one of the
-    internal/leaf range kernels.  Each task's scatter runs through its
-    cached :class:`~repro.mttkrp.scatter.RowScatter` (segment sums instead
-    of ``np.add.at``) into its own ``out``-shaped buffer; buffers are
-    combined by a row-blocked parallel reduction (the reduction is
-    ``O(ntasks · I · R)`` work and memory — the cost SPLATT's
-    privatization heuristic is guarding).
-
-    ``buffers`` (one per task, owned by the plan's cache; ``None`` for a
-    single task, which scatters straight into ``out``) are *assigned*
-    rather than accumulated: rows a task never touches stay zero across
-    calls, so the buffers are never re-zeroed.
-    """
-    ntasks = layer.env.num_tasks
-    bounds = plan.bounds
-    if ntasks == 1:
-        _, contribs = compute_range(int(bounds[0]), int(bounds[1]), 0)
-        plan.scatters[0].scatter_accumulate(
-            out, contribs, workspaces[0], presorted=presorted
-        )
-        return
-
-    def task(tid: int) -> None:
-        _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
-        plan.scatters[tid].scatter_assign(
-            buffers[tid], contribs, workspaces[tid], presorted=presorted
-        )
-
-    layer.coforall(ntasks, task)
-    array_reduce_buffers(layer, out, buffers)
-
-
-def run_scatter_mutex(
-    out: np.ndarray,
-    layer: TaskingLayer,
-    pool: MutexPool,
-    compute_range,
-    *,
-    plan: ScatterPlan,
-    workspaces: Sequence[Workspace],
-    presorted: bool = False,
-) -> None:
-    """Mutex-pool parallel scatter: shared output, hashed row locks.
-
-    Each task performs each lock bucket's scatter-add while holding that
-    bucket's lock — the vectorized rendition of SPLATT's lock-per-row
-    update, preserving real lock traffic and contention: one acquire per
-    task-bucket pair, same hashed lock ids.  The plan (built with this
-    pool's size) caches the bucket grouping and per-row pre-reduction, so
-    the steady state sorts nothing.
-    """
-    bounds = plan.bounds
-
-    def task(tid: int) -> None:
-        _, contribs = compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid)
-        plan.scatters[tid].scatter_mutex(
-            out, contribs, pool, workspaces[tid], presorted=presorted
-        )
-
-    layer.coforall(layer.env.num_tasks, task)
-
-
-def run_scatter_compiled(
+def run_scatter(
+    csf: CsfTensor,
+    factors: Sequence[np.ndarray],
+    level: int,
     out: np.ndarray,
     layer: TaskingLayer,
     pool: MutexPool | None,
-    compute_range,
     *,
     plan: ScatterPlan,
     workspaces: Sequence[Workspace],
     backend,
+    bctx=None,
 ) -> None:
-    """Internal/leaf MTTKRP on a compiled backend: one kernel pass per task.
+    """Internal/leaf MTTKRP at tree ``level``: one walk per task.
 
-    ``compute_range(lo, hi, tid, target, slot)`` runs the compiled range
-    kernel, which adds into ``target``.  A single task adds straight into
-    ``out``.  With more tasks, each fills a compact buffer of the rows it
-    touches (its plan scatter's :meth:`~repro.mttkrp.scatter.RowScatter.slots`
-    place each node), then adds it into ``out`` under the bucket locks of
-    ``pool`` (one acquire per task-bucket pair); a privatized mode merges
-    the buffers into ``out`` in task order once every task is done, so
-    its rows do not depend on the schedule.
+    A single task adds straight into ``out``.  With more tasks, each fills
+    a compact buffer of the rows it touches, one row per entry of its plan
+    scatter's ``out_rows``, then adds it into ``out`` under the bucket
+    locks of ``pool`` (one acquire per task-bucket pair); a privatized
+    mode merges the buffers into ``out`` in task order once every task is
+    done, so its rows do not depend on the schedule.
+
+    Both backends meet that contract.  With ``bctx`` the compiled range
+    kernel adds into the buffer through the scatter's
+    :meth:`~repro.mttkrp.scatter.RowScatter.slots`.  The NumPy walk emits
+    per-node contributions and its scatter reduces them, with
+    :meth:`~repro.mttkrp.scatter.RowScatter.reduce`, into the same
+    workspace buffer (tag ``sc.tag + ("reduced",)``); the leaf walk emits
+    them presorted.
 
     The lock flavour is chosen here, once for every task: a
     ``locked_scatter`` backend runs each task's bucket loop in C over the
     pool's C locks, unless a sanitizer is installed — it must see every
     acquire and write, so it gets the Python loop over the Python locks.
     """
+    leaf = level == csf.nmodes - 1
+    traversals = plan.traversals
+    if bctx is None and leaf:
+        # the NumPy leaf walk's presorted state, built before any task runs
+        expands, values = plan.leaf_expand_sorted, plan.leaf_values_sorted
+
+    def walk(tid: int, **kwargs):
+        trav = traversals[tid]
+        if leaf:
+            return leaf_range_vectorized(csf, factors, trav.lo, trav.hi, trav=trav,
+                                         ws=workspaces[tid], **kwargs)
+        return internal_range_vectorized(csf, factors, level, trav.lo, trav.hi,
+                                         trav=trav, ws=workspaces[tid], **kwargs)
+
+    def fill(tid: int, dest: np.ndarray, sc) -> None:
+        # adds task tid's contributions into out (sc None) or its buffer
+        if bctx is not None:
+            walk(tid, bctx=bctx, out=dest, slot=None if sc is None else sc.slots())
+            return
+        ws = workspaces[tid]
+        if leaf:
+            contribs = leaf_range_sorted(csf, factors, traversals[tid], ws,
+                                         expands[tid], values[tid])
+        else:
+            _, contribs = walk(tid)
+        if sc is None:
+            plan.scatters[0].scatter_accumulate(dest, contribs, ws, presorted=leaf)
+        else:
+            sc.reduce(contribs, ws, presorted=leaf)
+
     ntasks = layer.env.num_tasks
-    bounds = plan.bounds
     if ntasks == 1:
-        compute_range(int(bounds[0]), int(bounds[1]), 0, out, None)
+        fill(0, out, None)
         return
     p = _probe.current
     locks = None
     if pool is not None and backend.locked_scatter and (p is None or p.sanitizer is None):
         locks = pool.c_locks(backend)
     rank = out.shape[1]
+    scatters = plan.scatters
     filled: list[np.ndarray | None] = [None] * ntasks
 
     def task(tid: int) -> None:
-        sc = plan.scatters[tid]
+        sc = scatters[tid]
         buf = workspaces[tid].buf(sc.tag + ("reduced",), (sc.out_rows.shape[0], rank))
-        compute_range(int(bounds[tid]), int(bounds[tid + 1]), tid, buf, sc.slots())
+        fill(tid, buf, sc)
         if pool is None:
             filled[tid] = buf
         else:
@@ -489,5 +461,5 @@ def run_scatter_compiled(
 
     layer.coforall(ntasks, task)
     if pool is None:
-        for sc, buf in zip(plan.scatters, filled):
+        for sc, buf in zip(scatters, filled):
             sc.scatter_accumulate(out, buf, reduced=True)

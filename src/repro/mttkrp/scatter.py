@@ -1,43 +1,42 @@
 """Precomputed scatter plans and reusable workspaces for MTTKRP.
 
-Every non-root MTTKRP ends in a scatter-add: per-task ``(rows, contribs)``
-pairs accumulated into shared output rows.  The seed implementation paid
-three per-call costs that are *invariant across CP-ALS iterations*:
-
-* ``np.add.at`` — an unbuffered, element-at-a-time scatter (an order of
-  magnitude slower than a segmented reduction);
-* in the mutex path, a fresh ``np.argsort`` over lock buckets on every
-  call, even though the ``fids`` row arrays never change for a given tree;
-* fresh ``np.zeros_like`` privatization buffers and ``O(nnz)`` tree-walk
-  intermediates on every call.
-
-Following the amortization playbook of Dynasor and the ALTO work (see
-PAPERS.md), this module precomputes the memory-access layout once per
+Every non-root MTTKRP settles shared output rows: each task adds what its
+slices contribute into the rows they touch.  The structure of that scatter
+and of the tree walk feeding it is *invariant across CP-ALS iterations*,
+so, following the amortization playbook of Dynasor and the ALTO work (see
+PAPERS.md), this module computes it once per
 ``(tree, level, ntasks[, pool_size])`` and reuses it every iteration:
 
-* :class:`RowScatter` — cached stable sort order, segment boundaries, and
-  unique output rows for one invariant ``rows`` array, turning the scatter
-  into ``np.add.reduceat`` + one vectorized indexed add (and, in the mutex
-  flavour, a cached bucket grouping that preserves one lock acquire per
-  task-bucket pair);
+* :class:`RowScatter` — cached stable sort order, segment boundaries and
+  unique output rows for one invariant ``rows`` array: the
+  :meth:`~RowScatter.slots` of a compiled kernel's compact buffer, the
+  ``np.add.reduceat`` segments of the NumPy walk's, and in the mutex
+  flavour a cached bucket grouping that keeps one lock acquire per
+  task-bucket pair;
 * :class:`SegmentSum` — precomputed CSR segment-sum operators replacing
-  ``np.add.reduceat`` in the tree walk, whose per-segment dispatch cost
-  dominates on fiber-sized (few-nonzero) segments;
-* :class:`TaskTraversal` — cached per-task node ranges, segment
-  boundaries/operators and downward expansion indices for the CSF tree
-  walk;
-* :class:`Workspace` — a keyed arena of scratch arrays so steady-state
-  kernels allocate nothing proportional to ``nnz``;
+  ``np.add.reduceat`` in the NumPy tree walk, whose per-segment dispatch
+  cost dominates on fiber-sized (few-nonzero) segments;
+* :class:`TaskTraversal` — cached per-task node ranges and tree views,
+  plus the NumPy walk's segment sums and downward expansion indices;
+* :class:`Workspace` — a keyed arena of scratch arrays (the compact
+  buffers among them) so steady-state kernels allocate nothing
+  proportional to ``nnz``;
 * :class:`ScatterPlan` — the per-task bundle of the above for one output
   level;
 * :class:`MttkrpContext` — the cache (attached to a
-  :class:`~repro.csf.build.CsfSet`) handing out plans, workspaces and
-  privatization buffers, with hit/miss accounting surfaced by ``cp_als``.
+  :class:`~repro.csf.build.CsfSet`) handing out plans and workspaces, with
+  hit/miss accounting surfaced by ``cp_als``.
+
+A plan builds only what the running backend reads.  A compiled kernel
+reads a plan's ``bounds`` and tree views, and at more than one task the
+scatters; everything the NumPy walk alone reads is built on first read,
+like :class:`SegmentSum`'s matrix, so a 1-task compiled solve holds no
+plan array at all.
 
 Stable sorts keep each output row's contributions in their original
-order, so plan-based results match the ``np.add.at`` path to summation
-rounding (``reduceat`` sums pairwise where ``add.at`` is sequential —
-``allclose`` at ~1e-15, and typically *more* accurate).
+order, so plan-based results match ``np.add.at`` to summation rounding
+(``reduceat`` sums pairwise where ``add.at`` is sequential — ``allclose``
+at ~1e-15, and typically *more* accurate).
 
 :func:`sorted_scatter_add` is the plan-less one-shot flavour for call
 sites whose rows change every call (TTMc chunks, one-off scatters).
@@ -45,6 +44,7 @@ sites whose rows change every call (TTMc chunks, one-off scatters).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -322,21 +322,17 @@ class RowScatter:
         contribs: np.ndarray,
         ws: Workspace | None = None,
         *,
-        presorted: bool = False,
         backend=None,
     ) -> None:
         """Overwrite ``out``'s :attr:`out_rows` with the segment sums.
 
-        Used for reusable privatization buffers: rows outside
-        :attr:`out_rows` are never written by this plan, so a buffer stays
-        valid across calls without re-zeroing — provided it is only ever
-        written through this same plan.
+        Rows outside :attr:`out_rows` are never written.  No MTTKRP path
+        assigns; the sanitizer's certification runs it unlocked on shared
+        rows as its seeded race.
         """
         if self.nrows_in == 0:
             return
-        out[self.out_rows] = self.reduce(
-            contribs, ws, presorted=presorted, backend=backend
-        )
+        out[self.out_rows] = self.reduce(contribs, ws, backend=backend)
         p = _probe.current
         if p is not None:
             p.array_write(out, self.out_rows, "RowScatter.scatter_assign")
@@ -348,7 +344,6 @@ class RowScatter:
         pool,
         ws: Workspace | None = None,
         *,
-        presorted: bool = False,
         backend=None,
         locks=None,
         reduced: bool = False,
@@ -368,7 +363,7 @@ class RowScatter:
         if self.nrows_in == 0:
             return
         if not reduced:
-            contribs = self.reduce(contribs, ws, presorted=presorted, backend=backend)
+            contribs = self.reduce(contribs, ws, backend=backend)
         if locks is not None:
             self._scatter_locked(out, contribs, pool, locks, backend)
             return
@@ -481,15 +476,13 @@ class SegmentSum:
 class TaskTraversal:
     """Cached CSF tree-walk structure for one task's root slices ``[lo, hi)``.
 
-    Holds everything the upward/downward kernels recompute per call in the
-    seed implementation: per-level node ``ranges``, ``reduceat`` child
-    boundaries (``up_starts``), downward expansion indices
-    (``down_expand``, replacing per-call ``np.repeat`` span math), and the
-    per-level ``fids``/``values`` slices.
+    Holds the per-level node ``ranges`` and ``fids``/``values`` views every
+    backend reads.  The NumPy walk's arrays, per-level segment sums
+    (``up_segsum``) and downward expansion indices (``down_expand``,
+    replacing per-call ``np.repeat`` span math), are built on first read,
+    so a compiled solve never builds them.  Only the task that owns the
+    traversal reads them, or the dispatching thread before tasks start.
     """
-
-    __slots__ = ("lo", "hi", "ranges", "up_starts", "up_segsum", "down_expand",
-                 "fids", "values")
 
     def __init__(self, csf: CsfTensor, lo: int, hi: int):
         self.lo, self.hi = lo, hi
@@ -499,50 +492,54 @@ class TaskTraversal:
             clo, chi = ranges[-1]
             ranges.append((int(csf.fptr[level][clo]), int(csf.fptr[level][chi])))
         self.ranges = ranges
-        self.up_starts = []
-        self.up_segsum = []
-        for level in range(nmodes - 1):
-            nlo, nhi = ranges[level]
-            clo = ranges[level + 1][0]
-            starts = (csf.fptr[level][nlo:nhi] - clo).astype(np.intp, copy=False)
-            self.up_starts.append(starts)
-            self.up_segsum.append(SegmentSum(starts, ranges[level + 1][1] - clo))
-        self.down_expand: list[np.ndarray | None] = [None]
-        for level in range(1, nmodes):
-            plo, phi = ranges[level - 1]
-            spans = np.diff(csf.fptr[level - 1][plo : phi + 1])
-            self.down_expand.append(
-                np.repeat(np.arange(phi - plo, dtype=np.intp), spans)  # reprolint: allow(hot-loop-alloc) — one-time plan construction in TaskTraversal.__init__, amortized over every later call
-            )
+        self._fptr = csf.fptr
         self.fids = [csf.fids[level][ranges[level][0] : ranges[level][1]] for level in range(nmodes)]
         self.values = csf.values[ranges[nmodes - 1][0] : ranges[nmodes - 1][1]]
 
+    @cached_property
+    def up_segsum(self) -> list[SegmentSum]:
+        """Per-level segment sums of the upward walk."""
+        return [
+            SegmentSum(self._fptr[level][nlo:nhi] - clo, chi - clo)
+            for level, ((nlo, nhi), (clo, chi))
+            in enumerate(zip(self.ranges, self.ranges[1:]))
+        ]
+
+    @cached_property
+    def down_expand(self) -> list[np.ndarray | None]:
+        """Per-level parent index of each node (``None`` for the root)."""
+        expand: list[np.ndarray | None] = [None]
+        for level, (plo, phi) in enumerate(self.ranges[:-1]):
+            spans = np.diff(self._fptr[level][plo : phi + 1])
+            expand.append(np.repeat(np.arange(phi - plo, dtype=np.intp), spans))  # reprolint: allow(hot-loop-alloc) — one-time plan construction on first read, amortized over every later call
+        return expand
+
     def arrays(self) -> Iterator[np.ndarray]:
         """The index arrays the traversal built (not its views of the tree)."""
-        yield from self.up_starts
-        for seg in self.up_segsum:
+        built = self.__dict__
+        for seg in built.get("up_segsum", ()):
             yield from seg.arrays()
-        yield from (a for a in self.down_expand if a is not None)
+        yield from (a for a in built.get("down_expand", ()) if a is not None)
 
 
 class ScatterPlan:
     """Everything invariant about one ``(tree, level, ntasks[, pool_size])``.
 
-    ``bounds`` are the nnz-balanced root-slice blocks, ``traversals[tid]``
-    the cached tree walk per task, and ``scatters[tid]`` the cached scatter
-    structure over the level's ``fids`` rows.  Build once (via
-    :class:`MttkrpContext`), apply every iteration.
+    ``bounds`` are the nnz-balanced root-slice blocks and ``traversals[tid]``
+    the cached tree walk per task.  ``scatters[tid]`` is the cached scatter
+    structure over the level's ``fids`` rows; only a multi-task compiled
+    call or a NumPy call reads it, so it is built on first read, on the
+    dispatching thread.  Build once (via :class:`MttkrpContext`), apply
+    every iteration.
 
-    For the **leaf** level the scatter permutation is folded into the
-    traversal itself: ``leaf_expand_sorted[tid]`` composes the final
-    downward expansion with the scatter sort order, and
+    For the **leaf** level the NumPy walk folds the scatter permutation
+    into the traversal itself: ``leaf_expand_sorted[tid]`` composes the
+    final downward expansion with the scatter sort order, and
     ``leaf_values_sorted[tid]`` pre-permutes the nonzero values, so the
     leaf kernel emits contributions already in sorted order and the
-    per-call ``O(nnz)`` sort gather disappears (``presorted=True``).
+    per-call ``O(nnz)`` sort gather disappears (``presorted=True``).  The
+    NumPy dispatch reads both before it starts the tasks.
     """
-
-    __slots__ = ("level", "ntasks", "pool_size", "bounds", "traversals", "scatters",
-                 "leaf_expand_sorted", "leaf_values_sorted")
 
     def __init__(
         self,
@@ -564,36 +561,38 @@ class ScatterPlan:
                 for t in range(ntasks)
             ]
         self.traversals = traversals
-        lock_tag = "mutex" if pool_size is not None else "priv"
-        self.scatters = [
-            RowScatter(trav.fids[level], pool_size, tag=("scatter", level, lock_tag))
-            for trav in traversals
+
+    @cached_property
+    def scatters(self) -> list[RowScatter]:
+        lock_tag = "mutex" if self.pool_size is not None else "priv"
+        return [
+            RowScatter(trav.fids[self.level], self.pool_size,
+                       tag=("scatter", self.level, lock_tag))
+            for trav in self.traversals
         ]
-        if level == csf.nmodes - 1:
-            self.leaf_expand_sorted = [
-                trav.down_expand[level][sc.order]
-                for trav, sc in zip(self.traversals, self.scatters)
-            ]
-            self.leaf_values_sorted = [
-                trav.values[sc.order]
-                for trav, sc in zip(self.traversals, self.scatters)
-            ]
-        else:
-            self.leaf_expand_sorted = None
-            self.leaf_values_sorted = None
+
+    @cached_property
+    def leaf_expand_sorted(self) -> list[np.ndarray]:
+        return [trav.down_expand[self.level][sc.order]
+                for trav, sc in zip(self.traversals, self.scatters)]
+
+    @cached_property
+    def leaf_values_sorted(self) -> list[np.ndarray]:
+        return [trav.values[sc.order]
+                for trav, sc in zip(self.traversals, self.scatters)]
 
     def arrays(self) -> Iterator[np.ndarray]:
-        """Every index array of the plan, its traversals' included."""
+        """Every index array the plan has built, its traversals' included."""
         for trav in self.traversals:
             yield from trav.arrays()
-        for sc in self.scatters:
+        built = self.__dict__
+        for sc in built.get("scatters", ()):
             yield from sc.arrays()
-        if self.leaf_expand_sorted is not None:
-            yield from self.leaf_expand_sorted
-            yield from self.leaf_values_sorted
+        yield from built.get("leaf_expand_sorted", ())
+        yield from built.get("leaf_values_sorted", ())
 
     def memory_bytes(self) -> int:
-        """Plan storage footprint (index arrays; roughly tree-sized)."""
+        """Plan storage footprint (the index arrays built so far)."""
         return _unique_nbytes(self.arrays())
 
 
@@ -618,7 +617,6 @@ class MttkrpContext:
         self._trees: dict[int, CsfTensor] = {}
         self._traversals: dict = {}
         self._plans: dict = {}
-        self._buffers: dict = {}
         self._workspaces: dict = {}
         self._packed: dict = {}
         self.plan_hits = 0
@@ -701,32 +699,16 @@ class MttkrpContext:
         (rebuilt into the same buffer every MTTKRP call)."""
         return self.workspaces(tree, 1, "pack:" + backend)[0]
 
-    def buffers(
-        self, tree: CsfTensor, level: int, ntasks: int, shape: tuple[int, ...]
-    ) -> list[np.ndarray]:
-        """Reusable privatization buffers for one plan key.
-
-        Zeroed on first allocation only: the plan's ``scatter_assign``
-        overwrites exactly the rows it owns, so the invariant "rows outside
-        ``out_rows`` are zero" holds across calls.
-        """
-        key = (self._tree_key(tree), level, ntasks, tuple(shape))
-        bufs = self._buffers.get(key)
-        if bufs is None:
-            bufs = [np.zeros(shape, dtype=VALUE_DTYPE) for _ in range(ntasks)]  # reprolint: allow(hot-loop-alloc) — first-miss privatization buffers, cached in self._buffers for the tensor's lifetime
-            self._buffers[key] = bufs
-        return bufs
-
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
         """Cache accounting: plans held, hits, misses, bytes cached.
 
-        ``plan_bytes`` counts each array once, though every plan of one
-        ``(tree, ntasks)`` holds the same shared traversals.
+        ``plan_bytes`` counts each array the plans have built once, though
+        every plan of one ``(tree, ntasks)`` holds the same shared
+        traversals.
         """
         plan_bytes = _unique_nbytes(a for p in self._plans.values() for a in p.arrays())
         ws_bytes = sum(w.nbytes() for group in self._workspaces.values() for w in group)
-        buf_bytes = sum(b.nbytes for group in self._buffers.values() for b in group)
         packed_bytes = sum(p.nbytes() for p in self._packed.values())
         return {
             "plans": len(self._plans),
@@ -734,6 +716,5 @@ class MttkrpContext:
             "plan_misses": self.plan_misses,
             "plan_bytes": plan_bytes,
             "workspace_bytes": ws_bytes,
-            "buffer_bytes": buf_bytes,
             "packed_bytes": packed_bytes,
         }

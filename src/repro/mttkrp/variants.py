@@ -52,7 +52,6 @@ from repro.mttkrp.partition import nnz_balanced_blocks
 from repro.observe import spans as _obs
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import DEFAULT_POOL_SIZE, MutexPool, make_mutex_pool
-from repro.runtime.reductions import array_reduce_buffers
 from repro.runtime.tasking import TaskingLayer, make_tasking_layer
 from repro.tensor.coo import SparseTensor
 
@@ -367,7 +366,7 @@ def _run_interpreted(
         kernel(csf, factors, buffers[tid], int(bounds[tid]), int(bounds[tid + 1]))
 
     layer.coforall(ntasks, task)
-    array_reduce_buffers(layer, out, buffers)
+    csf_kernels.array_reduce_buffers(layer, out, buffers)
 
 
 def mttkrp_csf(
@@ -468,10 +467,10 @@ def mttkrp_csf(
     plan_hit: bool | None = None
 
     # Compiled backends take over the vectorized tree walk for order >= 2
-    # (order-1 trees have no kernel work to speak of).  Their kernels add
-    # into the output rows in the same pass (a task's compact buffer when
-    # rows are shared); the plan's scatter structure, mutex traffic and
-    # sanitizer hooks are shared with the numpy path.
+    # (order-1 trees have no kernel work to speak of).  Both backends add
+    # into the output rows per task (a task's compact buffer when rows are
+    # shared), through one driver that owns the plan's scatter structure,
+    # mutex traffic and sanitizer hooks.
     use_compiled = bk.compiled and variant == "vectorized" and tree.nmodes >= 2
     bctx = None
     target = out
@@ -505,52 +504,10 @@ def mttkrp_csf(
                 bctx=bctx,
             )
             return
-        if bctx is not None:
-            if algorithm == "leaf":
-                def compute(lo, hi, tid, dest, slot):
-                    csf_kernels.leaf_range_vectorized(
-                        tree, factors, lo, hi, trav=plan.traversals[tid],
-                        ws=workspaces[tid], bctx=bctx, out=dest, slot=slot,
-                    )
-            else:
-                def compute(lo, hi, tid, dest, slot):
-                    csf_kernels.internal_range_vectorized(
-                        tree, factors, level, lo, hi, trav=plan.traversals[tid],
-                        ws=workspaces[tid], bctx=bctx, out=dest, slot=slot,
-                    )
-            csf_kernels.run_scatter_compiled(
-                target, layer, the_pool, compute, plan=plan,
-                workspaces=workspaces, backend=bk,
-            )
-            return
-        # Leaf contributions come out already in scatter-sorted order (the
-        # leaf plan folds the sort into its expansion), so the per-call
-        # O(nnz) sort gather disappears.
-        presorted = algorithm == "leaf"
-        if presorted:
-            def compute(lo, hi, tid):
-                return None, csf_kernels.leaf_range_sorted(
-                    tree, factors, plan, tid, workspaces[tid]
-                )
-        else:
-            def compute(lo, hi, tid):
-                return csf_kernels.internal_range_vectorized(
-                    tree, factors, level, lo, hi, trav=plan.traversals[tid],
-                    ws=workspaces[tid],
-                )
-        if the_pool is not None:
-            csf_kernels.run_scatter_mutex(
-                out, layer, the_pool, compute, plan=plan,
-                workspaces=workspaces, presorted=presorted,
-            )
-        else:
-            buffers = None
-            if ntasks > 1:
-                buffers = ctx.buffers(tree, level, ntasks, out.shape)
-            csf_kernels.run_scatter_privatized(
-                out, layer, compute, plan=plan, workspaces=workspaces,
-                buffers=buffers, presorted=presorted,
-            )
+        csf_kernels.run_scatter(
+            tree, factors, level, target, layer, the_pool, plan=plan,
+            workspaces=workspaces, backend=bk, bctx=bctx,
+        )
 
     rec = None if p is None else p.recorder
     if rec is None:

@@ -21,7 +21,7 @@ Lock assignment hashes the protected row index into the pool exactly as
 SPLATT's ``mutex_pool`` does (index modulo pool size).
 
 Each pool has two lock flavours, and one MTTKRP call uses only one of them
-(:func:`~repro.mttkrp.csf_kernels.run_scatter_compiled` chooses on the
+(:func:`~repro.mttkrp.csf_kernels.run_scatter` chooses on the
 dispatching thread):
 
 * **Compiled** — on a backend with ``locked_scatter`` (``cext``) and no

@@ -37,8 +37,7 @@ release the GIL for their whole duration), the range
 kernels dispatched onto these workers run concurrently.  Whether more
 tasks are faster depends on the host: ``benchmarks/BENCH_backend.json``
 (a 2-core shared Xeon VM, named in its ``host`` stamp) records best
-steady-state sweeps of 23.4 / 15.2 / 16.3 ms for cext at 1 / 2 / 4 tasks,
-and another run on the same VM measured 27.8 / 47.4 / 39.3 ms.
+steady-state sweeps of 4.9 / 4.6 / 4.6 ms for cext at 1 / 2 / 4 tasks.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ The paper calls out "built-in reductions, whole array assignments and
 operations" as the Chapel features of *significant value* for the port
 (§IV-E).  The one the program needs is :func:`array_reduce_buffers`: the
 "reduction on myVals" pattern from the paper's Listing 7, combining
-per-task private buffers into one output (used by the privatized MTTKRP
-path).
+per-task private buffers into one output (used by the interpreted
+variants' privatized MTTKRP; the vectorized path merges compact per-task
+buffers instead).
 """
 
 from __future__ import annotations

@@ -254,7 +254,14 @@ class TestMttkrpContext:
         assert ctx.plan(tree, 1, 2, 64)[0] is not plan1
         stats = ctx.stats()
         assert stats["plan_hits"] == 1 and stats["plan_misses"] == 4
-        assert stats["plan_bytes"] > 0
+        # plans build their arrays when a walk first reads them
+        assert stats["plan_bytes"] == 0
+        assert len(plan1.scatters) == 2
+        assert ctx.stats()["plan_bytes"] > 0
+        # one workspace per task, shared by every plan of the tree
+        ws1 = ctx.workspaces(tree, 2)
+        ws2 = ctx.workspaces(tree, 2)
+        assert ws1 is ws2 and len(ws1) == 2
 
     def test_plan_structures_cover_the_tree(self):
         tensor = _tensor_for_order(4)
@@ -264,18 +271,6 @@ class TestMttkrpContext:
         total = sum(sc.nrows_in for sc in plan.scatters)
         assert total == tree.nnz  # leaf level: one row per nonzero
         assert plan.memory_bytes() > 0
-
-    def test_buffers_persist_and_workspaces_shared(self):
-        tensor = _tensor_for_order(3)
-        csf_set = build_csf_set(tensor, allocation="one")
-        ctx = csf_set.mttkrp_context
-        tree = csf_set.trees[0]
-        bufs1 = ctx.buffers(tree, 2, 2, (tensor.dims[tree.dim_perm[2]], 4))
-        bufs2 = ctx.buffers(tree, 2, 2, (tensor.dims[tree.dim_perm[2]], 4))
-        assert bufs1 is bufs2
-        ws1 = ctx.workspaces(tree, 2)
-        ws2 = ctx.workspaces(tree, 2)
-        assert ws1 is ws2 and len(ws1) == 2
 
 
 class TestWorkerPoolIdentity:

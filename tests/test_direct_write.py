@@ -1,13 +1,16 @@
-"""The cext MTTKRP kernels' direct write, on tree shapes no benchmark runs.
+"""The MTTKRP direct write, on tree shapes no benchmark runs.
 
-A compiled range kernel adds into its output rows while it walks a task's
-slices: into the MTTKRP output at one task, or into a slot-form compact
-buffer that the task then adds under the bucket locks, or that is merged
-in task order when the mode is privatized.  These tests cover the leaf
-kernel (``allocation="one"``), a 4-mode tree (two internal levels), more
-tasks than root slices (empty ranges), both lock pools, privatized modes
-at 2 and 3 tasks, the lock traffic, and a sanitizer run, which takes the
-Python lock loop and must see every write.
+A range walk adds into its output rows while it walks a task's slices:
+into the MTTKRP output at one task, or into a compact buffer that the
+task then adds under the bucket locks, or that is merged in task order
+when the mode is privatized.  The cext kernels fill that buffer through a
+slot array, the NumPy walk through its plan scatter's segment sums; one
+driver serves both.  These tests cover the leaf walk
+(``allocation="one"``), a 4-mode tree (two internal levels), more tasks
+than root slices (empty ranges), both lock pools, privatized modes at 2
+and 3 tasks, the lock traffic, and a sanitizer run, which takes the
+Python lock loop and must see every write.  They skip only when there is
+no C compiler: a cext build that fails its self-check fails them.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, prepare_call, resolve_backend
-from repro.backend.cext import CextBackend
+from repro.backend import prepare_call, resolve_backend
+from repro.backend.cext import CextBackend, _compiler
 from repro.csf.build import build_csf_set
 from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
@@ -29,7 +32,7 @@ from repro.sanitize.detector import sanitizing
 from repro.tensor.generate import random_tensor
 
 pytestmark = pytest.mark.skipif(
-    "cext" not in available_backends(), reason="no C compiler for the cext backend"
+    _compiler() is None, reason="no C compiler for the cext backend"
 )
 
 RTOL, ATOL = 1e-10, 1e-12
@@ -45,6 +48,7 @@ TENSORS = {
 CASES = [("order3", "one"), ("order3", "two"), ("order4", "one"),
          ("order4", "two"), ("two_roots", "one")]
 POLICIES = ("privatized", "atomic", "sync")
+BACKENDS = ("cext", "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +118,13 @@ def test_one_lock_acquire_per_task_bucket_pair(cases, case, kind, ntasks):
     for mode in range(tensor.nmodes):
         if csf_set.tree_for_mode(mode)[1] == "root":
             continue
-        pool = make_mutex_pool(kind, env=env)
-        for call in range(1, 4):
-            mttkrp_csf(csf_set, factors, mode, env=env, pool=pool,
-                       force_locks=True, backend="cext")
-            plan = _scatters(csf_set, mode, ntasks, pool.size)
-            assert pool.counters.lock_acquires == call * _task_bucket_pairs(plan)
+        for backend in BACKENDS:
+            pool = make_mutex_pool(kind, env=env)
+            for call in range(1, 4):
+                mttkrp_csf(csf_set, factors, mode, env=env, pool=pool,
+                           force_locks=True, backend=backend)
+                plan = _scatters(csf_set, mode, ntasks, pool.size)
+                assert pool.counters.lock_acquires == call * _task_bucket_pairs(plan)
 
 
 @pytest.mark.parametrize("case", CASES, ids="-".join)
@@ -127,18 +132,17 @@ def test_one_lock_acquire_per_task_bucket_pair(cases, case, kind, ntasks):
 def test_privatized_modes_merge_compact_buffers_in_task_order(cases, case, ntasks):
     tensor, factors, refs = cases[case]
     env = ChapelEnv(num_tasks=ntasks)
-    csf_set = build_csf_set(tensor, allocation=case[1])
-    for mode in range(tensor.nmodes):
-        first, _ = mttkrp_csf(csf_set, factors, mode, env=env, force_locks=False,
-                              backend="cext")
-        first = first.copy()
-        again, _ = mttkrp_csf(csf_set, factors, mode, env=env, force_locks=False,
-                              backend="cext")
-        # a fixed merge order makes the bits independent of the schedule
-        np.testing.assert_array_equal(again, first)
-        np.testing.assert_allclose(first, refs[mode], rtol=RTOL, atol=ATOL)
-    # no out-shaped privatization buffer on the compiled path
-    assert csf_set.mttkrp_context.stats()["buffer_bytes"] == 0
+    for backend in BACKENDS:
+        csf_set = build_csf_set(tensor, allocation=case[1])
+        for mode in range(tensor.nmodes):
+            first, _ = mttkrp_csf(csf_set, factors, mode, env=env,
+                                  force_locks=False, backend=backend)
+            first = first.copy()
+            again, _ = mttkrp_csf(csf_set, factors, mode, env=env,
+                                  force_locks=False, backend=backend)
+            # a fixed merge order makes the bits independent of the schedule
+            np.testing.assert_array_equal(again, first)
+            np.testing.assert_allclose(first, refs[mode], rtol=RTOL, atol=ATOL)
 
 
 def test_one_task_adds_into_the_output_with_no_workspace(cases):
@@ -202,40 +206,48 @@ def test_sanitizer_takes_the_python_lock_loop_and_sees_every_write(
         cases, monkeypatch, kind, ntasks):
     tensor, factors, refs = cases["order4", "one"]
     env = ChapelEnv(num_tasks=ntasks)
-    csf_set = build_csf_set(tensor, allocation="one")
-    pools = {m: make_mutex_pool(kind, env=env) for m in range(tensor.nmodes)}
     writes = _Recorder(monkeypatch, Probe, "array_write")
-    acquires = _Recorder(monkeypatch, type(pools[0]), "acquire")
     c_loop = _Recorder(monkeypatch, CextBackend, "scatter_locked")
-    with sanitizing() as san:
-        outs = [mttkrp_csf(csf_set, factors, m, env=env, pool=pools[m],
-                           force_locks=True, backend="cext")[0].copy()
-                for m in range(tensor.nmodes)]
-    report = san.report()
-    assert report.ok, report.render()
-    assert c_loop.calls == []
-    for mode, out in enumerate(outs):
-        np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL)
+    for backend in BACKENDS:
+        csf_set = build_csf_set(tensor, allocation="one")
+        pools = {m: make_mutex_pool(kind, env=env) for m in range(tensor.nmodes)}
+        writes.calls.clear()
+        acquires = _Recorder(monkeypatch, type(pools[0]), "acquire")
+        with sanitizing() as san:
+            outs = [mttkrp_csf(csf_set, factors, m, env=env, pool=pools[m],
+                               force_locks=True, backend=backend)[0].copy()
+                    for m in range(tensor.nmodes)]
+        report = san.report()
+        assert report.ok, report.render()
+        assert c_loop.calls == []
+        for mode, out in enumerate(outs):
+            np.testing.assert_allclose(out, refs[mode], rtol=RTOL, atol=ATOL)
 
-    tree, _ = csf_set.tree_for_mode(0)
-    by_site: dict[str, list] = {}
-    for _, array, rows, site in writes.calls:
-        by_site.setdefault(site, []).append(np.asarray(rows))
-    if ntasks == 1:
-        # direct writes, recorded by the range function that made them
-        assert set(by_site) == {"root_range_vectorized",
-                                "internal_range_vectorized", "leaf_range_vectorized"}
-        assert len(by_site["internal_range_vectorized"]) == 2
-        assert acquires.calls == []
-        return
-    plans = [_scatters(csf_set, tree.dim_perm[level], ntasks, pools[0].size)
-             for level in (1, 2, 3)]
-    locked = sum(_task_bucket_pairs(plan) for plan in plans)
-    # one recorded write per acquire, inside the critical section
-    assert len(acquires.calls) == locked
-    assert len(by_site["RowScatter.scatter_mutex"]) == locked
-    assert sum(p.counters.lock_acquires for p in pools.values()) == locked
-    # every row of every task's compact buffer is recorded once
-    recorded = np.concatenate(by_site["RowScatter.scatter_mutex"])
-    assert recorded.size == sum(sc.out_rows.size for plan in plans
-                                for sc in plan.scatters)
+        tree, _ = csf_set.tree_for_mode(0)
+        by_site: dict[str, list] = {}
+        for _, array, rows, site in writes.calls:
+            by_site.setdefault(site, []).append(np.asarray(rows))
+        if ntasks == 1:
+            assert acquires.calls == []
+            if backend == "numpy":
+                # the walk's contributions, reduced and added by the scatter
+                assert set(by_site) == {"root_range_vectorized",
+                                        "RowScatter.scatter_accumulate"}
+                assert len(by_site["RowScatter.scatter_accumulate"]) == 3
+                continue
+            # direct writes, recorded by the range function that made them
+            assert set(by_site) == {"root_range_vectorized",
+                                    "internal_range_vectorized", "leaf_range_vectorized"}
+            assert len(by_site["internal_range_vectorized"]) == 2
+            continue
+        plans = [_scatters(csf_set, tree.dim_perm[level], ntasks, pools[0].size)
+                 for level in (1, 2, 3)]
+        locked = sum(_task_bucket_pairs(plan) for plan in plans)
+        # one recorded write per acquire, inside the critical section
+        assert len(acquires.calls) == locked
+        assert len(by_site["RowScatter.scatter_mutex"]) == locked
+        assert sum(p.counters.lock_acquires for p in pools.values()) == locked
+        # every row of every task's compact buffer is recorded once
+        recorded = np.concatenate(by_site["RowScatter.scatter_mutex"])
+        assert recorded.size == sum(sc.out_rows.size for plan in plans
+                                    for sc in plan.scatters)

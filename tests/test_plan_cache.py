@@ -33,9 +33,9 @@ def _factors(tensor, rank=4, seed=3):
     return [rng.random((d, rank)) for d in tensor.dims]
 
 
-def _sweep(csf_set, factors):
+def _sweep(csf_set, factors, backend=None):
     return [
-        mttkrp_csf(csf_set, factors, mode)[0].copy()
+        mttkrp_csf(csf_set, factors, mode, backend=backend)[0].copy()
         for mode in range(csf_set.nmodes)
     ]
 
@@ -49,7 +49,8 @@ def test_cache_entries_accounting():
     _sweep(csf_set, factors)
     stats = ctx.stats()
     assert stats["plans"] > 0
-    assert stats["plan_bytes"] > 0
+    # whatever the backend's walk built, and nothing else
+    assert stats["plan_bytes"] == _unique_plan_array_bytes(ctx._plans.values())
     assert ctx.plan_misses == stats["plans"]
     assert ctx.plan_hits == 0
     # a second sweep is all hits: no new plans
@@ -59,7 +60,9 @@ def test_cache_entries_accounting():
 
 
 def _unique_plan_array_bytes(plans):
-    """Bytes of every distinct index array the plans hold, walked by hand."""
+    """Bytes of every distinct index array the plans have built, walked by
+    hand.  Lazily built state sits in each object's ``__dict__`` once
+    read; reading it through the attribute here would build it."""
     seen = {}
 
     def add(*arrays):
@@ -69,15 +72,16 @@ def _unique_plan_array_bytes(plans):
 
     for plan in plans:
         for trav in plan.traversals:
-            add(*trav.up_starts, *trav.down_expand)
-            for seg in trav.up_segsum:
+            add(*trav.__dict__.get("down_expand", ()))
+            for seg in trav.__dict__.get("up_segsum", ()):
                 add(seg.starts64)
                 if seg.matrix is not None:  # built by a NumPy-path apply
                     add(seg.matrix.data, seg.matrix.indices, seg.matrix.indptr)
-        for sc in plan.scatters:
+        for sc in plan.__dict__.get("scatters", ()):
             add(sc.order, sc.seg_starts, sc.out_rows, sc.bucket_ids,
-                sc.bucket_bounds)
-        add(*(plan.leaf_expand_sorted or ()), *(plan.leaf_values_sorted or ()))
+                sc.bucket_bounds, sc._slot)
+        add(*plan.__dict__.get("leaf_expand_sorted", ()),
+            *plan.__dict__.get("leaf_values_sorted", ()))
     return sum(seen.values())
 
 
@@ -90,6 +94,11 @@ def test_plan_bytes_count_shared_traversals_once():
     internal, _ = ctx.plan(tree, 1, 2, pool_size=8)
     # every plan of one (tree, ntasks) holds the same traversals
     assert root.traversals is internal.traversals
+    # nothing is built until a walk reads it
+    assert ctx.stats()["plan_bytes"] == 0
+    for trav in root.traversals:
+        trav.up_segsum, trav.down_expand
+    internal.scatters
     stats = ctx.stats()
     assert stats["plans"] == 2
     assert stats["plan_bytes"] == _unique_plan_array_bytes([root, internal])
@@ -99,27 +108,47 @@ def test_plan_bytes_count_shared_traversals_once():
 
 
 def _segment_sums(plans):
-    return [seg for plan in plans for trav in plan.traversals for seg in trav.up_segsum]
+    """The segment sums a walk has built (reading none into being)."""
+    return [seg for plan in plans for trav in plan.traversals
+            for seg in trav.__dict__.get("up_segsum", ())]
 
 
 def test_cext_plans_hold_no_csr_matrix():
-    """A compiled backend reads only ``starts64``: after a full cext sweep
-    no segment sum has built its CSR matrix, and ``plan_bytes`` counts
-    only what the operators hold."""
+    """A 1-task compiled pass over every mode reads only the plans'
+    ``bounds`` and tree views: no plan array is built and ``plan_bytes``
+    stays 0.  A NumPy pass afterwards builds the arrays it reads (segment
+    sums with their CSR matrices, expansions, scatters) and matches the
+    compiled result."""
     backend = resolve_backend("auto")
     if not backend.compiled:
         pytest.skip("no compiled backend on this host")
     tensor = random_tensor((10, 8, 6), 120, seed=0)
-    csf_set = build_csf_set(tensor)
     factors = _factors(tensor)
-    for mode in range(tensor.nmodes):
-        mttkrp_csf(csf_set, factors, mode, backend=backend)
-    ctx = csf_set.mttkrp_context
-    plans = list(ctx._plans.values())
-    segs = _segment_sums(plans)
-    assert segs and all(seg.matrix is None for seg in segs)
-    assert all(seg.arrays() == (seg.starts64,) for seg in segs)
-    assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans)
+    for allocation in ("one", "two", "all"):
+        csf_set = build_csf_set(tensor, allocation=allocation)
+        ctx = csf_set.mttkrp_context
+        compiled = [mttkrp_csf(csf_set, factors, mode, backend=backend)[0]
+                    for mode in range(tensor.nmodes)]
+        plans = list(ctx._plans.values())
+        assert len(plans) == tensor.nmodes
+        assert ctx.stats()["plan_bytes"] == 0
+        assert _unique_plan_array_bytes(plans) == 0
+
+        for mode in range(tensor.nmodes):
+            got, _ = mttkrp_csf(csf_set, factors, mode, backend="numpy")
+            np.testing.assert_allclose(got, compiled[mode], rtol=1e-12, atol=1e-12)
+        assert list(ctx._plans.values()) == plans  # the same plans, now filled
+        segs = _segment_sums(plans)  # every tree has a root walk
+        assert segs and all(seg.matrix is not None for seg in segs if seg.nseg)
+        for plan in plans:
+            leaf = plan.level == tensor.nmodes - 1
+            built = {name for name in ("scatters", "leaf_expand_sorted")
+                     if name in plan.__dict__}
+            assert built == ({"scatters", "leaf_expand_sorted"} if leaf
+                             else {"scatters"} if plan.level else set())
+            if plan.level:
+                assert all("down_expand" in trav.__dict__ for trav in plan.traversals)
+        assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans) > 0
 
 
 def test_numpy_segment_sums_match_the_eager_csr_operator():
@@ -131,7 +160,7 @@ def test_numpy_segment_sums_match_the_eager_csr_operator():
     tensor = random_tensor((10, 8, 6), 120, seed=0)
     csf_set = build_csf_set(tensor)
     factors = _factors(tensor)
-    _sweep(csf_set, factors)
+    _sweep(csf_set, factors, backend="numpy")
     ctx = csf_set.mttkrp_context
     plans = list(ctx._plans.values())
     segs = [seg for seg in _segment_sums(plans) if seg.nseg]
