@@ -30,12 +30,11 @@ import pytest
 
 from _bench_utils import BENCH_RANK, tensor_workload, write_record
 from repro.backend import available_backends, canonical_factors, get_backend
-from repro.backend.packing import PackedTree, pack_factors
 from repro.bench.datasets import bench_dataset
 from repro.bench.runner import best_of
 from repro.csf.build import build_csf_set
 from repro.mttkrp.partition import nnz_balanced_blocks
-from repro.mttkrp.scatter import RowScatter, Workspace
+from repro.mttkrp.scatter import RowScatter
 from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import make_mutex_pool
@@ -56,8 +55,8 @@ class _RawMode:
     def __init__(self, bk, tree, level, factors):
         self.bk = bk
         self.level = level
-        self.pk = PackedTree(tree)
-        self.packed = pack_factors(self.pk, tree, factors, Workspace())
+        self.tree = tree
+        self.factors = [factors[m] for m in tree.dim_perm]  # tree-level order
         rank = factors[0].shape[1]
         dim = tree.dims[tree.dim_perm[level]]
         self.out = np.zeros((dim, rank))
@@ -74,13 +73,13 @@ class _RawMode:
                                 np.zeros((scatter.out_rows.size, rank))))
 
     def _kernel(self, lo, hi, out, slot):
-        bk, pk, packed = self.bk, self.pk, self.packed
+        bk, tree, factors = self.bk, self.tree, self.factors
         if self.level == 0:
-            bk.root_kernel(pk, packed, lo, hi, out)
-        elif self.level == pk.nmodes - 1:
-            bk.leaf_kernel(pk, packed, lo, hi, out, slot)
+            bk.root_kernel(tree, factors, lo, hi, out)
+        elif self.level == tree.nmodes - 1:
+            bk.leaf_kernel(tree, factors, lo, hi, out, slot)
         else:
-            bk.internal_kernel(pk, packed, self.level, lo, hi, out, slot)
+            bk.internal_kernel(tree, factors, self.level, lo, hi, out, slot)
 
     def one_thread(self):
         self.out.fill(0.0)

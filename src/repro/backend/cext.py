@@ -1,4 +1,4 @@
-"""The ``cext`` backend: the packed kernels as C, compiled at first use.
+"""The ``cext`` backend: the range kernels as C, compiled at first use.
 
 The algorithms of :mod:`repro.backend.kernels_ref` in C, compiled with
 the system C compiler (``$CC``, ``cc`` or ``gcc``) into a shared object
@@ -10,11 +10,14 @@ with zero Python-package dependencies beyond a toolchain.
 One MTTKRP task is one kernel call, which adds each contribution straight
 into its output row: the MTTKRP output, or, given a ``slot`` array, the
 task's compact buffer of the rows it touches (``kernels_ref`` states the
-contract).  The call walks the task's slices once per block of factor
-columns (32, 16, 8 or 4 wide, then the rank's ``R mod 4`` tail), and the
-running sums of the two deepest tree levels stay in vector registers for
-the whole walk instead of making a trip through memory on every
-multiply-add.  Each element gets the arithmetic of ``kernels_ref``'s
+contract).  It reads the CSF tree's ``fptr``/``fids`` arrays and the
+factor matrices in place, through per-level tables of pointers built on
+each call, and checks every factor's shape first, since C indexes
+without bounds checks.  The call walks the task's slices once per block
+of factor columns (32, 16, 8 or 4 wide, then the rank's ``R mod 4``
+tail), and the running sums of the two deepest tree levels stay in
+vector registers for the whole walk instead of making a trip through
+memory on every multiply-add.  Each element gets the arithmetic of ``kernels_ref``'s
 loops over whole rows, in the same order and with the same rounding: a
 multiply-add is fused where the compiler fuses the whole-row loop's, and
 the products those loops keep in a row of their own are rounded on their
@@ -141,8 +144,8 @@ INLINE blk blk_rounded(blk a, int nv)
     return a;
 }
 
-/* A task's view of the packed tree: each level's child pointers, fids
-   and factor rows, and the task's node range [lo[l], hi[l]) per level. */
+/* A task's view of the tree: each level's child pointers, fids and
+   factor matrix, and the task's node range [lo[l], hi[l]) per level. */
 typedef struct {
     const int64_t* fptr[MAX_MODES];
     const int64_t* fids[MAX_MODES];
@@ -152,23 +155,24 @@ typedef struct {
     int64_t lo[MAX_MODES], hi[MAX_MODES];
 } walk_t;
 
-static void walk_init(walk_t* w, const int64_t* fptr_cat,
-                      const int64_t* fptr_off, const int64_t* fids_cat,
-                      const int64_t* fids_off, const double* values,
-                      const double* packed, const int64_t* row_off,
-                      int64_t nmodes, int64_t rank, int64_t lo, int64_t hi)
+/* fptr, fids and rows are the tree's per-level arrays and the factor
+   matrices in tree-level order, read in place. */
+static void walk_init(walk_t* w, const int64_t* const* fptr,
+                      const int64_t* const* fids, const double* values,
+                      const double* const* rows, int64_t nmodes,
+                      int64_t rank, int64_t lo, int64_t hi)
 {
     w->values = values;
     w->nmodes = nmodes;
     w->rank = rank;
     for (int64_t l = 0; l < nmodes; l++) {
-        w->fids[l] = fids_cat + fids_off[l];
-        w->rows[l] = packed + row_off[l] * rank;
+        w->fids[l] = fids[l];
+        w->rows[l] = rows[l];
     }
     w->lo[0] = lo;
     w->hi[0] = hi;
     for (int64_t l = 0; l < nmodes - 1; l++) {
-        w->fptr[l] = fptr_cat + fptr_off[l];
+        w->fptr[l] = fptr[l];
         w->lo[l + 1] = w->fptr[l][w->lo[l]];
         w->hi[l + 1] = w->fptr[l][w->hi[l]];
     }
@@ -330,15 +334,14 @@ INLINE void leaf_block(const walk_t* w, const int64_t* slot, double* out,
    each contribution into its output row, out[fid] or (given slot) row
    slot[i] of the task's compact buffer of nout rows, zeroed first.
    kernels_ref.py states the contract. */
-void repro_root_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
-                       const int64_t* fids_cat, const int64_t* fids_off,
-                       const double* values, const double* packed,
-                       const int64_t* row_off, int64_t nmodes, int64_t rank,
-                       int64_t lo, int64_t hi, double* out)
+#define TREE_PARAMS const int64_t* const* fptr, const int64_t* const* fids, \
+    const double* values, const double* const* rows, int64_t nmodes, int64_t rank
+#define TREE_ARGS fptr, fids, values, rows, nmodes, rank
+
+void repro_root_kernel(TREE_PARAMS, int64_t lo, int64_t hi, double* out)
 {
     walk_t w;
-    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
-              row_off, nmodes, rank, lo, hi);
+    walk_init(&w, TREE_ARGS, lo, hi);
     upward(&w, 0, NULL, out);
 }
 
@@ -349,30 +352,20 @@ static void clear_rows(double* out, const int64_t* slot, int64_t nout,
         memset(out, 0, (size_t)(nout * rank) * sizeof(double));
 }
 
-void repro_internal_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
-                           const int64_t* fids_cat, const int64_t* fids_off,
-                           const double* values, const double* packed,
-                           const int64_t* row_off, int64_t nmodes,
-                           int64_t rank, int64_t level, int64_t lo, int64_t hi,
+void repro_internal_kernel(TREE_PARAMS, int64_t level, int64_t lo, int64_t hi,
                            const int64_t* slot, double* out, int64_t nout)
 {
     walk_t w;
-    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
-              row_off, nmodes, rank, lo, hi);
+    walk_init(&w, TREE_ARGS, lo, hi);
     clear_rows(out, slot, nout, rank);
     upward(&w, level, slot, out);
 }
 
-void repro_leaf_kernel(const int64_t* fptr_cat, const int64_t* fptr_off,
-                       const int64_t* fids_cat, const int64_t* fids_off,
-                       const double* values, const double* packed,
-                       const int64_t* row_off, int64_t nmodes, int64_t rank,
-                       int64_t lo, int64_t hi,
+void repro_leaf_kernel(TREE_PARAMS, int64_t lo, int64_t hi,
                        const int64_t* slot, double* out, int64_t nout)
 {
     walk_t w;
-    walk_init(&w, fptr_cat, fptr_off, fids_cat, fids_off, values, packed,
-              row_off, nmodes, rank, lo, hi);
+    walk_init(&w, TREE_ARGS, lo, hi);
     clear_rows(out, slot, nout, rank);
 #define LEAF_BLOCK(col, nv, lanes) leaf_block(&w, slot, out, col, nv, lanes)
     FOR_EACH_BLOCK(rank, LEAF_BLOCK);
@@ -489,9 +482,9 @@ _I64 = ctypes.c_longlong
 _PTR = ctypes.c_void_p
 
 _SIGNATURES = {
-    "repro_root_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR],
-    "repro_internal_kernel": [_PTR] * 7 + [_I64] * 5 + [_PTR, _PTR, _I64],
-    "repro_leaf_kernel": [_PTR] * 7 + [_I64] * 4 + [_PTR, _PTR, _I64],
+    "repro_root_kernel": [_PTR] * 4 + [_I64] * 4 + [_PTR],
+    "repro_internal_kernel": [_PTR] * 4 + [_I64] * 5 + [_PTR, _PTR, _I64],
+    "repro_leaf_kernel": [_PTR] * 4 + [_I64] * 4 + [_PTR, _PTR, _I64],
     "repro_gather_segment_sum": [_PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR],
     "repro_locks_init": [_PTR, _I64, _I64],
     "repro_locks_destroy": [_PTR, _I64, _I64],
@@ -597,6 +590,11 @@ def _p(arr: np.ndarray, dtype) -> int:
     return arr.ctypes.data
 
 
+def _table(arrays, dtype):
+    """A C array of pointers to the buffers of ``arrays``."""
+    return (_PTR * len(arrays))(*[_p(a, dtype) for a in arrays])
+
+
 class CextBackend(Backend):
     """ctypes-dispatched C kernels (GIL released during every call)."""
 
@@ -611,51 +609,63 @@ class CextBackend(Backend):
     def _prepare(self) -> None:
         self._lib = _build_library()
 
-    def _tree_args(self, pk, packed):
-        if pk.nmodes > _MAX_MODES:
+    @staticmethod
+    def _tree_args(tree, factors):
+        """The range kernels' leading arguments: pointer tables to the
+        tree's ``fptr``/``fids`` levels and to ``factors`` (tree-level
+        order), read in place, plus the values, order and rank.
+
+        C indexes without bounds checks, so every factor's shape is checked
+        here: ``factors[l]`` must be ``(dims[dim_perm[l]], rank)``.
+        """
+        nmodes = tree.nmodes
+        if nmodes > _MAX_MODES:
             raise ValueError(
-                f"cext backend supports at most {_MAX_MODES} modes, "
-                f"got {pk.nmodes}"
+                f"cext backend supports at most {_MAX_MODES} modes, got {nmodes}"
             )
-        return (
-            _p(pk.fptr_cat, INDEX_DTYPE),
-            _p(pk.fptr_off, INDEX_DTYPE),
-            _p(pk.fids_cat, INDEX_DTYPE),
-            _p(pk.fids_off, INDEX_DTYPE),
-            _p(pk.values, VALUE_DTYPE),
-            _p(packed, VALUE_DTYPE),
-            _p(pk.row_off, INDEX_DTYPE),
-            pk.nmodes,
-            packed.shape[1],
-        )
+        if len(factors) != nmodes:
+            raise ValueError(f"need {nmodes} factors, got {len(factors)}")
+        rank = factors[0].shape[1]
+        for level, f in enumerate(factors):
+            mode = tree.dim_perm[level]
+            if f.shape != (tree.dims[mode], rank):
+                raise ValueError(
+                    f"factor {mode} has shape {f.shape}, expected "
+                    f"{(tree.dims[mode], rank)}"
+                )
+        return (_table(tree.fptr, INDEX_DTYPE), _table(tree.fids, INDEX_DTYPE),
+                _p(tree.values, VALUE_DTYPE), _table(factors, VALUE_DTYPE),
+                nmodes, rank)
 
-    def root_kernel(self, pk, packed, lo, hi, out) -> None:
-        _, target, _ = self._target(pk, packed, 0, out, None)
-        self._lib.repro_root_kernel(*self._tree_args(pk, packed), lo, hi, target)
+    def root_kernel(self, tree, factors, lo, hi, out) -> None:
+        _, target, _ = self._target(tree, factors, 0, out, None)
+        self._lib.repro_root_kernel(*self._tree_args(tree, factors), lo, hi, target)
 
-    def internal_kernel(self, pk, packed, level, lo, hi, out, slot=None) -> None:
+    def internal_kernel(self, tree, factors, level, lo, hi, out, slot=None) -> None:
         self._lib.repro_internal_kernel(
-            *self._tree_args(pk, packed), level, lo, hi,
-            *self._target(pk, packed, level, out, slot))
+            *self._tree_args(tree, factors), level, lo, hi,
+            *self._target(tree, factors, level, out, slot))
 
-    def leaf_kernel(self, pk, packed, lo, hi, out, slot=None) -> None:
+    def leaf_kernel(self, tree, factors, lo, hi, out, slot=None) -> None:
         self._lib.repro_leaf_kernel(
-            *self._tree_args(pk, packed), lo, hi,
-            *self._target(pk, packed, pk.nmodes - 1, out, slot))
+            *self._tree_args(tree, factors), lo, hi,
+            *self._target(tree, factors, tree.nmodes - 1, out, slot))
 
     @staticmethod
-    def _target(pk, packed, level, out, slot):
+    def _target(tree, factors, level, out, slot):
         """``(slot, out, nout)`` pointers for a kernel adding into ``out``.
 
         C indexes without bounds checks, so the shapes are checked here:
         without ``slot``, ``out`` must cover every fid of ``level``; with
         it, the plan that built ``slot`` keeps its entries below ``nout``.
         """
-        if (out.ndim != 2 or out.shape[1] != packed.shape[1]
-                or (slot is None and out.shape[0] < pk.level_dims[level])):
+        rank = factors[0].shape[1]
+        dim = tree.dims[tree.dim_perm[level]]
+        if (out.ndim != 2 or out.shape[1] != rank
+                or (slot is None and out.shape[0] < dim)):
             raise ValueError(
                 f"cext kernel output {out.shape} does not cover "
-                f"{pk.level_dims[level]} rows of rank {packed.shape[1]}"
+                f"{dim} rows of rank {rank}"
             )
         ptr = None if slot is None else _p(slot, INDEX_DTYPE)
         return ptr, _p(out, VALUE_DTYPE), out.shape[0]

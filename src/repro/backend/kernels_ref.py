@@ -1,4 +1,4 @@
-"""The packed-kernel algorithms, written once as plain loops over flat arrays.
+"""The compiled-kernel algorithms, written once as plain loops over arrays.
 
 These functions are the *single source of truth* for the compiled MTTKRP
 range kernels and the gather segment sum.  The ``cext`` backend
@@ -12,12 +12,13 @@ its own.  The unit tests run these functions interpreted (slow, but
 exact) through the full dispatch path, certifying the algorithm the C
 implements on any machine, with or without a compiler.
 
-Data layout (see :mod:`repro.backend.packing`): the CSF tree arrives as
-flat concatenated ``int64`` arrays (``fptr_cat``/``fptr_off``,
-``fids_cat``/``fids_off``), the factor matrices as one packed C-contiguous
-``float64`` matrix with per-level row offsets (``row_off``).  Flat arrays
-keep the compiled signatures *order-independent*: one C function covers
-tensors of any order.
+Data layout: the kernels read the CSF tree and the factor matrices in
+place, as per-level lists: the tree's own ``fptr`` (levels
+``0..nmodes-2``) and ``fids`` (levels ``0..nmodes-1``) ``int64`` arrays,
+its ``values``, and the factor matrices in tree-level order
+(``factors[l]`` is the factor of mode ``dim_perm[l]``).  Nothing is
+copied; the C form takes the same lists as tables of pointers, so one C
+function covers tensors of any order.
 
 Algorithm: a single linear scan over the task's leaves with one running
 accumulator per tree level and an upward "cascade" that fires whenever a
@@ -66,8 +67,7 @@ __all__ = [
 ]
 
 
-def root_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
-                packed, row_off, nmodes, lo, hi, out):
+def root_kernel(fptr, fids, values, factors, lo, hi, out):
     """Root-mode MTTKRP for root slices ``[lo, hi)``, added into ``out``.
 
     Root node ``i`` adds its full upward product (all levels below the
@@ -76,38 +76,39 @@ def root_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     Root fids are distinct, so tasks on disjoint slice ranges never share
     a row.
     """
-    rank = packed.shape[1]
+    nmodes = len(fids)
+    rank = factors[0].shape[1]
     last = nmodes - 1
     lo_l = np.empty(nmodes, np.int64)
     hi_l = np.empty(nmodes, np.int64)
     lo_l[0] = lo
     hi_l[0] = hi
     for l in range(last):
-        lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]]
-        hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]]
+        lo_l[l + 1] = fptr[l][lo_l[l]]
+        hi_l[l + 1] = fptr[l][hi_l[l]]
     acc = np.zeros((last, rank), np.float64)
     ptr = np.empty(nmodes, np.int64)
     for l in range(nmodes):
         ptr[l] = lo_l[l]
     for z in range(lo_l[last], hi_l[last]):
-        fr = row_off[last] + fids_cat[fids_off[last] + z]
+        fr = fids[last][z]
         v = values[z]
         for r in range(rank):
-            acc[last - 1, r] += v * packed[fr, r]
+            acc[last - 1, r] += v * factors[last][fr, r]
         # cascade: close every node whose child range just ended
         pos = z + 1
         l = last - 1
-        while pos == fptr_cat[fptr_off[l] + ptr[l] + 1]:
+        while pos == fptr[l][ptr[l] + 1]:
             if l == 0:
-                row = fids_cat[fids_off[0] + ptr[0]]
+                row = fids[0][ptr[0]]
                 for r in range(rank):
                     out[row, r] += acc[0, r]
                     acc[0, r] = 0.0
                 ptr[0] += 1
                 break
-            fr2 = row_off[l] + fids_cat[fids_off[l] + ptr[l]]
+            fr2 = fids[l][ptr[l]]
             for r in range(rank):
-                acc[l - 1, r] += acc[l, r] * packed[fr2, r]
+                acc[l - 1, r] += acc[l, r] * factors[l][fr2, r]
                 acc[l, r] = 0.0
             ptr[l] += 1
             pos = ptr[l]
@@ -122,8 +123,7 @@ def _clear_rows(out, slot):
                 out[i, r] = 0.0
 
 
-def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
-                    packed, row_off, nmodes, level, lo, hi, slot, out):
+def internal_kernel(fptr, fids, values, factors, level, lo, hi, slot, out):
     """Internal-mode MTTKRP at tree ``level`` (0 < level < nmodes-1).
 
     Each ``level`` node under root slices ``[lo, hi)`` adds the upward
@@ -133,15 +133,16 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     ``out[fid]`` when ``slot`` is ``None``, else row ``slot[i]`` of the
     compact buffer ``out`` (zeroed first) for the range's ``i``-th node.
     """
-    rank = packed.shape[1]
+    nmodes = len(fids)
+    rank = factors[0].shape[1]
     last = nmodes - 1
     lo_l = np.empty(nmodes, np.int64)
     hi_l = np.empty(nmodes, np.int64)
     lo_l[0] = lo
     hi_l[0] = hi
     for l in range(last):
-        lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]]
-        hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]]
+        lo_l[l + 1] = fptr[l][lo_l[l]]
+        hi_l[l + 1] = fptr[l][hi_l[l]]
     _clear_rows(out, slot)
     acc = np.zeros((last, rank), np.float64)
     tmp = np.empty(rank, np.float64)
@@ -149,17 +150,17 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     for l in range(nmodes):
         ptr[l] = lo_l[l]
     for z in range(lo_l[last], hi_l[last]):
-        fr = row_off[last] + fids_cat[fids_off[last] + z]
+        fr = fids[last][z]
         v = values[z]
         for r in range(rank):
-            acc[last - 1, r] += v * packed[fr, r]
+            acc[last - 1, r] += v * factors[last][fr, r]
         pos = z + 1
         l = last - 1
-        while pos == fptr_cat[fptr_off[l] + ptr[l] + 1]:
+        while pos == fptr[l][ptr[l] + 1]:
             if l > level:
-                fr2 = row_off[l] + fids_cat[fids_off[l] + ptr[l]]
+                fr2 = fids[l][ptr[l]]
                 for r in range(rank):
-                    acc[l - 1, r] += acc[l, r] * packed[fr2, r]
+                    acc[l - 1, r] += acc[l, r] * factors[l][fr2, r]
                     acc[l, r] = 0.0
                 ptr[l] += 1
                 pos = ptr[l]
@@ -170,13 +171,13 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
                     tmp[r] = acc[level, r]
                     acc[level, r] = 0.0
                 for a in range(level):
-                    fra = row_off[a] + fids_cat[fids_off[a] + ptr[a]]
+                    fra = fids[a][ptr[a]]
                     for r in range(rank):
-                        tmp[r] *= packed[fra, r]
+                        tmp[r] *= factors[a][fra, r]
                 if slot is not None:
                     row = slot[ptr[level] - lo_l[level]]
                 else:
-                    row = fids_cat[fids_off[level] + ptr[level]]
+                    row = fids[level][ptr[level]]
                 for r in range(rank):
                     out[row, r] += tmp[r]
                 ptr[level] += 1
@@ -192,8 +193,7 @@ def internal_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
                 l -= 1
 
 
-def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
-                packed, row_off, nmodes, lo, hi, slot, out):
+def leaf_kernel(fptr, fids, values, factors, lo, hi, slot, out):
     """Leaf-mode MTTKRP for root slices ``[lo, hi)``.
 
     Each leaf (nonzero) adds its value times the product of every ancestor
@@ -201,15 +201,16 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
     ``leaf_range_vectorized``'s ``vals[:, None] * d``) into its output
     row, chosen as in :func:`internal_kernel`.
     """
-    rank = packed.shape[1]
+    nmodes = len(fids)
+    rank = factors[0].shape[1]
     last = nmodes - 1
     lo_l = np.empty(nmodes, np.int64)
     hi_l = np.empty(nmodes, np.int64)
     lo_l[0] = lo
     hi_l[0] = hi
     for l in range(last):
-        lo_l[l + 1] = fptr_cat[fptr_off[l] + lo_l[l]]
-        hi_l[l + 1] = fptr_cat[fptr_off[l] + hi_l[l]]
+        lo_l[l + 1] = fptr[l][lo_l[l]]
+        hi_l[l + 1] = fptr[l][hi_l[l]]
     _clear_rows(out, slot)
     ptr = np.empty(nmodes, np.int64)
     for l in range(nmodes):
@@ -221,27 +222,26 @@ def leaf_kernel(fptr_cat, fptr_off, fids_cat, fids_off, values,
         for r in range(rank):
             prow[r] = 1.0
         for a in range(fib):
-            fra = row_off[a] + fids_cat[fids_off[a] + ptr[a]]
+            fra = fids[a][ptr[a]]
             for r in range(rank):
-                prow[r] *= packed[fra, r]
-        frp = row_off[fib] + fids_cat[fids_off[fib] + p]
+                prow[r] *= factors[a][fra, r]
+        frp = fids[fib][p]
         for r in range(rank):
-            prow[r] *= packed[frp, r]
-        for z in range(fptr_cat[fptr_off[fib] + p],
-                       fptr_cat[fptr_off[fib] + p + 1]):
+            prow[r] *= factors[fib][frp, r]
+        for z in range(fptr[fib][p], fptr[fib][p + 1]):
             v = values[z]
             for r in range(rank):
                 term[r] = v * prow[r]
             if slot is not None:
                 row = slot[z - lo_l[last]]
             else:
-                row = fids_cat[fids_off[last] + z]
+                row = fids[last][z]
             for r in range(rank):
                 out[row, r] += term[r]
         # advance ancestor pointers past completed nodes
         pos = p + 1
         l = fib - 1
-        while l >= 0 and pos == fptr_cat[fptr_off[l] + ptr[l] + 1]:
+        while l >= 0 and pos == fptr[l][ptr[l] + 1]:
             ptr[l] += 1
             pos = ptr[l]
             l -= 1

@@ -5,9 +5,11 @@ A **backend** supplies compiled implementations of the numerical hot spots
 optionally the locked mutex-pool scatter — behind a uniform interface,
 mirroring how Genten (Phipps & Kolda) keeps one kernel source per
 execution space behind one dispatch layer.  A range kernel is one call
-per task that adds straight into its output rows: the MTTKRP output, or a task's compact buffer
-addressed through a ``slot`` array (:mod:`repro.backend.kernels_ref`
-states the contract).  The two backends:
+per task that reads the CSF tree and the factor matrices in place and
+adds straight into its output rows: the MTTKRP output, or a task's
+compact buffer addressed through a ``slot`` array
+(:mod:`repro.backend.kernels_ref` states the contract).  The two
+backends:
 
 ``numpy``
     The reference: the vectorized NumPy/SciPy tree walk of
@@ -50,7 +52,6 @@ from typing import Sequence
 import numpy as np
 
 from repro._util import VALUE_DTYPE
-from repro.backend.packing import PackedTree, pack_factors
 from repro.observe import spans as _obs
 
 __all__ = [
@@ -93,7 +94,7 @@ class Backend:
 
     #: Backend name (``"numpy"``, ``"cext"``).
     name: str = "abstract"
-    #: True when the packed-kernel path should replace the NumPy tree walk.
+    #: True when the range kernels should replace the NumPy tree walk.
     compiled: bool = False
     #: True when the backend runs a task's whole mutex-pool scatter in one
     #: call (:meth:`make_locks`, :meth:`free_locks`, :meth:`scatter_locked`);
@@ -128,21 +129,23 @@ class Backend:
     def _prepare(self) -> None:  # pragma: no cover - abstract hook
         raise NotImplementedError
 
-    # -- packed MTTKRP range kernels (compiled backends only) ----------
-    # One pass per task that adds straight into the output rows; the
-    # contract is spelled out in :mod:`repro.backend.kernels_ref`.
-    def root_kernel(self, pk: PackedTree, packed, lo: int, hi: int, out) -> None:
+    # -- MTTKRP range kernels (compiled backends only) ----------------
+    # One pass per task that adds straight into the output rows, reading
+    # the CSF ``tree`` and ``factors`` (tree-level order: ``factors[l]``
+    # belongs to mode ``tree.dim_perm[l]``) in place; the contract is
+    # spelled out in :mod:`repro.backend.kernels_ref`.
+    def root_kernel(self, tree, factors, lo: int, hi: int, out) -> None:
         """Add root slices ``[lo, hi)``'s rows into the MTTKRP output ``out``."""
         raise NotImplementedError
 
-    def internal_kernel(self, pk: PackedTree, packed, level: int,
+    def internal_kernel(self, tree, factors, level: int,
                         lo: int, hi: int, out, slot=None) -> None:
         """Add the ``level`` nodes under root slices ``[lo, hi)`` into their
         rows of ``out``: the node's fid, or ``slot[i]`` of a compact buffer
         (zeroed first) when ``slot`` is given."""
         raise NotImplementedError
 
-    def leaf_kernel(self, pk: PackedTree, packed, lo: int, hi: int, out,
+    def leaf_kernel(self, tree, factors, lo: int, hi: int, out,
                     slot=None) -> None:
         """Add the leaves under root slices ``[lo, hi)`` into their rows of
         ``out``, chosen as in :meth:`internal_kernel`."""
@@ -174,33 +177,30 @@ class Backend:
 
 
 class BackendCall:
-    """One MTTKRP invocation's backend state: packed tree + packed factors.
+    """One MTTKRP invocation's backend state: the tree and its factors.
 
     Built by :func:`prepare_call` on the dispatching thread; each pool
-    worker then hands ``pk`` and ``packed`` to the backend's range kernel
-    for its slice range, which adds into the output (or the task's compact
-    buffer) with the GIL released.
+    worker then hands ``tree`` and ``factors`` (tree-level order) to the
+    backend's range kernel for its slice range, which adds into the output
+    (or the task's compact buffer) with the GIL released.
     """
 
-    __slots__ = ("backend", "pk", "packed")
+    __slots__ = ("backend", "tree", "factors")
 
-    def __init__(self, backend: Backend, pk: PackedTree, packed: np.ndarray):
+    def __init__(self, backend: Backend, tree, factors: list[np.ndarray]):
         self.backend = backend
-        self.pk = pk
-        self.packed = packed
+        self.tree = tree
+        self.factors = factors
 
 
-def prepare_call(backend: Backend, ctx, tree, factors: Sequence[np.ndarray]) -> BackendCall:
+def prepare_call(backend: Backend, tree, factors: Sequence[np.ndarray]) -> BackendCall:
     """Build the :class:`BackendCall` for one MTTKRP on ``tree``.
 
-    The packed tree comes from ``ctx``, the cache of the set owning ``tree``
-    (built once per tree); the packed factor matrix is refreshed into a reused arena
-    buffer every call.  ``factors`` must already be canonical.
+    ``factors`` (mode order) must already be canonical; the call holds
+    them, not copies, in the tree's level order.
     """
     backend.ensure_ready()
-    pk = ctx.packed_tree(tree)
-    packed = pack_factors(pk, tree, factors, ctx.pack_workspace(tree, backend.name))
-    return BackendCall(backend, pk, packed)
+    return BackendCall(backend, tree, [factors[m] for m in tree.dim_perm])
 
 
 def canonical_factors(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -347,13 +347,12 @@ def _warmup_check(backend: Backend) -> None:
               np.array([0, 1], dtype=np.int64)],
         values=np.array([1.5, -2.0]),
     )
-    pk = PackedTree(tree)
     rng = np.random.default_rng(7)
     # rank 3 is the R mod 4 tail alone; rank 61 takes one block of every
     # width the C kernels have: 32+16+8+4+1 columns
     for rank in (3, 61):
         factors = canonical_factors([rng.random((d, rank)) for d in tree.dims])
-        packed, leaves = _check_range_kernels(backend, tree, pk, factors)
+        leaves = _check_range_kernels(backend, tree, factors)
 
     x = rng.random((5, 3))
     starts = np.array([0, 2, 2], dtype=np.int64)
@@ -371,7 +370,7 @@ def _warmup_check(backend: Backend) -> None:
         # loop adds the slot-form buffer, one row per leaf (rank 61 factors)
         scatter = RowScatter(tree.fids[2], pool_size=1)
         rows = np.empty_like(leaves)
-        backend.leaf_kernel(pk, packed, 0, 1, rows, scatter.slots())
+        backend.leaf_kernel(tree, factors, 0, 1, rows, scatter.slots())
         acc = np.empty_like(leaves)
         for kind in ("atomic", "sync"):
             pool = make_mutex_pool(kind, size=1)
@@ -383,29 +382,26 @@ def _warmup_check(backend: Backend) -> None:
                     pool.counters.lock_acquires, 1)
 
 
-def _check_range_kernels(backend: Backend, tree, pk, factors):
+def _check_range_kernels(backend: Backend, tree, factors):
     """Check the range kernels' direct write and slot form on the warm-up
-    tree with ``factors``; return the packed factors and the leaf rows
-    the leaf kernel added onto ones."""
-    from repro.mttkrp.scatter import Workspace
-
-    packed = pack_factors(pk, tree, factors, Workspace())
+    tree (tree-level order is mode order) with ``factors``; return the
+    leaf rows the leaf kernel added onto ones."""
     f0, f1, f2 = factors
-    rank = packed.shape[1]
+    rank = f0.shape[1]
     at = f"[rank {rank}]"
 
     # direct write: each kernel adds into out[fid], on top of what is there
     out = np.ones((1, rank))
-    backend.root_kernel(pk, packed, 0, 1, out)
+    backend.root_kernel(tree, factors, 0, 1, out)
     subtree = 1.5 * f2[0] - 2.0 * f2[1]
     _expect(backend, "root_kernel" + at, out[0], 1.0 + f1[0] * subtree)
 
     out.fill(1.0)
-    backend.internal_kernel(pk, packed, 1, 0, 1, out)
+    backend.internal_kernel(tree, factors, 1, 0, 1, out)
     _expect(backend, "internal_kernel" + at, out[0], 1.0 + f0[0] * subtree)
 
     leaves = np.ones((2, rank))
-    backend.leaf_kernel(pk, packed, 0, 1, leaves)
+    backend.leaf_kernel(tree, factors, 0, 1, leaves)
     prow = f0[0] * f1[0]
     _expect(backend, "leaf_kernel" + at, leaves,
             1.0 + np.stack([1.5 * prow, -2.0 * prow]))
@@ -413,12 +409,12 @@ def _check_range_kernels(backend: Backend, tree, pk, factors):
     # slot form: the compact buffer is zeroed, then node i adds into slot[i]
     both = np.zeros(2, dtype=np.int64)
     out.fill(7.0)
-    backend.leaf_kernel(pk, packed, 0, 1, out, both)
+    backend.leaf_kernel(tree, factors, 0, 1, out, both)
     _expect(backend, "leaf_kernel[slot]" + at, out[0], -0.5 * prow)
     out.fill(7.0)
-    backend.internal_kernel(pk, packed, 1, 0, 1, out, both[:1])
+    backend.internal_kernel(tree, factors, 1, 0, 1, out, both[:1])
     _expect(backend, "internal_kernel[slot]" + at, out[0], f0[0] * subtree)
-    return packed, leaves
+    return leaves
 
 
 def _expect(backend: Backend, kernel: str, got, want) -> None:

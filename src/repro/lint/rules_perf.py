@@ -176,7 +176,8 @@ def _check_raw_scatter(mod: ModuleView) -> Iterator[tuple[ast.AST, str]]:
         yield node, (
             f"np.{ufunc}.at is an unbuffered element-at-a-time scatter in a "
             "hot path: use a cached RowScatter/SegmentSum plan from "
-            "repro.mttkrp.scatter (or sorted_scatter_add for one-shot rows)"
+            "repro.mttkrp.scatter (or RowScatter(rows).scatter_accumulate "
+            "for one-shot rows)"
         )
 
 

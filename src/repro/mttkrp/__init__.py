@@ -25,7 +25,6 @@ from repro.mttkrp.scatter import (
     RowScatter,
     ScatterPlan,
     Workspace,
-    sorted_scatter_add,
 )
 from repro.mttkrp.variants import ACCESS_VARIANTS, mttkrp, mttkrp_csf
 
@@ -36,7 +35,6 @@ __all__ = [
     "dense_mttkrp_reference",
     "needs_locks",
     "nnz_balanced_blocks",
-    "sorted_scatter_add",
     "RowScatter",
     "ScatterPlan",
     "Workspace",

@@ -198,7 +198,7 @@ def root_range_vectorized(
     else:
         rows = trav.fids[0]
         if bctx is not None:
-            bctx.backend.root_kernel(bctx.pk, bctx.packed, lo, hi, out)
+            bctx.backend.root_kernel(bctx.tree, bctx.factors, lo, hi, out)
         elif csf.nmodes == 1:
             w = ws.buf(("root_bcast",), (rows.shape[0], out.shape[1]), out.dtype)
             w[:] = trav.values[:, None]
@@ -254,7 +254,7 @@ def leaf_range_vectorized(
         return csf.fids[nmodes - 1][leaf_lo:leaf_hi], csf.values[leaf_lo:leaf_hi, None] * d
     rows = trav.fids[nmodes - 1]
     if bctx is not None:
-        bctx.backend.leaf_kernel(bctx.pk, bctx.packed, lo, hi, out, slot)
+        bctx.backend.leaf_kernel(bctx.tree, bctx.factors, lo, hi, out, slot)
         if slot is None:
             _record_write(out, rows, "leaf_range_vectorized")
         return None
@@ -333,7 +333,8 @@ def internal_range_vectorized(
         return csf.fids[level][nlo:nhi], d * u
     rows = trav.fids[level]
     if bctx is not None:
-        bctx.backend.internal_kernel(bctx.pk, bctx.packed, level, lo, hi, out, slot)
+        bctx.backend.internal_kernel(bctx.tree, bctx.factors, level, lo, hi,
+                                     out, slot)
         if slot is None:
             _record_write(out, rows, "internal_range_vectorized")
         return None

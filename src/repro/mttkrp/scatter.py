@@ -38,8 +38,8 @@ order, so plan-based results match ``np.add.at`` to summation rounding
 (``reduceat`` sums pairwise where ``add.at`` is sequential — ``allclose``
 at ~1e-15, and typically *more* accurate).
 
-:func:`sorted_scatter_add` is the plan-less one-shot flavour for call
-sites whose rows change every call (TTMc chunks, one-off scatters).
+A :class:`RowScatter` built for one call is the one-shot flavour for
+call sites whose rows change every call (TTMc chunks, one-off scatters).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from repro.observe import spans as _obs
 from repro.tensor.sort import lex_order
 
 __all__ = [
-    "sorted_scatter_add",
     "RowScatter",
     "SegmentSum",
     "TaskTraversal",
@@ -69,46 +68,6 @@ __all__ = [
 def _compiled(backend) -> bool:
     """True when ``backend`` should take the compiled primitive path."""
     return backend is not None and backend.compiled
-
-
-def sorted_scatter_add(
-    out: np.ndarray,
-    rows: np.ndarray,
-    contribs: np.ndarray,
-    backend=None,
-) -> np.ndarray:
-    """``np.add.at(out, rows, contribs)`` via stable sort + ``reduceat``.
-
-    The per-row accumulation order equals the input order (stable sort), so
-    the result matches ``np.add.at`` to summation rounding while running at
-    vectorized-reduction speed.  Use :class:`RowScatter` instead when
-    ``rows`` is invariant across calls.  A compiled ``backend`` replaces
-    the materialized sort gather + ``reduceat`` with one fused
-    gather-segment-sum pass (same per-segment input order, so results
-    agree to summation rounding).
-    """
-    if rows.size == 0:
-        return out
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.flatnonzero(sorted_rows[1:] != sorted_rows[:-1]) + 1
-    starts = np.concatenate(([0], starts))
-    if (
-        _compiled(backend)
-        and contribs.dtype == VALUE_DTYPE
-        and contribs.flags.c_contiguous
-    ):
-        reduced = np.empty((starts.size,) + contribs.shape[1:], dtype=VALUE_DTYPE)
-        backend.gather_segment_sum(
-            contribs,
-            order.astype(np.int64, copy=False),
-            starts.astype(np.int64, copy=False),
-            reduced,
-        )
-        out[sorted_rows[starts]] += reduced
-        return out
-    out[sorted_rows[starts]] += np.add.reduceat(contribs[order], starts, axis=0)
-    return out
 
 
 class Workspace:
@@ -141,7 +100,8 @@ class Workspace:
         ``mode="clip"`` skips bounds handling — with ``out=``, the default
         ``mode="raise"`` materializes a temporary and copies it, costing an
         extra full pass.  All callers pass CSF-derived indices that are
-        in range by construction, so clipping never actually clips.
+        in range by construction (``mttkrp_csf`` checks every factor's
+        shape against the tree's dims), so clipping never actually clips.
         """
         out = self.buf(tag, (indices.shape[0],) + source.shape[1:], source.dtype)
         np.take(source, indices, axis=0, out=out, mode="clip")
@@ -618,7 +578,6 @@ class MttkrpContext:
         self._traversals: dict = {}
         self._plans: dict = {}
         self._workspaces: dict = {}
-        self._packed: dict = {}
         self.plan_hits = 0
         self.plan_misses = 0
 
@@ -666,38 +625,17 @@ class MttkrpContext:
         self._plans[key] = plan
         return plan, False
 
-    def workspaces(
-        self, tree: CsfTensor, ntasks: int, backend: str = "numpy"
-    ) -> list[Workspace]:
-        """One :class:`Workspace` per task, shared by all levels of a tree.
-
-        Keyed by ``backend`` name as well: compiled and NumPy kernels shape
-        their scratch differently, so sharing one arena across backends
-        would thrash its buffers when comparing backends on one tree.
-        """
-        key = (self._tree_key(tree), ntasks, backend)
+    def workspaces(self, tree: CsfTensor, ntasks: int) -> list[Workspace]:
+        """One :class:`Workspace` per task, shared by all levels of a tree
+        and by both backends: a compiled kernel's only scratch is the
+        compact buffer the NumPy walk's scatter also reduces into (same
+        tag, same shape)."""
+        key = (self._tree_key(tree), ntasks)
         ws = self._workspaces.get(key)
         if ws is None:
             ws = [Workspace() for _ in range(ntasks)]
             self._workspaces[key] = ws
         return ws
-
-    def packed_tree(self, tree: CsfTensor):
-        """The tree's cached :class:`~repro.backend.packing.PackedTree`
-        (flat compiled-kernel layout), built once per tree."""
-        from repro.backend.packing import PackedTree
-
-        key = self._tree_key(tree)
-        pk = self._packed.get(key)
-        if pk is None:
-            pk = PackedTree(tree)
-            self._packed[key] = pk
-        return pk
-
-    def pack_workspace(self, tree: CsfTensor, backend: str) -> Workspace:
-        """The arena holding a backend's packed factor matrix for ``tree``
-        (rebuilt into the same buffer every MTTKRP call)."""
-        return self.workspaces(tree, 1, "pack:" + backend)[0]
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -709,12 +647,10 @@ class MttkrpContext:
         """
         plan_bytes = _unique_nbytes(a for p in self._plans.values() for a in p.arrays())
         ws_bytes = sum(w.nbytes() for group in self._workspaces.values() for w in group)
-        packed_bytes = sum(p.nbytes() for p in self._packed.values())
         return {
             "plans": len(self._plans),
             "plan_hits": self.plan_hits,
             "plan_misses": self.plan_misses,
             "plan_bytes": plan_bytes,
             "workspace_bytes": ws_bytes,
-            "packed_bytes": packed_bytes,
         }

@@ -391,7 +391,8 @@ def mttkrp_csf(
     csf_set:
         Trees built by :func:`repro.csf.build_csf_set`.
     factors:
-        All ``N`` factor matrices; ``factors[mode]`` is ignored.
+        All ``N`` factor matrices, each ``(dims[m], R)``; the values of
+        ``factors[mode]`` are ignored.
     mode:
         Output mode.
     variant:
@@ -437,12 +438,17 @@ def mttkrp_csf(
     # Identical coercion for every backend (C-contiguous float64), so
     # backend choice can never change how an exotic input is interpreted.
     factors = canonical_factors(factors)
+    if len(factors) != nmodes:
+        raise ValueError(f"need {nmodes} factors, got {len(factors)}")
     rank = factors[0].shape[1]
+    # every factor, not only factors[mode]: the walks gather rows of the
+    # others without bounds checks (a clipped take, or C)
+    for m, f in enumerate(factors):
+        if f.shape != (tree.dims[m], rank):
+            raise ValueError(
+                f"factor {m} has shape {f.shape}, expected {(tree.dims[m], rank)}"
+            )
     dim = tree.dims[mode]
-    if factors[mode].shape != (dim, rank):
-        raise ValueError(
-            f"factor {mode} has shape {factors[mode].shape}, expected {(dim, rank)}"
-        )
 
     if out is None:
         out = np.zeros((dim, rank), dtype=VALUE_DTYPE)
@@ -475,7 +481,7 @@ def mttkrp_csf(
     bctx = None
     target = out
     if use_compiled:
-        bctx = prepare_call(bk, csf_set.mttkrp_context, tree, factors)
+        bctx = prepare_call(bk, tree, factors)
         _obs.count("backend.dispatch." + bk.name)
         if out.dtype != VALUE_DTYPE or not out.flags.c_contiguous:
             # the kernels add into C-contiguous float64 rows
@@ -497,7 +503,7 @@ def mttkrp_csf(
         level = 0 if algorithm == "root" else tree.level_of_mode(mode)
         psize = the_pool.size if the_pool is not None else None
         plan, plan_hit = ctx.plan(tree, level, ntasks, psize)
-        workspaces = ctx.workspaces(tree, ntasks, bk.name)
+        workspaces = ctx.workspaces(tree, ntasks)
         if algorithm == "root":
             csf_kernels.run_root_parallel(
                 tree, factors, target, layer, plan=plan, workspaces=workspaces,

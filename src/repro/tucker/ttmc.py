@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from repro._util import VALUE_DTYPE, check_axis, prod
-from repro.mttkrp.scatter import sorted_scatter_add
+from repro.mttkrp.scatter import RowScatter
 from repro.observe import spans as _obs
 from repro.tensor.coo import SparseTensor
 
@@ -86,9 +86,9 @@ def ttmc(
             for m in reversed(rest):
                 rows = factors[m][c[:, m]]  # reprolint: allow(row-slice-copy) — (chunk, R_m) gather; chunk coords change every call, nothing invariant to plan
                 acc = (acc[:, :, None] * rows[:, None, :]).reshape(acc.shape[0], -1)  # reprolint: allow(hot-loop-alloc) — output width grows each mode; a fixed workspace buffer cannot hold it
-            # chunk rows change every call, so use the one-shot segmented
-            # scatter rather than a cached plan
-            sorted_scatter_add(out, c[:, mode], acc, backend=backend)
+            # chunk rows change every call, so the scatter is built per
+            # chunk rather than cached in a plan
+            RowScatter(c[:, mode]).scatter_accumulate(out, acc, backend=backend)
     return out
 
 

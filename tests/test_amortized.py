@@ -17,6 +17,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.backend import resolve_backend
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
@@ -26,7 +27,6 @@ from repro.mttkrp.scatter import (
     ScatterPlan,
     SegmentSum,
     Workspace,
-    sorted_scatter_add,
 )
 from repro.mttkrp.reference import dense_mttkrp_reference
 from repro.mttkrp.variants import mttkrp_csf
@@ -49,9 +49,12 @@ def _tensor_for_order(order):
     return random_tensor(dims, nnz, seed=31 + order)
 
 
-class TestSortedScatterAdd:
+class TestOneShotRowScatter:
+    """A RowScatter built for one call: TTMc's per-chunk scatter."""
+
     def test_matches_add_at(self):
         rng = np.random.default_rng(0)
+        backends = (None, resolve_backend("auto"))  # NumPy, then compiled
         for _ in range(25):
             n = int(rng.integers(0, 300))
             dim = int(rng.integers(1, 40))
@@ -59,18 +62,19 @@ class TestSortedScatterAdd:
             contribs = rng.standard_normal((n, 4))
             expected = np.zeros((dim, 4))
             np.add.at(expected, rows, contribs)
-            got = np.zeros((dim, 4))
-            sorted_scatter_add(got, rows, contribs)
-            np.testing.assert_allclose(got, expected, atol=1e-12)
+            for backend in backends:
+                got = np.zeros((dim, 4))
+                RowScatter(rows).scatter_accumulate(got, contribs, backend=backend)
+                np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_empty_rows_is_noop(self):
         out = np.ones((3, 2))
-        sorted_scatter_add(out, np.empty(0, dtype=np.int64), np.empty((0, 2)))
+        RowScatter(np.empty(0, dtype=np.int64)).scatter_accumulate(out, np.empty((0, 2)))
         np.testing.assert_array_equal(out, np.ones((3, 2)))
 
     def test_accumulates_onto_existing(self):
         out = np.ones((4, 2))
-        sorted_scatter_add(out, np.array([1, 1, 3]), np.full((3, 2), 2.0))
+        RowScatter(np.array([1, 1, 3])).scatter_accumulate(out, np.full((3, 2), 2.0))
         expected = np.ones((4, 2))
         expected[1] += 4.0
         expected[3] += 2.0

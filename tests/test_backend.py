@@ -170,7 +170,7 @@ class PurePythonBackend(Backend):
     """The uncompiled kernels_ref functions behind the Backend interface.
 
     Slow, but it exercises the exact source cext translates — proving the
-    *algorithm* (and the packed layout, adapters, and dispatch plumbing)
+    *algorithm* (and the per-level argument lists and dispatch plumbing)
     without a compiler.
     """
 
@@ -180,18 +180,15 @@ class PurePythonBackend(Backend):
     def _prepare(self) -> None:
         pass
 
-    def root_kernel(self, pk, packed, lo, hi, out):
-        kref.root_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat, pk.fids_off,
-                         pk.values, packed, pk.row_off, pk.nmodes, lo, hi, out)
+    def root_kernel(self, tree, factors, lo, hi, out):
+        kref.root_kernel(tree.fptr, tree.fids, tree.values, factors, lo, hi, out)
 
-    def internal_kernel(self, pk, packed, level, lo, hi, out, slot=None):
-        kref.internal_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat,
-                             pk.fids_off, pk.values, packed, pk.row_off,
-                             pk.nmodes, level, lo, hi, slot, out)
+    def internal_kernel(self, tree, factors, level, lo, hi, out, slot=None):
+        kref.internal_kernel(tree.fptr, tree.fids, tree.values, factors,
+                             level, lo, hi, slot, out)
 
-    def leaf_kernel(self, pk, packed, lo, hi, out, slot=None):
-        kref.leaf_kernel(pk.fptr_cat, pk.fptr_off, pk.fids_cat, pk.fids_off,
-                         pk.values, packed, pk.row_off, pk.nmodes, lo, hi,
+    def leaf_kernel(self, tree, factors, lo, hi, out, slot=None):
+        kref.leaf_kernel(tree.fptr, tree.fids, tree.values, factors, lo, hi,
                          slot, out)
 
     def gather_segment_sum(self, x, order, starts, out):

@@ -8,8 +8,9 @@ slot array, the NumPy walk through its plan scatter's segment sums; one
 driver serves both.  These tests cover the leaf walk
 (``allocation="one"``), a 4-mode tree (two internal levels), more tasks
 than root slices (empty ranges), both lock pools, privatized modes at 2
-and 3 tasks, the lock traffic, and a sanitizer run, which takes the
-Python lock loop and must see every write.  They skip only when there is
+and 3 tasks, the lock traffic, a sanitizer run, which takes the
+Python lock loop and must see every write, and the shape checks that
+stand between a mis-sized factor and an unchecked read.  They skip only when there is
 no C compiler: a cext build that fails its self-check fails them.
 """
 
@@ -156,7 +157,7 @@ def test_one_task_adds_into_the_output_with_no_workspace(cases):
     # mttkrp_csf zeroes a caller's out before the kernels add into it
     np.testing.assert_allclose(start, refs[0], rtol=RTOL, atol=ATOL)
     tree, _ = csf_set.tree_for_mode(0)
-    (ws,) = csf_set.mttkrp_context.workspaces(tree, 1, "cext")
+    (ws,) = csf_set.mttkrp_context.workspaces(tree, 1)
     assert ws.nbytes() == 0
 
 
@@ -176,12 +177,39 @@ def test_kernel_refuses_an_output_smaller_than_the_mode(cases):
     csf_set = build_csf_set(tensor, allocation="one")
     tree, _ = csf_set.tree_for_mode(0)
     bk = resolve_backend("cext")
-    call = prepare_call(bk, csf_set.mttkrp_context, tree, factors)
+    call = prepare_call(bk, tree, factors)
     short = np.zeros((tree.dims[tree.dim_perm[2]] - 1, 5))
     with pytest.raises(ValueError, match="does not cover"):
-        bk.leaf_kernel(call.pk, call.packed, 0, 1, short)
+        bk.leaf_kernel(call.tree, call.factors, 0, 1, short)
     with pytest.raises(ValueError, match="does not cover"):
-        bk.root_kernel(call.pk, call.packed, 0, 1, np.zeros((12, 4)))
+        bk.root_kernel(call.tree, call.factors, 0, 1, np.zeros((12, 4)))
+
+
+def test_every_factor_is_checked_against_its_mode():
+    # the walks read the other modes' factor rows without bounds checks:
+    # the NumPy walk's clipped take would read a short factor's last row
+    # for every index past it, C would read past its end
+    tensor = random_tensor((9, 7, 8), 150, seed=3)
+    rng = np.random.default_rng(3)
+    factors = [rng.random((d, 5)) for d in tensor.dims]
+    cut = factors[:2] + [factors[2][:3]]
+    narrow = factors[:1] + [factors[1][:, :4]] + factors[2:]
+    for backend in BACKENDS:
+        csf_set = build_csf_set(tensor)
+        for mode in range(tensor.nmodes):
+            with pytest.raises(ValueError, match=r"factor 2 has shape \(3, 5\)"):
+                mttkrp_csf(csf_set, cut, mode, backend=backend)
+            with pytest.raises(ValueError, match=r"factor 1 has shape \(7, 4\)"):
+                mttkrp_csf(csf_set, narrow, mode, backend=backend)
+            with pytest.raises(ValueError, match="need 3 factors"):
+                mttkrp_csf(csf_set, factors[:2], mode, backend=backend)
+    # the compiled kernels check each level's factor before any C call
+    bk = resolve_backend("cext")
+    tree = build_csf_set(tensor, allocation="one").trees[0]
+    call = prepare_call(bk, tree, cut)
+    out = np.zeros((tree.dims[tree.dim_perm[0]], 5))
+    with pytest.raises(ValueError, match=r"factor 2 has shape \(3, 5\)"):
+        bk.root_kernel(call.tree, call.factors, 0, 1, out)
 
 
 class _Recorder:

@@ -19,9 +19,7 @@ import pytest
 from repro.backend import canonical_factors, get_backend
 from repro.backend import kernels_ref as kref
 from repro.backend.cext import _compiler
-from repro.backend.packing import PackedTree, pack_factors
 from repro.csf.build import build_csf_set
-from repro.mttkrp.scatter import Workspace
 from repro.tensor.generate import random_tensor
 
 # skip only without a compiler: a build that fails its self-check must fail
@@ -50,28 +48,23 @@ def _level_range(tree, level, lo, hi):
     return lo, hi
 
 
-def _ref_args(pk, packed):
-    return (pk.fptr_cat, pk.fptr_off, pk.fids_cat, pk.fids_off, pk.values,
-            packed, pk.row_off, pk.nmodes)
-
-
-def _check_level(bk, tree, pk, packed, level, lo, hi, rng):
-    rank = packed.shape[1]
-    ref = np.zeros((pk.level_dims[level], rank))
+def _check_level(bk, tree, factors, level, lo, hi, rng):
+    rank = factors[0].shape[1]
+    ref = np.zeros((tree.dims[tree.dim_perm[level]], rank))
     base = rng.standard_normal(ref.shape)
     got = base.copy()
-    args = _ref_args(pk, packed)
+    args = (tree.fptr, tree.fids, tree.values, factors)
     last = tree.nmodes - 1
     # direct write: every kernel adds on top of what out holds
     if level == 0:
         kref.root_kernel(*args, lo, hi, ref)
-        bk.root_kernel(pk, packed, lo, hi, got)
+        bk.root_kernel(tree, factors, lo, hi, got)
     elif level == last:
         kref.leaf_kernel(*args, lo, hi, None, ref)
-        bk.leaf_kernel(pk, packed, lo, hi, got)
+        bk.leaf_kernel(tree, factors, lo, hi, got)
     else:
         kref.internal_kernel(*args, level, lo, hi, None, ref)
-        bk.internal_kernel(pk, packed, level, lo, hi, got)
+        bk.internal_kernel(tree, factors, level, lo, hi, got)
     np.testing.assert_allclose(got, base + ref, rtol=RTOL, atol=ATOL,
                                err_msg=f"level {level}, slices [{lo}, {hi})")
     if level == 0:
@@ -83,9 +76,9 @@ def _check_level(bk, tree, pk, packed, level, lo, hi, rng):
     slot = slot.astype(np.int64)
     buf = np.full((uniq.size, rank), np.nan)
     if level == last:
-        bk.leaf_kernel(pk, packed, lo, hi, buf, slot)
+        bk.leaf_kernel(tree, factors, lo, hi, buf, slot)
     else:
-        bk.internal_kernel(pk, packed, level, lo, hi, buf, slot)
+        bk.internal_kernel(tree, factors, level, lo, hi, buf, slot)
     np.testing.assert_allclose(buf, ref[uniq], rtol=RTOL, atol=ATOL,
                                err_msg=f"slot form, level {level}, slices [{lo}, {hi})")
 
@@ -99,10 +92,10 @@ def test_cext_matches_kernels_ref(order, rank):
     rng = np.random.default_rng(10 * order + rank)
     factors = canonical_factors([rng.standard_normal((d, rank)) for d in dims])
     tree = build_csf_set(tensor, allocation="one").trees[0]
-    pk = PackedTree(tree)
-    packed = pack_factors(pk, tree, factors, Workspace())
+    # the kernels take the factors in tree-level order
+    factors = [factors[m] for m in tree.dim_perm]
     nroot = tree.fids[0].size
     assert nroot >= 3
     for lo, hi in ((0, nroot), (1, nroot - 1)):
         for level in range(order):
-            _check_level(bk, tree, pk, packed, level, lo, hi, rng)
+            _check_level(bk, tree, factors, level, lo, hi, rng)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.backend import resolve_backend
+from repro.backend.cext import _compiler
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
@@ -25,7 +26,7 @@ from repro.mttkrp.variants import mttkrp_csf
 from repro.runtime.env import ChapelEnv
 from repro.runtime.locks import make_mutex_pool
 from repro.runtime.tasking import make_tasking_layer
-from repro.tensor.generate import random_tensor
+from repro.tensor.generate import random_tensor, synthetic_dataset
 
 
 def _factors(tensor, rank=4, seed=3):
@@ -149,6 +150,21 @@ def test_cext_plans_hold_no_csr_matrix():
             if plan.level:
                 assert all("down_expand" in trav.__dict__ for trav in plan.traversals)
         assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans) > 0
+
+
+@pytest.mark.skipif(_compiler() is None, reason="no C compiler for the cext backend")
+def test_one_task_cext_solve_holds_no_plan_array_or_scratch():
+    """A 1-task cext ``cp_als`` on the NETFLIX stand-in reads the CSF
+    trees and the factor matrices in place: it builds no plan array, uses
+    no workspace byte and holds no copied tree or factor layout."""
+    tensor = synthetic_dataset("netflix", seed=1)
+    opts = CpalsOptions(max_iterations=2, tolerance=0.0, seed=1, backend="cext")
+    stats = cp_als(tensor, 16, opts).engine_stats
+    assert stats["backend"] == "cext" and stats["plans"] > 0
+    assert stats["plan_bytes"] == 0
+    assert stats["workspace_bytes"] == 0
+    # and reports no copied-layout footprint
+    assert not [key for key in stats if "pack" in key]
 
 
 def test_numpy_segment_sums_match_the_eager_csr_operator():
