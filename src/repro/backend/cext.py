@@ -671,6 +671,12 @@ class CextBackend(Backend):
         return ptr, _p(out, VALUE_DTYPE), out.shape[0]
 
     def gather_segment_sum(self, x, order, starts, out) -> None:
+        if (x.ndim != 2 or order.shape != (x.shape[0],) or starts.ndim != 1
+                or out.shape != (starts.shape[0], x.shape[1])):
+            raise ValueError(
+                f"gather_segment_sum: x {x.shape}, order {order.shape}, "
+                f"starts {starts.shape}, out {out.shape}"
+            )
         self._lib.repro_gather_segment_sum(
             _p(x, VALUE_DTYPE), _p(order, INDEX_DTYPE), order.shape[0],
             _p(starts, INDEX_DTYPE), starts.shape[0], x.shape[1],

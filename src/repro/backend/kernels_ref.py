@@ -250,10 +250,10 @@ def leaf_kernel(fptr, fids, values, factors, lo, hi, slot, out):
 def gather_segment_sum_kernel(x, order, starts, out):
     """Fused ``x[order]`` gather + segment sum (RowScatter's reduce).
 
-    Replaces the NumPy path's materialized sort gather followed by
-    ``reduceat`` with one pass; per-segment sums are sequential in
-    ``order`` order (the stable sort order), matching the gather+reduceat
-    result to rounding.
+    One pass; each segment sums its rows sequentially from zero in
+    ``order`` order (the stable sort order), as the NumPy path's CSR
+    segment sum (:class:`~repro.mttkrp.scatter.SegmentSum` with ``order``
+    as column indices) does, so the two agree bit for bit.
     """
     nseg = starts.shape[0]
     n = order.shape[0]

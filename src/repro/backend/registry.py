@@ -176,6 +176,12 @@ class Backend:
         raise NotImplementedError
 
 
+class NumpyBackend(Backend):
+    """Always-available reference backend (the NumPy tree walk)."""
+
+    name = "numpy"
+
+
 class BackendCall:
     """One MTTKRP invocation's backend state: the tree and its factors.
 
@@ -265,7 +271,7 @@ def get_backend(name: str) -> Backend:
     if reason is not None:
         raise BackendUnavailableError(reason)
     if name == "numpy":
-        from repro.backend.numpy_ref import NumpyBackend as cls
+        cls = NumpyBackend
     else:
         from repro.backend.cext import CextBackend as cls
     inst = cls()

@@ -73,10 +73,11 @@ def als_update_mode(
     """Solve mode ``mode``'s rows in place against the observed entries.
 
     Rows with no observations shrink to zero (the λ-regularized solution
-    of an empty system), matching SPLATT's behaviour.  A compiled
-    ``backend`` (resolved :class:`~repro.backend.registry.Backend`)
-    accelerates the two scatter reductions with the fused
-    gather-segment-sum kernel; results agree to summation rounding.
+    of an empty system), matching SPLATT's behaviour.  The two scatter
+    reductions run the mode scatter's cached CSR segment sum, or with a
+    compiled ``backend`` (resolved
+    :class:`~repro.backend.registry.Backend`) its gather-segment-sum
+    kernel; both gather and sum in one pass, with identical results.
     """
     if regularization <= 0:
         raise ValueError("completion ALS requires regularization > 0 "

@@ -15,11 +15,12 @@ is semantically the mini-batch limit of the same algorithm;
 gradient verification).
 
 The scatter-add goes through :mod:`repro.mttkrp.scatter`'s segment-sum
-machinery (stable sort + ``reduceat``) rather than ``np.add.at``: a batch's
-duplicate rows are pre-reduced in their original order, so the result
-matches the element-at-a-time scatter to summation rounding while running
-at vectorized speed, and every intermediate lands in a :class:`Workspace`
-reused across the epoch's batches.
+machinery (a stable sort, then one CSR pass that gathers and sums) rather
+than ``np.add.at``: a batch's duplicate rows are pre-reduced in their
+original order, so the result matches the element-at-a-time scatter to
+summation rounding while running at vectorized speed, and the reduced
+rows land in a :class:`Workspace` buffer reused across the epoch's
+batches.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ def sgd_epoch(
         same buffers instead of reallocating per batch.
     backend:
         Optional resolved compiled :class:`~repro.backend.registry.Backend`
-        that fuses each batch's sort gather and segment reduction into one
-        GIL-releasing pass; results agree to summation rounding.
+        whose C gather segment sum reduces each batch in one
+        GIL-releasing pass; results are identical.
     """
     if learn_rate <= 0:
         raise ValueError("learn_rate must be positive")
@@ -100,8 +101,8 @@ def sgd_epoch(
             grad *= learn_rate
             # Batch rows change every chunk (shuffled), so the scatter
             # structure is built per batch; its sort is stable, keeping
-            # each row's update order, and the segment reduction plus all
-            # gathers run in reused workspace buffers.
+            # each row's update order, and the reduced rows land in a
+            # reused workspace buffer.
             RowScatter(c[:, m], tag=("sgd",)).scatter_accumulate(
                 factors[m], grad, ws, backend=backend
             )

@@ -278,9 +278,9 @@ def leaf_range_sorted(
     composed with the scatter sort permutation) and ``leaf_values_sorted``
     (the values, pre-permuted), so the caller's
     :class:`~repro.mttkrp.scatter.RowScatter` can reduce with
-    ``presorted=True`` — no per-call ``O(nnz)`` sort gather.  Elementwise
-    products are identical to :func:`leaf_range_vectorized` followed by
-    the sort gather, so results match that path exactly.
+    ``presorted=True``, reading the rows in place rather than through its
+    sort order.  Elementwise products are identical to
+    :func:`leaf_range_vectorized`'s, so results match that path exactly.
     """
     nmodes = csf.nmodes
     if trav.hi <= trav.lo:

@@ -10,12 +10,11 @@ PAPERS.md), this module computes it once per
 * :class:`RowScatter` — cached stable sort order, segment boundaries and
   unique output rows for one invariant ``rows`` array: the
   :meth:`~RowScatter.slots` of a compiled kernel's compact buffer, the
-  ``np.add.reduceat`` segments of the NumPy walk's, and in the mutex
-  flavour a cached bucket grouping that keeps one lock acquire per
-  task-bucket pair;
-* :class:`SegmentSum` — precomputed CSR segment-sum operators replacing
-  ``np.add.reduceat`` in the NumPy tree walk, whose per-segment dispatch
-  cost dominates on fiber-sized (few-nonzero) segments;
+  segment sum that fills the NumPy walk's, and in the mutex flavour a
+  cached bucket grouping that keeps one lock acquire per task-bucket pair;
+* :class:`SegmentSum` — cached CSR segment-sum operators: every segment
+  sum of the NumPy path (the tree walk's upward reductions and the
+  scatters' gather-and-reduce) is one compiled scipy pass;
 * :class:`TaskTraversal` — cached per-task node ranges and tree views,
   plus the NumPy walk's segment sums and downward expansion indices;
 * :class:`Workspace` — a keyed arena of scratch arrays (the compact
@@ -30,13 +29,13 @@ PAPERS.md), this module computes it once per
 A plan builds only what the running backend reads.  A compiled kernel
 reads a plan's ``bounds`` and tree views, and at more than one task the
 scatters; everything the NumPy walk alone reads is built on first read,
-like :class:`SegmentSum`'s matrix, so a 1-task compiled solve holds no
-plan array at all.
+like its :class:`SegmentSum` operators, so a 1-task compiled solve holds
+no plan array at all.
 
 Stable sorts keep each output row's contributions in their original
-order, so plan-based results match ``np.add.at`` to summation rounding
-(``reduceat`` sums pairwise where ``add.at`` is sequential — ``allclose``
-at ~1e-15, and typically *more* accurate).
+order, and every segment sum adds them sequentially from zero, so
+plan-based results match ``np.add.at`` to summation rounding and the
+NumPy and compiled reductions agree bit for bit.
 
 A :class:`RowScatter` built for one call is the one-shot flavour for
 call sites whose rows change every call (TTMc chunks, one-off scatters).
@@ -44,7 +43,8 @@ call sites whose rows change every call (TTMc chunks, one-off scatters).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
+from math import prod
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -64,10 +64,6 @@ __all__ = [
     "ScatterPlan",
     "MttkrpContext",
 ]
-
-def _compiled(backend) -> bool:
-    """True when ``backend`` should take the compiled primitive path."""
-    return backend is not None and backend.compiled
 
 
 class Workspace:
@@ -115,8 +111,9 @@ class Workspace:
 class RowScatter:
     """Cached scatter structure for one invariant ``rows`` array.
 
-    Precomputes the stable sort ``order``, the ``reduceat`` segment
-    boundaries ``seg_starts``, and the unique output rows ``out_rows``.
+    Precomputes the stable sort ``order``, the segment boundaries
+    ``seg_starts`` of the sorted rows, and the unique output rows
+    ``out_rows``.
     When ``pool_size`` is given, rows are additionally grouped by mutex
     bucket (``row % pool_size``, SPLATT's hashing) with cached per-bucket
     bounds, so the locked scatter needs no per-call ``argsort``.
@@ -125,7 +122,8 @@ class RowScatter:
     """
 
     __slots__ = ("nrows_in", "order", "seg_starts", "out_rows",
-                 "bucket_ids", "bucket_bounds", "tag", "_buckets64", "_slot")
+                 "bucket_ids", "bucket_bounds", "tag", "_buckets64", "_slot",
+                 "_segsums")
 
     def __init__(self, rows: np.ndarray, pool_size: int | None = None, tag=None):
         self.nrows_in = int(rows.shape[0])
@@ -134,6 +132,8 @@ class RowScatter:
         # so compiled backends take them as they are.
         self._buckets64 = None
         self._slot = None
+        # the NumPy reduce's SegmentSum per ``presorted`` value, built on first use
+        self._segsums = [None, None]
         if self.nrows_in == 0:
             self.order = np.empty(0, dtype=np.int64)
             self.seg_starts = np.empty(0, dtype=np.int64)
@@ -196,6 +196,17 @@ class RowScatter:
             yield from (self.bucket_ids, self.bucket_bounds)
         if self._slot is not None:
             yield self._slot
+        for seg in self._segsums:
+            if seg is not None:
+                yield from seg.arrays()
+
+    def _check_rows(self, contribs: np.ndarray, expected: int) -> None:
+        # compiled kernels and scipy's CSR pass index without bounds checks
+        if contribs.shape[0] != expected:
+            raise ValueError(
+                f"scatter over {self.nrows_in} rows ({self.out_rows.shape[0]} "
+                f"unique) needs {expected} contribution rows, got {contribs.shape[0]}"
+            )
 
     # ------------------------------------------------------------------
     def reduce(
@@ -208,48 +219,37 @@ class RowScatter:
     ) -> np.ndarray:
         """Per-unique-row segment sums, aligned with :attr:`out_rows`.
 
-        ``presorted=True`` promises ``contribs`` is already in
-        :attr:`order` order (the producer folded the permutation into its
-        own gathers), skipping the sort gather entirely.  Otherwise a
-        compiled ``backend`` fuses gather and reduction into one
-        GIL-releasing pass over the same segments, agreeing to summation
-        rounding.
+        Each segment gathers its rows of ``contribs`` in :attr:`order`
+        order and sums them sequentially from zero, in one pass: a
+        compiled ``backend``'s ``gather_segment_sum``, else the scatter's
+        cached :class:`SegmentSum`, whose CSR column indices are
+        :attr:`order`.  The two agree bit for bit.  ``presorted=True``
+        promises ``contribs`` is already in :attr:`order` order (the
+        producer folded the permutation into its own gathers); its
+        segment sum reads the rows in place.  With ``ws`` the sums land
+        in its ``tag + ("reduced",)`` buffer.
         """
-        if (
-            not presorted
-            and _compiled(backend)
-            and contribs.dtype == VALUE_DTYPE
-            and contribs.flags.c_contiguous
-        ):
-            shape = (self.seg_starts.size,) + contribs.shape[1:]
-            if ws is None:
-                reduced = np.empty(shape, dtype=VALUE_DTYPE)
-            else:
-                reduced = ws.buf(self.tag + ("reduced",), shape, VALUE_DTYPE)
-            # The compiled kernel takes 2-D (n, width) arrays; trailing
-            # dims (e.g. ALS's (nnz, R, R) outer-product stacks) flatten
-            # to zero-copy views thanks to the C-contiguity guard above.
-            width = 1
-            for d in contribs.shape[1:]:
-                width *= d
-            flat = contribs.reshape(contribs.shape[0], width)
-            flat_out = reduced.reshape(reduced.shape[0], width)
-            backend.gather_segment_sum(flat, self.order, self.seg_starts, flat_out)
-            return reduced
-        if presorted:
-            sorted_c = contribs
-        elif ws is None:
-            sorted_c = contribs[self.order]
-        else:
-            sorted_c = ws.take(contribs, self.order, self.tag + ("sorted",))
+        self._check_rows(contribs, self.nrows_in)
+        tag = self.tag + ("reduced",)
+        if presorted or backend is None or not backend.compiled:
+            seg = self._segsums[presorted]
+            if seg is None:
+                seg = SegmentSum(self.seg_starts, self.nrows_in,
+                                 None if presorted else self.order)
+                self._segsums[presorted] = seg
+            return seg.apply(contribs, ws, tag)
+        contribs = np.ascontiguousarray(contribs, dtype=VALUE_DTYPE)
+        shape = (self.seg_starts.size,) + contribs.shape[1:]
         if ws is None:
-            return np.add.reduceat(sorted_c, self.seg_starts, axis=0)
-        reduced = ws.buf(
-            self.tag + ("reduced",),
-            (self.seg_starts.size,) + contribs.shape[1:],
-            contribs.dtype,
-        )
-        np.add.reduceat(sorted_c, self.seg_starts, axis=0, out=reduced)
+            reduced = np.empty(shape, dtype=VALUE_DTYPE)
+        else:
+            reduced = ws.buf(tag, shape)
+        # The compiled kernel takes 2-D (n, width) arrays; trailing dims
+        # (e.g. ALS's (nnz, R, R) outer-product stacks) flatten to views.
+        width = prod(contribs.shape[1:])
+        backend.gather_segment_sum(
+            contribs.reshape(contribs.shape[0], width), self.order,
+            self.seg_starts, reduced.reshape(reduced.shape[0], width))
         return reduced
 
     def scatter_accumulate(
@@ -267,6 +267,7 @@ class RowScatter:
         ``reduced=True`` says ``contribs`` already holds one row per
         :attr:`out_rows` entry (a slot-form kernel's compact buffer).
         """
+        self._check_rows(contribs, self.out_rows.shape[0] if reduced else self.nrows_in)
         if self.nrows_in == 0:
             return
         if not reduced:
@@ -276,23 +277,17 @@ class RowScatter:
         if p is not None:
             p.array_write(out, self.out_rows, "RowScatter.scatter_accumulate")
 
-    def scatter_assign(
-        self,
-        out: np.ndarray,
-        contribs: np.ndarray,
-        ws: Workspace | None = None,
-        *,
-        backend=None,
-    ) -> None:
+    def scatter_assign(self, out: np.ndarray, contribs: np.ndarray) -> None:
         """Overwrite ``out``'s :attr:`out_rows` with the segment sums.
 
         Rows outside :attr:`out_rows` are never written.  No MTTKRP path
         assigns; the sanitizer's certification runs it unlocked on shared
         rows as its seeded race.
         """
+        self._check_rows(contribs, self.nrows_in)
         if self.nrows_in == 0:
             return
-        out[self.out_rows] = self.reduce(contribs, ws, backend=backend)
+        out[self.out_rows] = self.reduce(contribs)
         p = _probe.current
         if p is not None:
             p.array_write(out, self.out_rows, "RowScatter.scatter_assign")
@@ -320,6 +315,7 @@ class RowScatter:
         ``backend.scatter_locked`` call with the GIL released; otherwise
         the loop below takes the pool's Python locks.
         """
+        self._check_rows(contribs, self.out_rows.shape[0] if reduced else self.nrows_in)
         if self.nrows_in == 0:
             return
         if not reduced:
@@ -370,67 +366,64 @@ class RowScatter:
                 p.count("lock.sync_sleeps", sleeps)
 
 
-class SegmentSum:
-    """Cached segment-sum operator over contiguous row segments.
+@cache
+def _csr_matvecs():
+    """scipy's compiled ``Y += A @ X`` over raw CSR arrays (private but
+    long-stable), imported on first use so a compiled solve never imports
+    scipy."""
+    from scipy.sparse._sparsetools import csr_matvecs
 
-    ``np.add.reduceat`` pays a per-segment dispatch cost that dominates
-    when segments are tiny (CSF fibers average only a few nonzeros), so
-    the NumPy path applies a sparse 0/1 matrix whose rows are the
-    segments with scipy's compiled CSR matmul — ~10× faster on
-    fiber-sized segments, identical segment membership, with per-segment
-    sums accumulated sequentially (``allclose`` to the reduceat path's
-    pairwise sums).  Only the NumPy tree walk applies it, so the matrix is
-    built on the first :meth:`apply` and a compiled solve never builds it
-    (nor imports scipy).
+    return csr_matvecs
+
+
+class SegmentSum:
+    """Segment-sum operator over contiguous segments of a gather.
+
+    Row ``s`` of the result sums the input rows ``cols[i]`` for ``i`` in
+    segment ``s`` (``starts[s]`` up to the next start, the last up to
+    ``nin``), added in order from zero.  ``cols`` (``int64``) defaults to
+    the identity, as in the tree walk's upward reductions; a
+    :class:`RowScatter` passes its stable sort ``order``, so one pass
+    gathers and sums, as the compiled ``gather_segment_sum`` does.
+
+    The operator is a 0/1 CSR matrix applied with scipy's compiled
+    matmul, which pays no per-segment dispatch cost (NumPy's own segment
+    reduction does, and on fiber-sized segments that cost dominates).
+    Only the NumPy path builds one (a traversal's on its first upward
+    walk, a scatter's on its first NumPy reduce), so a compiled solve
+    holds none and never imports scipy.
     """
 
-    __slots__ = ("matrix", "nseg", "nin", "starts64")
+    __slots__ = ("nseg", "nin", "indptr", "cols", "data")
 
-    def __init__(self, starts: np.ndarray, nin: int):
+    def __init__(self, starts: np.ndarray, nin: int, cols: np.ndarray | None = None):
         self.nseg = int(starts.shape[0])
         self.nin = int(nin)
-        # the segment starts the CSR matrix is built from on first use
-        self.starts64 = np.ascontiguousarray(starts, dtype=np.int64)
-        self.matrix = None
+        self.indptr = np.empty(self.nseg + 1, dtype=np.int64)
+        self.indptr[:-1] = starts
+        self.indptr[-1] = self.nin
+        self.cols = np.arange(self.nin, dtype=np.int64) if cols is None else cols
+        self.data = np.ones(self.nin, dtype=VALUE_DTYPE)
 
-    def _csr(self):
-        if self.matrix is None:
-            import scipy.sparse as sp
-
-            indptr = np.empty(self.nseg + 1, dtype=np.int64)
-            indptr[: self.nseg] = self.starts64
-            indptr[self.nseg] = self.nin
-            self.matrix = sp.csr_matrix(
-                (np.ones(self.nin, dtype=VALUE_DTYPE),
-                 np.arange(self.nin, dtype=np.int64), indptr),
-                shape=(self.nseg, self.nin),
-            )
-        return self.matrix
-
-    def apply(self, w: np.ndarray, ws: Workspace, tag) -> np.ndarray:
-        """Per-segment sums of ``w``'s rows, in a reused ``tag`` buffer."""
-        out = ws.buf(tag, (self.nseg,) + w.shape[1:], w.dtype)
-        m = self._csr()
-        if w.flags.c_contiguous:
-            # y += A @ x without allocating: private but long-stable scipy kernel
-            from scipy.sparse._sparsetools import csr_matvecs
-
-            out[:] = 0.0
-            csr_matvecs(
-                self.nseg, self.nin, w.shape[1],
-                m.indptr, m.indices, m.data, w.ravel(), out.ravel(),
-            )
+    def apply(self, w: np.ndarray, ws: Workspace | None = None, tag=None) -> np.ndarray:
+        """Per-segment sums of ``w``'s rows (any trailing shape), in ``ws``'s
+        reused ``tag`` buffer, or a new array without ``ws``."""
+        if w.shape[0] != self.nin:
+            raise ValueError(f"segment sum over {self.nin} rows got {w.shape[0]}")
+        w = np.ascontiguousarray(w, dtype=VALUE_DTYPE)
+        shape = (self.nseg,) + w.shape[1:]
+        if ws is None:
+            out = np.empty(shape, dtype=VALUE_DTYPE)
         else:
-            out[:] = m @ w
+            out = ws.buf(tag, shape)
+        out.fill(0.0)
+        _csr_matvecs()(self.nseg, self.nin, prod(w.shape[1:]), self.indptr,
+                       self.cols, self.data, w.reshape(-1), out.reshape(-1))
         return out
 
     def arrays(self) -> tuple[np.ndarray, ...]:
-        """Every array the operator holds (the CSR matrix's once built);
-        ``starts64`` may be the caller's ``starts`` itself."""
-        m = self.matrix
-        if m is None:
-            return (self.starts64,)
-        return (m.data, m.indices, m.indptr, self.starts64)
+        """Every array the operator holds; ``cols`` may be the caller's."""
+        return (self.indptr, self.cols, self.data)
 
 
 class TaskTraversal:
@@ -497,7 +490,7 @@ class ScatterPlan:
     final downward expansion with the scatter sort order, and
     ``leaf_values_sorted[tid]`` pre-permutes the nonzero values, so the
     leaf kernel emits contributions already in sorted order and the
-    per-call ``O(nnz)`` sort gather disappears (``presorted=True``).  The
+    scatter's segment sum reads them in place (``presorted=True``).  The
     NumPy dispatch reads both before it starts the tasks.
     """
 

@@ -49,9 +49,10 @@ def ttmc(
 
     ``factors`` holds all ``N`` matrices; ``factors[mode]`` is ignored.
     Returns the ``(I_mode, Π_{m≠mode} R_m)`` unfolding with the lowest
-    remaining mode's rank index varying fastest.  A compiled ``backend``
-    (resolved :class:`~repro.backend.registry.Backend`) accelerates each
-    chunk's scatter-add with the fused gather-segment-sum kernel.
+    remaining mode's rank index varying fastest.  Each chunk's scatter-add
+    reduces through its scatter's CSR segment sum, or with a compiled
+    ``backend`` (resolved :class:`~repro.backend.registry.Backend`) its
+    gather-segment-sum kernel.
     """
     mode = check_axis(mode, tensor.nmodes)
     if len(factors) != tensor.nmodes:

